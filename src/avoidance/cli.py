@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import pairset
 from .core import (Game, GameError, IllegalMoveError, Player, Position,
-                   apply_move, is_transitive, orbit)
+                   apply_move, is_transitive, iter_bits, orbit)
 from .constructions import CATALOG, game_from_json, game_to_json, parse_game_spec
 from .solver import Goal, earliest_forced_loss, solve, solve_plus, verify_strategy
 from .strategies import STRATEGY_NAMES, strategy_for
@@ -199,7 +199,7 @@ def cmd_play(args) -> int:
 
 def _solver_move(game: Game, pos: Position, cap: int) -> int:
     """Best move for the side to move, by exact search from this position."""
-    from .solver import LOSS, WIN, _iter_bits
+    from .solver import LOSS, WIN
     if game.n > cap:
         raise GameError(f"solver opponent needs n <= {cap}")
     full = game.full_mask
@@ -215,8 +215,8 @@ def _solver_move(game: Game, pos: Position, cap: int) -> int:
         if unclaimed == 0:
             return 0
         best = LOSS
-        cnt = bin(mine).count("1") + 1
-        for x in _iter_bits(unclaimed):
+        cnt = mine.bit_count() + 1
+        for x in iter_bits(unclaimed):
             nm = mine | (1 << x)
             if cnt >= minline and game.loses_after(nm, x):
                 val = LOSS
@@ -232,8 +232,8 @@ def _solver_move(game: Game, pos: Position, cap: int) -> int:
     mine = sum(1 << p for p in (pos.a if pos.to_move is Player.ONE else pos.b))
     theirs = sum(1 << p for p in (pos.b if pos.to_move is Player.ONE else pos.a))
     best_x, best_val = None, -2
-    cnt = bin(mine).count("1") + 1
-    for x in _iter_bits(full & ~(mine | theirs)):
+    cnt = mine.bit_count() + 1
+    for x in iter_bits(full & ~(mine | theirs)):
         nm = mine | (1 << x)
         if cnt >= minline and game.loses_after(nm, x):
             val = LOSS
@@ -319,9 +319,11 @@ def main(argv: Optional[list] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GameError, pairset.PairSetError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (GameError, pairset.PairSetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash must not exit 1, which means "refuted"
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

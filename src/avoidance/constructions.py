@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import ExplicitLines, Game, GameError, ImplicitLines, Permutation
+from .core import (ExplicitLines, Game, GameError, ImplicitLines, Permutation,
+                   mask_of, set_of)
 from . import pairset as _ps
 
 
@@ -48,28 +49,23 @@ def odd_composite(p: int, q: int) -> Game:
     n = p * q
     pp, qq = (p + 1) // 2, (q + 1) // 2
     k = pp * qq
+    buckets = [((1 << p) - 1) << (j * p) for j in range(q)]
 
-    def profile_ok(s: frozenset) -> bool:
-        counts = [0] * q
-        for x in s:
-            counts[x // p] += 1
-        hits = 0
-        for c in counts:
-            if c == pp:
-                hits += 1
-            elif c != 0:
+    def profile_ok(mask: int) -> bool:
+        # at size k, pp points in each nonempty bucket force qq such buckets
+        for bucket in buckets:
+            if (mask & bucket).bit_count() not in (0, pp):
                 return False
-        return hits == qq
+        return True
 
     def is_line(s: frozenset) -> bool:
-        return len(s) == k and not profile_ok(s)
+        return len(s) == k and not profile_ok(mask_of(s))
 
-    def contains(s: frozenset) -> bool:
-        if len(s) < k:
-            return False
-        if len(s) > k:
-            return True
-        return not profile_ok(s)
+    def contains(mask: int) -> bool:
+        c = mask.bit_count()
+        if c != k:
+            return c > k
+        return not profile_ok(mask)
 
     def w_iter() -> Iterator[frozenset]:
         for buckets in itertools.combinations(range(q), qq):
@@ -80,7 +76,8 @@ def odd_composite(p: int, q: int) -> Game:
 
     store = ImplicitLines(n, k, is_line, contains,
                           spec=("odd_composite", {"p": p, "q": q}),
-                          w_iter=w_iter, w_member=lambda s: len(s) == k and profile_ok(s))
+                          w_iter=w_iter,
+                          w_member=lambda s: len(s) == k and profile_ok(mask_of(s)))
     bucket_cycle = Permutation(tuple(((i // p + 1) % q) * p + i % p for i in range(n)))
     in_bucket = Permutation(tuple((i + 1) % p if i < p else i for i in range(n)))
     return Game(n, store, (bucket_cycle, in_bucket), f"odd_composite({p},{q})",
@@ -146,13 +143,12 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
         def is_line(s: frozenset) -> bool:
             return len(s) == b and _pairs_w_member(b, board - s)
 
-        def contains(s: frozenset) -> bool:
-            if len(s) < b:
+        def contains(mask: int) -> bool:
+            c = mask.bit_count()
+            if c < b:
                 return False
-            if len(s) == b:
-                return _pairs_w_member(b, board - s)
-            rest = board - s
-            return _pairs_extendable(b, rest)
+            rest = set_of(((1 << n) - 1) ^ mask)
+            return _pairs_w_member(b, rest) if c == b else _pairs_extendable(b, rest)
 
         line_store = ImplicitLines(
             n, b, is_line, contains, spec=("pairs", {"b": b}),
@@ -250,18 +246,14 @@ def _even_extendable(b: int, m: int, t: frozenset) -> bool:
     """Is t a subset of some allowed set of the general even game?"""
     half, mp, bp = m // 2, m // 4, (b - 1) // 2
     bins = _bin_sets(b * m, b, m, t)
-    fulls, per_bin_state = [], []
-    for j, bs in enumerate(bins):
-        for pid in range(half):
-            if pid in bs and (pid + half) % m in bs:
-                fulls.append((j, pid))
-        per_bin_state.append(bs)
+    fulls = [(j, pid) for j, bs in enumerate(bins) for pid in range(half)
+             if pid in bs and (pid + half) % m in bs]
     if len(fulls) > 1:
         return False
     if not fulls:
         # transversal completion: per-bin achievable maxima, then a sum test
         reachable = {0}
-        for bs in per_bin_state:
+        for bs in bins:
             if bs:
                 options = {_ps.maximal_point(e)
                            for e in _ps.full_extensions(_ps.PairSet.of(m, bs))}
@@ -270,30 +262,15 @@ def _even_extendable(b: int, m: int, t: frozenset) -> bool:
             reachable = {(r + o) % m for r in reachable for o in options}
         if any(v < half for v in reachable):
             return True
-    # completion with one doubled pair: enumerate its position and the empty pair
-    candidates = [fulls[0]] if fulls else [
-        (j, pid) for j in range(b) for pid in range(half)]
+    # completion with one doubled pair: enumerate its position and the empty
+    # pair; the only doubled pair of t, if any, is the candidate itself
+    candidates = fulls or [(j, pid) for j in range(b) for pid in range(half)]
     for (j, fpid) in candidates:
         placements = [(j, (fpid + d) % half) for d in range(1, mp)]
         placements += [((j + d) % b, pid)
                        for d in range(1, bp + 1) for pid in range(half)]
         for (je, epid) in placements:
-            if (je, epid) == (j, fpid):
-                continue
-            epts = {je * m + epid, je * m + (epid + half) % m}
-            if epts & t:
-                continue
-            ok = True
-            for (jj, bs) in enumerate(per_bin_state):
-                for pid in range(half):
-                    if (jj, pid) == (j, fpid):
-                        continue
-                    if pid in bs and (pid + half) % m in bs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if not {je * m + epid, je * m + (epid + half) % m} & t:
                 return True
     return False
 
@@ -318,12 +295,12 @@ def even_general(a: int, b: int) -> Game:
     def is_line(s: frozenset) -> bool:
         return len(s) == k and _even_w_member(b, m, board - s)
 
-    def contains(s: frozenset) -> bool:
-        if len(s) < k:
+    def contains(mask: int) -> bool:
+        c = mask.bit_count()
+        if c < k:
             return False
-        if len(s) == k:
-            return _even_w_member(b, m, board - s)
-        return _even_extendable(b, m, board - s)
+        rest = set_of(((1 << n) - 1) ^ mask)
+        return _even_w_member(b, m, rest) if c == k else _even_extendable(b, m, rest)
 
     store = ImplicitLines(n, k, is_line, contains,
                           spec=("even_general", {"a": a, "b": b}),
@@ -442,8 +419,8 @@ def superset_lines(g: Game, r: int) -> Game:
     def is_line(s: frozenset) -> bool:
         return len(s) == r and g.contains_line(s)
 
-    def contains(s: frozenset) -> bool:
-        return len(s) >= r and g.contains_line(s)
+    def contains(mask: int) -> bool:
+        return mask.bit_count() >= r and g.lines.contains_mask(mask)
 
     from math import comb
     if isinstance(g.lines, ExplicitLines) and comb(n, r) <= 100_000:
@@ -666,29 +643,44 @@ def game_to_json(game: Game) -> dict:
     }
 
 
+def _family_key(doc: dict) -> tuple:
+    lines = doc["lines"]
+    if "explicit" in lines:
+        lines = frozenset(frozenset(l) for l in lines["explicit"])
+    return lines, frozenset(tuple(g) for g in doc["generators"])
+
+
 def game_from_json(doc: dict) -> Game:
+    """Load a game document, rebuilding named constructions.
+
+    A game rebuilt from its name or implicit parameters must have the
+    document's lines and generators; a mismatch is refused, never swapped.
+    """
     n = doc["n"]
     name = doc.get("name", "game")
-    gens = tuple(Permutation(tuple(img)) for img in doc["generators"])
     lines = doc["lines"]
     if "explicit" in lines:
         try:
-            return parse_game_spec(name)
+            game = parse_game_spec(name)
         except GameError:
-            pass
-        return Game(n, ExplicitLines(n, lines["explicit"]), gens, name)
-    impl = lines["implicit"]
-    cname, params = impl["construction"], impl["params"]
-    if cname == "odd_composite":
-        game = odd_composite(params["p"], params["q"])
-    elif cname == "pairs":
-        game = pairs_game(params["b"], store="implicit")
-    elif cname == "even_general":
-        game = even_general(params["a"], params["b"])
-    elif cname == "superset":
-        game = superset_lines(parse_game_spec(params["base"]), params["r"])
+            gens = tuple(Permutation(tuple(img)) for img in doc["generators"])
+            return Game(n, ExplicitLines(n, lines["explicit"]), gens, name)
     else:
-        raise GameError(f"unknown implicit construction {cname!r}")
+        impl = lines["implicit"]
+        cname, params = impl["construction"], impl["params"]
+        if cname == "odd_composite":
+            game = odd_composite(params["p"], params["q"])
+        elif cname == "pairs":
+            game = pairs_game(params["b"], store="implicit")
+        elif cname == "even_general":
+            game = even_general(params["a"], params["b"])
+        elif cname == "superset":
+            game = superset_lines(parse_game_spec(params["base"]), params["r"])
+        else:
+            raise GameError(f"unknown implicit construction {cname!r}")
     if game.n != n:
         raise GameError(f"rebuilt board size {game.n} != serialized {n}")
+    if _family_key(game_to_json(game)) != _family_key(doc):
+        raise GameError(f"the lines or generators of the document differ from "
+                        f"those of the rebuilt game {game.name}")
     return game

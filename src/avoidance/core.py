@@ -21,6 +21,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 
@@ -151,13 +153,16 @@ def mask_of(points: Iterable[int]) -> int:
     return m
 
 
-def set_of(mask: int) -> frozenset:
-    out = []
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return frozenset(out)
+
+
+def set_of(mask: int) -> frozenset:
+    return frozenset(iter_bits(mask))
 
 
 class LineStore:
@@ -185,6 +190,17 @@ class LineStore:
 
 
 class ExplicitLines(LineStore):
+    """Lines held as a list of sets.
+
+    ``loses_after`` picks its method from the popcount c of the mask and
+    the per-point line count. In a family of uniform line size k, c == k is
+    one lookup in the set of line masks, and c > k looks up every k-subset
+    of the mask through the new point while there are few enough of them
+    (``comb(c-1, k-1)`` at most an eighth of the smallest per-point line
+    count). Otherwise, and always for mixed sizes, it scans the lines
+    through the point.
+    """
+
     def __init__(self, n: int, lines: Iterable[Iterable[int]]):
         self.n = n
         line_sets = [frozenset(l) for l in lines]
@@ -202,17 +218,36 @@ class ExplicitLines(LineStore):
         self.masks = tuple(mask_of(l) for l in line_sets)
         self.min_line_size = min((len(l) for l in line_sets), default=n + 1)
         # lines through each point, for the incremental loss check
-        self._by_point: list[tuple[int, ...]] = [() for _ in range(n)]
         per_point: list[list[int]] = [[] for _ in range(n)]
         for lm, l in zip(self.masks, line_sets):
             for x in l:
                 per_point[x].append(lm)
         self._by_point = [tuple(v) for v in per_point]
+        self._mask_set = frozenset(self.masks)
+        sizes = {len(l) for l in line_sets}
+        self._k = k = sizes.pop() if len(sizes) == 1 else 0
+        # largest popcount c with 8 * comb(c-1, k-1) <= the fewest lines
+        # through a point; subset lookups answer popcounts in (k, c]
+        self._lookup_upto = 0
+        if k:
+            least = min(len(v) for v in self._by_point)
+            c = k
+            while c < n and 8 * comb(c, k - 1) <= least:
+                c += 1
+            self._lookup_upto = c
 
     def contains_mask(self, mask: int) -> bool:
         return any(mask & lm == lm for lm in self.masks)
 
     def loses_after(self, mask: int, point: int) -> bool:
+        c = mask.bit_count()
+        if c == self._k:
+            return mask in self._mask_set
+        if self._k < c <= self._lookup_upto:
+            # drop c-k of the other points: each k-subset through ``point``
+            others = [1 << y for y in iter_bits(mask ^ (1 << point))]
+            lines = self._mask_set
+            return any(mask - sum(t) in lines for t in combinations(others, c - self._k))
         return any(mask & lm == lm for lm in self._by_point[point])
 
     def is_line(self, s: Iterable[int]) -> bool:
@@ -229,8 +264,8 @@ class ExplicitLines(LineStore):
 class ImplicitLines(LineStore):
     """Line family given by predicates instead of an enumeration.
 
-    ``contains_fn`` must answer containment for arbitrary point sets; it is
-    cross-checked against k-subset enumeration at desk sizes by the test
+    ``contains_fn`` must answer containment for arbitrary point masks; it
+    is cross-checked against k-subset enumeration at desk sizes by the test
     suite before being trusted. ``w_iter``/``w_member``, when present,
     describe the complementary family of allowed sets used for generator
     validation.
@@ -238,7 +273,7 @@ class ImplicitLines(LineStore):
 
     def __init__(self, n: int, k: int,
                  is_line_fn: Callable[[frozenset], bool],
-                 contains_fn: Callable[[frozenset], bool],
+                 contains_fn: Callable[[int], bool],
                  spec: tuple[str, dict],
                  w_iter: Optional[Callable[[], Iterator[frozenset]]] = None,
                  w_member: Optional[Callable[[frozenset], bool]] = None):
@@ -252,13 +287,10 @@ class ImplicitLines(LineStore):
         self._w_member = w_member
 
     def contains_mask(self, mask: int) -> bool:
-        return self._contains(set_of(mask))
-
-    def contains(self, s: Iterable[int]) -> bool:
-        return self._contains(frozenset(s))
+        return self._contains(mask)
 
     def loses_after(self, mask: int, point: int) -> bool:
-        return self._contains(set_of(mask))
+        return self._contains(mask)
 
     def is_line(self, s: Iterable[int]) -> bool:
         return self._is_line(frozenset(s))

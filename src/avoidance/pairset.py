@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Optional, Union
 
+from .core import iter_bits
+
 
 class PairSetError(ValueError):
     pass
@@ -217,15 +219,8 @@ def maximal_point(a: Union[PairSet, Iterable[int]], m: Optional[int] = None) -> 
     x, unique = _max_point_info(m, mask)
     if not unique:
         raise MaximalityTieError(
-            f"maximal rotation of {sorted(set_bits(mask))} in Z_{m} is not unique")
+            f"maximal rotation of {sorted(iter_bits(mask))} in Z_{m} is not unique")
     return x
-
-
-def set_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def a_max(a: PairSet) -> frozenset:

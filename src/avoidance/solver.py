@@ -33,6 +33,7 @@ from .core import (
     SearchCapExceeded,
     Winner,
     is_transitive,
+    iter_bits,
     set_of,
 )
 
@@ -57,13 +58,6 @@ class SolveReport:
         }
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def solve(game: Game, cap: int = 16, use_table: bool = True,
           move_order: str = "ascending", root_symmetry: bool = False) -> SolveReport:
     """Exact outcome of the single-point avoidance game under optimal play.
@@ -79,15 +73,11 @@ def solve(game: Game, cap: int = 16, use_table: bool = True,
         raise GameError("root_symmetry requires a transitive game")
     full = game.full_mask
     n = game.n
-    loses_after = game.loses_after
+    loses_after = game.lines.loses_after
     minline = game.lines.min_line_size
     table: dict = {}
     stats = {"visited": 0}
     descending = move_order == "descending"
-
-    def moves_of(unclaimed: int) -> list:
-        out = list(_iter_bits(unclaimed))
-        return out[::-1] if descending else out
 
     def search(mine: int, theirs: int) -> int:
         key = mine | (theirs << n)
@@ -100,10 +90,17 @@ def solve(game: Game, cap: int = 16, use_table: bool = True,
         if unclaimed == 0:
             return DRAW
         best = LOSS
-        cnt = bin(mine).count("1") + 1
-        for x in moves_of(unclaimed):
-            nm = mine | (1 << x)
-            if cnt >= minline and loses_after(nm, x):
+        may_lose = mine.bit_count() + 1 >= minline
+        while unclaimed:
+            if descending:
+                x = unclaimed.bit_length() - 1
+                bit = 1 << x
+            else:
+                bit = unclaimed & -unclaimed
+                x = bit.bit_length() - 1
+            unclaimed ^= bit
+            nm = mine | bit
+            if may_lose and loses_after(nm, x):
                 val = LOSS
             else:
                 val = -search(theirs, nm)
@@ -138,7 +135,7 @@ def solve(game: Game, cap: int = 16, use_table: bool = True,
 def _principal_variation(game, search, root_val, force_first, move_order) -> list:
     full = game.full_mask
     minline = game.lines.min_line_size
-    loses_after = game.loses_after
+    loses_after = game.lines.loses_after
     descending = move_order == "descending"
     pv: list = []
     mine, theirs = 0, 0
@@ -147,12 +144,12 @@ def _principal_variation(game, search, root_val, force_first, move_order) -> lis
         unclaimed = full & ~(mine | theirs)
         if unclaimed == 0:
             return pv
-        options = list(_iter_bits(unclaimed))
+        options = list(iter_bits(unclaimed))
         if descending:
             options.reverse()
         if force_first is not None and not pv:
             options = [force_first]
-        cnt = bin(mine).count("1") + 1
+        cnt = mine.bit_count() + 1
         for x in options:
             nm = mine | (1 << x)
             if cnt >= minline and loses_after(nm, x):
@@ -208,7 +205,7 @@ def earliest_forced_loss(game: Game, cap: int = 16) -> int:
     full = game.full_mask
     n = game.n
     minline = game.lines.min_line_size
-    loses_after = game.loses_after
+    loses_after = game.lines.loses_after
     INF = float("inf")
     table: dict = {}
 
@@ -217,22 +214,22 @@ def earliest_forced_loss(game: Game, cap: int = 16) -> int:
         hit = table.get(key)
         if hit is not None:
             return hit
-        depth = bin(a).count("1") + bin(b).count("1")
+        depth = (a | b).bit_count()
         unclaimed = full & ~(a | b)
         if unclaimed == 0:
             val = INF
         elif depth % 2 == 0:  # Player I to move, minimising
             val = INF
-            for x in _iter_bits(unclaimed):
+            for x in iter_bits(unclaimed):
                 na = a | (1 << x)
-                if bin(na).count("1") >= minline and loses_after(na, x):
+                if na.bit_count() >= minline and loses_after(na, x):
                     continue  # suicide never hurries Player II's loss
                 val = min(val, search(na, b))
         else:
             val = 0
-            for x in _iter_bits(unclaimed):
+            for x in iter_bits(unclaimed):
                 nb = b | (1 << x)
-                if bin(nb).count("1") >= minline and loses_after(nb, x):
+                if nb.bit_count() >= minline and loses_after(nb, x):
                     cand = depth + 1
                 else:
                     cand = search(a, nb)
@@ -268,7 +265,7 @@ def solve_plus(game: Game, cap: int = 8) -> SolveReport:
         while s:
             subs.append(s)
             s = (s - 1) & mask
-        subs.sort(key=lambda v: (bin(v).count("1"), v))
+        subs.sort(key=lambda v: (v.bit_count(), v))
         return subs
 
     def search(cur: int, other: int) -> int:
@@ -303,7 +300,7 @@ def solve_plus(game: Game, cap: int = 8) -> SolveReport:
             terminal = contains(nc)
             val = LOSS if terminal else -search(other, nc)
             if val == want:
-                pv.append(frozenset(set_of(u)))
+                pv.append(set_of(u))
                 cur, other, want = other, nc, -want
                 break
         else:
@@ -374,15 +371,15 @@ def _step(game: Game, a: int, b: int, x: int, mover: Player):
         raise IllegalMoveError(f"illegal move {x}")
     if mover is Player.ONE:
         a |= bit
-        lost = bin(a).count("1") >= game.lines.min_line_size and game.loses_after(a, x)
+        lost = a.bit_count() >= game.lines.min_line_size and game.loses_after(a, x)
     else:
         b |= bit
-        lost = bin(b).count("1") >= game.lines.min_line_size and game.loses_after(b, x)
+        lost = b.bit_count() >= game.lines.min_line_size and game.loses_after(b, x)
     return a, b, lost
 
 
 def _mover(a: int, b: int) -> Player:
-    return Player.ONE if bin(a).count("1") == bin(b).count("1") else Player.TWO
+    return Player.ONE if a.bit_count() == b.bit_count() else Player.TWO
 
 
 def _verify_exhaustive(game: Game, strategy, owner: Player, goal: Goal) -> VerifyReport:
@@ -415,7 +412,7 @@ def _verify_exhaustive(game: Game, strategy, owner: Player, goal: Goal) -> Verif
         if key in memo:
             return None
         unclaimed = full & ~(a | b)
-        for q in _iter_bits(unclaimed):
+        for q in iter_bits(unclaimed):
             s2 = strat.clone()
             s2.observe(a, b, q)
             a2, b2, lost = _step(game, a, b, q, owner.other)
@@ -493,7 +490,7 @@ def _verify_sampled(game: Game, strategy, owner: Player, goal: Goal,
                     break
             else:
                 unclaimed = full & ~(a | b)
-                q = rng.choice(list(_iter_bits(unclaimed)))
+                q = rng.choice(list(iter_bits(unclaimed)))
                 strat.observe(a, b, q)
                 a, b, lost = _step(game, a, b, q, owner.other)
                 history.append(q)

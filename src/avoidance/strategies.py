@@ -18,16 +18,9 @@ from __future__ import annotations
 import copy
 from typing import Optional
 
-from .core import Game, Permutation, Player, StrategyInvariantError
+from .core import Game, Permutation, Player, StrategyInvariantError, iter_bits
 from . import pairset as _ps
 from .pairset import PairSet, key_params
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class Strategy:
@@ -115,7 +108,7 @@ class OddBucketStrategy(Strategy):
     def choose(self, a, b):
         taken = a | b
         counts = [0] * self.q
-        for x in _bits(a):
+        for x in iter_bits(a):
             counts[x // self.p] += 1
         pending, self.pending = self.pending, None
         if pending is not None and 1 <= counts[pending // self.p] < self.pp:
@@ -258,7 +251,7 @@ class PairsStrategy(_MirrorCore):
         if self.phase == NORMAL and c >= self.bp:
             self.phase = ENDGAME
         if self.phase == ENDGAME and len(empty) == 1:
-            ones = sum(1 for x in _bits(a) if x & 1)
+            ones = sum(1 for x in iter_bits(a) if x & 1)
             point = 2 * c + (1 - ones % 2)
         else:
             point = 2 * c

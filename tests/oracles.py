@@ -23,6 +23,17 @@ def brute_contains_line(store, members) -> bool:
     return any(l <= members for l in store.lines)
 
 
+def brute_loses_after(store, members, x) -> bool:
+    """Is some line through ``x`` a subset of ``members``? By enumeration."""
+    members = frozenset(members)
+    k = store.k if hasattr(store, "k") else None
+    if k is not None:
+        rest = sorted(members - {x})
+        return any(store.is_line(frozenset(c) | {x})
+                   for c in itertools.combinations(rest, k - 1))
+    return any(x in l and l <= members for l in store.lines)
+
+
 def ref_solve(game, a=frozenset(), b=frozenset()) -> int:
     """Plain negamax, no table, no pruning shortcuts. 1/0/-1 for the mover."""
     claimed = a | b

@@ -61,6 +61,24 @@ def test_round_trip_through_file(tmp_path, capsys):
     assert json.loads(out1)["pv"] == json.loads(out2)["pv"]
 
 
+def test_game_file_without_n_is_refusal(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"name": "x", "lines": {"explicit": [[0, 1]]},
+                                "generators": []}))
+    rc, out, err = run_cli(capsys, "solve", "--game-file", str(path))
+    assert rc == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_game_file_swapped_lines_is_refusal(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"n": 6, "name": "pairs(3)",
+                                "lines": {"explicit": [[0, 1]]}, "generators": []}))
+    rc, out, err = run_cli(capsys, "solve", "--game-file", str(path))
+    assert rc == 2
+    assert "differ" in err
+
+
 def test_verify_strategy_exit_codes(capsys):
     rc, out, _ = run_cli(capsys, "verify-strategy", "--game", "pairs(3)",
                          "--strategy", "pairs", "--goal", "win")

@@ -300,3 +300,21 @@ def test_json_round_trip(spec):
         s = frozenset(x for x in range(g.n) if rng.random() < 0.5)
         assert g.contains_line(s) == g2.contains_line(s)
     assert [p.image for p in g2.generators] == [p.image for p in g.generators]
+
+
+def test_json_load_refuses_a_document_that_differs_from_its_name():
+    doc = C.game_to_json(C.pairs_game(3))
+    swapped = dict(doc, lines={"explicit": [[0, 1]]})
+    with pytest.raises(GameError, match="differ"):
+        C.game_from_json(swapped)
+    with pytest.raises(GameError, match="differ"):
+        C.game_from_json(dict(doc, generators=doc["generators"][:1]))
+    implicit = C.game_to_json(C.odd_composite(3, 3))
+    with pytest.raises(GameError, match="differ"):
+        C.game_from_json(dict(implicit, generators=[list(range(9))]))
+    # the same family written in another order loads
+    doc["lines"]["explicit"].reverse()
+    assert C.game_from_json(doc).name == "pairs(3)"
+    # an unnamed document is used as written
+    plain = {"n": 3, "name": "tri", "lines": {"explicit": [[0, 1]]}, "generators": []}
+    assert C.game_from_json(plain).lines.lines == (frozenset({0, 1}),)
