@@ -194,29 +194,36 @@ def _bin_sets(n: int, b: int, m: int, s: frozenset) -> list[set]:
     return bins
 
 
-def _even_w_member(b: int, m: int, s: frozenset) -> bool:
+def _even_allowed(b: int, m: int, w: int) -> bool:
+    """Is the point mask ``w`` an allowed set of the general even game?
+
+    Per bin, ``lo & hi`` marks doubled opposite pairs and the pairs in
+    neither half are empty; with |w| = n/2 the two counts are equal.
+    """
     half, mp, bp = m // 2, m // 4, (b - 1) // 2
-    if len(s) != b * m // 2:
+    if w.bit_count() != b * half:
         return False
-    bins = _bin_sets(b * m, b, m, s)
-    fulls: list[tuple[int, int]] = []   # (bin, pair id taken twice)
-    empties: list[tuple[int, int]] = []
-    for j, bs in enumerate(bins):
-        for pid in range(half):
-            got = (pid in bs) + ((pid + half) % m in bs)
-            if got == 2:
-                fulls.append((j, pid))
-            elif got == 0:
-                empties.append((j, pid))
-    if not fulls and not empties:
-        total = sum(_ps.maximal_point(bs, m=m) for bs in bins)
+    binmask, halfmask = (1 << m) - 1, (1 << half) - 1
+    doubled = empty = None  # (bin, pair id) of the only one so far
+    for j in range(b):
+        seg = (w >> (j * m)) & binmask
+        lo, hi = seg & halfmask, seg >> half
+        d, e = lo & hi, halfmask & ~(lo | hi)
+        if d:
+            if doubled is not None or d & (d - 1):
+                return False
+            doubled = (j, d.bit_length() - 1)
+        if e:
+            if empty is not None or e & (e - 1):
+                return False
+            empty = (j, e.bit_length() - 1)
+    if doubled is None:
+        total = sum(_ps._max_point_info(m, (w >> (j * m)) & binmask)[0] for j in range(b))
         return total % m < half
-    if len(fulls) == 1 and len(empties) == 1:
-        (j, f), (j2, e) = fulls[0], empties[0]
-        if j2 != j:
-            return 1 <= (j2 - j) % b <= bp
-        return 1 <= (e - f) % half <= mp - 1
-    return False
+    (j, f), (j2, e) = doubled, empty
+    if j2 != j:
+        return 1 <= (j2 - j) % b <= bp
+    return 1 <= (e - f) % half <= mp - 1
 
 
 def _even_w_iter(b: int, m: int) -> Iterator[frozenset]:
@@ -290,22 +297,22 @@ def even_general(a: int, b: int) -> Game:
     m = 1 << a
     n = b * m
     k = n // 2
-    board = frozenset(range(n))
+    full = (1 << n) - 1
 
     def is_line(s: frozenset) -> bool:
-        return len(s) == k and _even_w_member(b, m, board - s)
+        return len(s) == k and _even_allowed(b, m, full & ~mask_of(s))
 
     def contains(mask: int) -> bool:
         c = mask.bit_count()
         if c < k:
             return False
-        rest = set_of(((1 << n) - 1) ^ mask)
-        return _even_w_member(b, m, rest) if c == k else _even_extendable(b, m, rest)
+        rest = full ^ mask
+        return _even_allowed(b, m, rest) if c == k else _even_extendable(b, m, set_of(rest))
 
     store = ImplicitLines(n, k, is_line, contains,
                           spec=("even_general", {"a": a, "b": b}),
                           w_iter=lambda: _even_w_iter(b, m),
-                          w_member=lambda s: _even_w_member(b, m, s))
+                          w_member=lambda s: _even_allowed(b, m, mask_of(s)))
     bin_cycle = Permutation(tuple(((i // m + 1) % b) * m + i % m for i in range(n)))
     # rotate bin 0 by +1 and bin 1 by -1: rotation amounts sum to zero
     img = list(range(n))

@@ -216,11 +216,39 @@ def maximal_point(a: Union[PairSet, Iterable[int]], m: Optional[int] = None) -> 
     m, mask = _coerce(a, m)
     if mask == 0:
         raise PairSetError("empty set has no maximal point")
+    return _unique_max_point(m, mask)
+
+
+def _unique_max_point(m: int, mask: int) -> int:
     x, unique = _max_point_info(m, mask)
     if not unique:
         raise MaximalityTieError(
             f"maximal rotation of {sorted(iter_bits(mask))} in Z_{m} is not unique")
     return x
+
+
+def _r_maximal_points(m: int, mask: int, r: int) -> list[int]:
+    """Every x whose window [x, x+r) is a greatest length-r window of ``mask``."""
+    words = [_rotation_word(m, mask, x) >> (m - r) for x in range(m)]
+    top = max(words)
+    return [x for x, w in enumerate(words) if w == top]
+
+
+def _interval_mask(m: int, x: int, r: int) -> int:
+    """Bits of the cyclic interval [x, x+r) of Z_m, 0 <= r <= m."""
+    w = ((1 << r) - 1) << (x % m)
+    return (w | (w >> m)) & ((1 << m) - 1)
+
+
+def _free_mask(m: int, mask: int) -> int:
+    """Points of Z_m that are neither in ``mask`` nor opposite a member."""
+    half, full = m // 2, (1 << m) - 1
+    return full & ~(mask | (mask << half) | (mask >> half))
+
+
+def _fill_mask(m: int, mask: int, interval: int) -> int:
+    """``fill_interval`` on masks: ``mask`` plus its free points in ``interval``."""
+    return mask | (_free_mask(m, mask) & interval)
 
 
 def a_max(a: PairSet) -> frozenset:
@@ -458,30 +486,32 @@ def verify_earliest_latest(m: int) -> SuiteReport:
     in [x', x].
     """
     mp = m // 4
+    interval = [[_interval_mask(m, x, r) for r in range(m)] for x in range(m)]
+    quarter = [row[mp] for row in interval]
     checked, failures = 0, []
     for a in all_partial_pair_sets(m):
-        amax_members = a_max(a)
-        free = a.free_points()
-        maximal_in_amax = [x for x in range(m)
-                           if is_r_maximal(amax_members, x, mp, m=m)]
+        mask = a.mask
+        free = _free_mask(m, mask)
+        maximal_in_amax = _r_maximal_points(m, mask | free, mp)
+        maximal_set = set(maximal_in_amax)
         for y in range(m):
-            upper = fill_interval(a, y, mp)
-            lower = fill_interval(upper, (y - mp) % m, mp)
-            xp = maximal_point(lower)
-            ext_maxima = set()
-            for ext in _extension_masks(m, upper.mask):
-                ext_maxima.add(_max_point_info(m, ext)[0])
+            upper = _fill_mask(m, mask, quarter[y])
+            lower = _fill_mask(m, upper, quarter[(y - mp) % m])
+            xp = _unique_max_point(m, lower)
+            ext_maxima = None
             for x in maximal_in_amax:
-                if any(((f - x) % m) < ((y - x) % m) for f in free):
+                if free & interval[x][(y - x) % m]:
                     continue  # a free point inside [x, y)
                 checked += 1
+                if ext_maxima is None:
+                    ext_maxima = {_max_point_info(m, ext)[0]
+                                  for ext in _extension_masks(m, upper)}
                 ok_a = (x - xp) % m < m // 2
-                ok_b = is_r_maximal(amax_members, xp, mp, m=m)
+                ok_b = xp in maximal_set
                 dv = (xp - (y - mp)) % m
                 in_yx = 0 < dv <= (x - (y - mp)) % m
                 width = (x - xp) % m + 1
-                ok_c = in_yx or not any(
-                    ((f - xp) % m) < ((y - mp - xp) % m) for f in free)
+                ok_c = in_yx or not free & interval[xp][(y - mp - xp) % m]
                 ok_d = all((mx - xp) % m < width for mx in ext_maxima)
                 if not (ok_a and ok_b and ok_c and ok_d):
                     failures.append((a, x, y, xp, ok_a, ok_b, ok_c, ok_d))
@@ -521,4 +551,6 @@ SUITES = {
 def run_suite(name: str, m: int, **kwargs) -> SuiteReport:
     if name not in SUITES:
         raise PairSetError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if m > 16:  # the enumerations grow as 3^(m/2); 16 is the largest size tested
+        raise PairSetError(f"m = {m} is above the largest suite size 16")
     return SUITES[name](m, **kwargs)

@@ -359,9 +359,11 @@ def verify_strategy(game: Game, strategy, owner: Player, goal: Goal,
     if strategy.n != game.n:
         raise GameError("strategy board size differs from the game")
     if mode == "exhaustive":
-        return _verify_exhaustive(game, strategy, owner, goal)
+        return _verify_exhaustive(game, strategy.clone(), owner, goal)
     if mode == "sampled":
-        return _verify_sampled(game, strategy, owner, goal, samples, seed)
+        if samples < 1:
+            raise GameError(f"sampled mode needs at least 1 sample, got {samples}")
+        return _verify_sampled(game, strategy.clone(), owner, goal, samples, seed)
     raise GameError(f"unknown mode {mode!r}")
 
 
@@ -382,94 +384,86 @@ def _mover(a: int, b: int) -> Player:
     return Player.ONE if a.bit_count() == b.bit_count() else Player.TWO
 
 
-def _verify_exhaustive(game: Game, strategy, owner: Player, goal: Goal) -> VerifyReport:
+def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyReport:
+    """Depth-first over adversary replies, rewinding one strategy object.
+
+    Masks are owner-relative; the strategy sees (Player I's, Player II's).
+    """
     full = game.full_mask
+    n = game.n
+    loses_after = game.lines.loses_after
+    minline = game.lines.min_line_size
+    first = owner is Player.ONE
+    win = goal is Goal.WIN
+    choose, observe, key, restore = strat.choose, strat.observe, strat.key, strat.restore
     memo: set = set()
-    stats = {"leaves": 0}
+    leaves = 0
 
-    def owner_step(a: int, b: int, strat):
-        """Play the forced owner move. Returns (a, b, status, move).
-
-        status: "continue", "owner_lost", "draw_end", or "illegal".
-        """
+    def explore(mine: int, theirs: int) -> Optional[list]:
+        """Owner to move, game not over. None = subtree passes."""
+        nonlocal leaves
         try:
-            x = strat.choose(a, b)
+            x = choose(mine, theirs) if first else choose(theirs, mine)
         except IllegalMoveError:
-            return a, b, "illegal", -1
-        try:
-            a, b, lost = _step(game, a, b, x, owner)
-        except IllegalMoveError:
-            return a, b, "illegal", x
-        if lost:
-            return a, b, "owner_lost", x
-        if (a | b) == full:
-            return a, b, "draw_end", x
-        return a, b, "continue", x
-
-    def explore(a: int, b: int, strat) -> Optional[list]:
-        """Adversary to move, game not over. None = subtree passes."""
-        key = (a, b, strat.key())
-        if key in memo:
+            return [-1]
+        bit = 1 << x
+        if not 0 <= x < n or (mine | theirs) & bit:
+            return [x]
+        mine |= bit
+        if mine.bit_count() >= minline and loses_after(mine, x):
+            return [x]
+        if mine | theirs == full:
+            leaves += 1
+            return [x] if win else None
+        state = key()
+        memo_key = (mine, theirs, state)
+        if memo_key in memo:
             return None
-        unclaimed = full & ~(a | b)
-        for q in iter_bits(unclaimed):
-            s2 = strat.clone()
-            s2.observe(a, b, q)
-            a2, b2, lost = _step(game, a, b, q, owner.other)
-            if lost:
-                stats["leaves"] += 1
-                continue  # adversary contained a line first: fine for both goals
-            if (a2 | b2) == full:
-                stats["leaves"] += 1
-                if goal is Goal.WIN:
-                    return [q]  # adversary escaped with a draw
-                continue
-            a3, b3, status, x = owner_step(a2, b2, s2)
-            if status == "illegal":
-                return [q, x]
-            if status == "owner_lost":
-                return [q, x]
-            if status == "draw_end":
-                stats["leaves"] += 1
-                if goal is Goal.WIN:
-                    return [q, x]
-                continue
-            sub = explore(a3, b3, s2)
-            if sub is not None:
-                return [q, x] + sub
-        memo.add(key)
+        sub = replies(mine, theirs, state)
+        if sub is not None:
+            return [x] + sub
+        memo.add(memo_key)
         return None
 
-    strat = strategy.clone()
+    def replies(mine: int, theirs: int, state) -> Optional[list]:
+        """Adversary to move from strategy ``state``, game not over."""
+        nonlocal leaves
+        a, b = (mine, theirs) if first else (theirs, mine)
+        unclaimed = full & ~(mine | theirs)
+        may_lose = theirs.bit_count() + 1 >= minline
+        while unclaimed:
+            bit = unclaimed & -unclaimed
+            unclaimed ^= bit
+            q = bit.bit_length() - 1
+            restore(state)
+            observe(a, b, q)
+            nt = theirs | bit
+            if may_lose and loses_after(nt, q):
+                leaves += 1
+                continue  # adversary contained a line first: fine for both goals
+            if mine | nt == full:
+                leaves += 1
+                if win:
+                    return [q]  # adversary escaped with a draw
+                continue
+            sub = explore(mine, nt)
+            if sub is not None:
+                return [q] + sub
+        return None
+
     strat.reset()
-    prefix: list = []
-    a = b = 0
-    if owner is Player.ONE:
-        a, b, status, x = owner_step(a, b, strat)
-        prefix = [x]
-        if status == "illegal":
-            return VerifyReport("counterexample", (x,), 0, "exhaustive")
-        if status == "owner_lost":
-            return VerifyReport("counterexample", (x,), 1, "exhaustive")
-        if status == "draw_end":
-            stats["leaves"] += 1
-            if goal is Goal.WIN:
-                return VerifyReport("counterexample", (x,), 1, "exhaustive")
-            return VerifyReport("pass", None, 1, "exhaustive")
-    cx = explore(a, b, strat)
+    cx = explore(0, 0) if first else replies(0, 0, key())
     if cx is not None:
-        return VerifyReport("counterexample", tuple(prefix + cx),
-                            stats["leaves"], "exhaustive")
-    return VerifyReport("pass", None, stats["leaves"], "exhaustive")
+        return VerifyReport("counterexample", tuple(cx), leaves, "exhaustive")
+    return VerifyReport("pass", None, leaves, "exhaustive")
 
 
-def _verify_sampled(game: Game, strategy, owner: Player, goal: Goal,
+def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
                     samples: int, seed: int) -> VerifyReport:
     full = game.full_mask
     rng = random.Random(seed)
     leaves = 0
     for _ in range(samples):
-        strat = strategy.clone()
         strat.reset()
         a = b = 0
         history: list = []

@@ -3,10 +3,12 @@
 Interface: ``observe(a, b, point)`` is called with the position bitmasks
 *before* every adversary move; ``choose(a, b)`` is called on the owner's
 turn with the current masks, returns the move and updates internal state
-for it. ``clone`` snapshots a branch (state is kept in immutable tuples,
-so a shallow copy suffices unless a sub-strategy is carried). ``key``
-returns the hashable state used to merge transpositions; it is always
-taken after ``choose``, when no adversary move is pending.
+for it. ``key`` returns the strategy's whole mutable state as a hashable
+tuple of immutable values; the verifier merges transpositions on it and
+takes it after ``choose``, when no adversary move is pending.
+``restore(state)`` is its inverse: the verifier rewinds one strategy
+object before each adversary reply instead of copying it per branch, and
+``clone`` (a shallow copy, plus any sub-strategy) is taken once per run.
 
 All free choices are resolved lowest index first, so identical histories
 reproduce identical moves. The one exception is documented per strategy
@@ -37,6 +39,9 @@ class Strategy:
     def key(self):
         raise NotImplementedError
 
+    def restore(self, state) -> None:
+        raise NotImplementedError
+
     def observe(self, a: int, b: int, point: int) -> None:
         """Record an adversary move (masks are the position before it)."""
         raise NotImplementedError
@@ -44,6 +49,22 @@ class Strategy:
     def choose(self, a: int, b: int) -> int:
         """Owner's move for the current position; updates internal state."""
         raise NotImplementedError
+
+
+class _ReplyStrategy(Strategy):
+    """Base for strategies whose only state is the adversary move to answer."""
+
+    def reset(self):
+        self.pending: Optional[int] = None
+
+    def key(self):
+        return self.pending
+
+    def restore(self, state):
+        self.pending = state
+
+    def observe(self, a, b, point):
+        self.pending = point
 
 
 class LowestFreeStrategy(Strategy):
@@ -61,6 +82,9 @@ class LowestFreeStrategy(Strategy):
     def key(self):
         return ()
 
+    def restore(self, state):
+        pass
+
     def observe(self, a, b, point):
         pass
 
@@ -72,7 +96,7 @@ class LowestFreeStrategy(Strategy):
 # ---------------------------------------------------------------------------
 # bucket strategy for odd composite boards
 
-class OddBucketStrategy(Strategy):
+class OddBucketStrategy(_ReplyStrategy):
     """Answer in the adversary's active bucket, else open, else extend.
 
     A bucket is active once we hold between 1 and p'-1 of its points and
@@ -89,15 +113,6 @@ class OddBucketStrategy(Strategy):
         self.pp, self.qq = (p + 1) // 2, (q + 1) // 2
         self.n = p * q
         self.reset()
-
-    def reset(self):
-        self.pending: Optional[int] = None
-
-    def key(self):
-        return self.pending
-
-    def observe(self, a, b, point):
-        self.pending = point
 
     def _lowest_in_bucket(self, bucket: int, taken: int) -> Optional[int]:
         for x in range(bucket * self.p, (bucket + 1) * self.p):
@@ -230,6 +245,9 @@ class PairsStrategy(_MirrorCore):
     def key(self):
         return (self.phase, self.extra, self.forbidden, self.opening, self.pending)
 
+    def restore(self, state):
+        self.phase, self.extra, self.forbidden, self.opening, self.pending = state
+
     def opp(self, x):
         return x ^ 1
 
@@ -297,6 +315,10 @@ class EvenGeneralStrategy(_MirrorCore):
     def key(self):
         return (self.phase, self.extra, self.forbidden, self.opening, self.pending,
                 self.cur_bin, self.fill_z, self.r_bin, self.guess, self.t_cur)
+
+    def restore(self, state):
+        (self.phase, self.extra, self.forbidden, self.opening, self.pending,
+         self.cur_bin, self.fill_z, self.r_bin, self.guess, self.t_cur) = state
 
     def opp(self, x):
         return (x // self.m) * self.m + (x % self.m + self.half) % self.m
@@ -420,7 +442,7 @@ def even_general_strategy(a: int, b: int) -> EvenGeneralStrategy:
 # ---------------------------------------------------------------------------
 # pairing strategies
 
-class TorusPairingStrategy(Strategy):
+class TorusPairingStrategy(_ReplyStrategy):
     """Open at the origin, then answer every move with its negation."""
 
     def __init__(self, d: int):
@@ -441,15 +463,6 @@ class TorusPairingStrategy(Strategy):
         self.neg = tuple(neg)
         self.reset()
 
-    def reset(self):
-        self.pending: Optional[int] = None
-
-    def key(self):
-        return self.pending
-
-    def observe(self, a, b, point):
-        self.pending = point
-
     def choose(self, a, b):
         if a | b == 0:
             return 0
@@ -466,7 +479,7 @@ def torus_pairing_strategy(d: int) -> TorusPairingStrategy:
     return TorusPairingStrategy(d)
 
 
-class InvolutionPairingStrategy(Strategy):
+class InvolutionPairingStrategy(_ReplyStrategy):
     """Second player answers g(x) for a fixed-point-free involution g."""
 
     def __init__(self, g: Permutation):
@@ -477,15 +490,6 @@ class InvolutionPairingStrategy(Strategy):
         self.n = g.n
         self.g = g
         self.reset()
-
-    def reset(self):
-        self.pending: Optional[int] = None
-
-    def key(self):
-        return self.pending
-
-    def observe(self, a, b, point):
-        self.pending = point
 
     def choose(self, a, b):
         pending, self.pending = self.pending, None
@@ -541,6 +545,10 @@ class CopyMirrorStrategy(Strategy):
     def key(self):
         return (self.pending, self.base.key())
 
+    def restore(self, state):
+        self.pending, base_state = state
+        self.base.restore(base_state)
+
     def _base_masks(self, a, b):
         lo = (1 << self.n0) - 1
         return a & lo, b & lo
@@ -564,19 +572,18 @@ def copy_mirror_strategy(base: Strategy, c: int) -> CopyMirrorStrategy:
     return CopyMirrorStrategy(base, c)
 
 
-class ProductStrategy(Strategy):
-    """Pair-game strategy in the zero torus layer, antipodal mirror elsewhere."""
+class ProductStrategy(CopyMirrorStrategy):
+    """Pair-game strategy in the zero torus layer, antipodal mirror elsewhere.
+
+    Copy t is torus layer t; the layer map f is the torus negation.
+    """
 
     def __init__(self, d: int):
+        super().__init__(PairsStrategy(3), 3 ** d)
         self.name = f"product({d})"
-        self.role = Player.ONE
         self.d = d
-        self.n0 = 6
-        self.tn = 3 ** d
-        self.n = 6 * self.tn
-        self.base = PairsStrategy(3)
         neg = []
-        for i in range(self.tn):
+        for i in range(self.c):
             digits, v = [], i
             for _ in range(d):
                 digits.append(v % 3)
@@ -585,38 +592,7 @@ class ProductStrategy(Strategy):
             for dig in reversed(digits):
                 w = w * 3 + (-dig) % 3
             neg.append(w)
-        self.neg = tuple(neg)
-        self.reset()
-
-    def reset(self):
-        self.base.reset()
-        self.pending: Optional[int] = None
-
-    def clone(self):
-        dup = copy.copy(self)
-        dup.base = self.base.clone()
-        return dup
-
-    def key(self):
-        return (self.pending, self.base.key())
-
-    def _base_masks(self, a, b):
-        lo = (1 << 6) - 1
-        return a & lo, b & lo
-
-    def observe(self, a, b, point):
-        if point < 6:
-            a0, b0 = self._base_masks(a, b)
-            self.base.observe(a0, b0, point)
-        self.pending = point
-
-    def choose(self, a, b):
-        pending, self.pending = self.pending, None
-        if pending is None or pending < 6:
-            a0, b0 = self._base_masks(a, b)
-            return self.base.choose(a0, b0)
-        t, h = divmod(pending, 6)
-        return self.neg[t] * 6 + h
+        self.f = tuple(neg)
 
 
 def product_strategy(d: int) -> ProductStrategy:

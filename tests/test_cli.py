@@ -99,6 +99,21 @@ def test_verify_strategy_sampled_records_seed(capsys):
     assert doc["seed"] == 7 and doc["samples"] == 50
 
 
+def test_verify_strategy_sampled_without_samples_is_refusal(capsys):
+    for samples in ("0", "-5"):
+        rc, out, err = run_cli(capsys, "verify-strategy", "--game", "torus(3,3)",
+                               "--strategy", "torus-pairing", "--goal", "neverlose",
+                               "--mode", "sampled", "--samples", samples)
+        assert rc == 2 and out == ""
+        assert "at least 1 sample" in err
+
+
+def test_verify_lemma_oversize_m_is_refused_at_once(capsys):
+    rc, out, err = run_cli(capsys, "verify-lemma", "unique-max", "--m", "32")
+    assert rc == 2 and out == ""
+    assert "largest suite size 16" in err
+
+
 def test_verify_lemma_counts(capsys):
     rc, out, _ = run_cli(capsys, "verify-lemma", "key-lemma", "--m", "8")
     assert rc == 0

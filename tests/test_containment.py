@@ -7,6 +7,7 @@ visit the same states and report the same principal variation.
 """
 
 import importlib.util
+import itertools
 import pathlib
 import random
 import sys
@@ -69,6 +70,18 @@ def test_containment_matches_brute_force_on_random_masks(spec):
     for _ in range(150):
         size = rng.randint(k - 1, min(game.n, k + 3))
         _check_mask(game.lines, mask_of(rng.sample(range(game.n), size)))
+
+
+@pytest.mark.parametrize("a,b", [(2, 3), (2, 5)])
+def test_even_general_lines_are_complements_of_enumerated_allowed_sets(a, b):
+    # _even_w_iter builds the allowed sets without the mask predicate
+    game = C.even_general(a, b)
+    n, k, full = game.n, game.n // 2, game.full_mask
+    allowed = {mask_of(w) for w in C._even_w_iter(b, 1 << a)}
+    contains = game.lines.contains_mask
+    for combo in itertools.combinations(range(n), k):
+        mask = mask_of(combo)
+        assert contains(mask) == ((full ^ mask) in allowed), combo
 
 
 def test_lookup_cutoff_keeps_sparse_families_on_the_scan():

@@ -143,6 +143,30 @@ def test_fill_interval_examples():
         fill_interval(a, 0, 3)      # longer than m/2
 
 
+def test_mask_fills_and_window_maxima_match_the_set_versions():
+    # the earliest-latest suite works on masks; hold its helpers to the
+    # PairSet operations it replaced
+    m, mp = 8, 2
+    for a in all_partial_pair_sets(m):
+        for y in range(m):
+            upper = fill_interval(a, y, mp)
+            lower = fill_interval(upper, (y - mp) % m, mp)
+            got_upper = ps._fill_mask(m, a.mask, ps._interval_mask(m, y, mp))
+            got_lower = ps._fill_mask(m, got_upper, ps._interval_mask(m, y - mp, mp))
+            assert (got_upper, got_lower) == (upper.mask, lower.mask)
+        amax = a_max(a)
+        amax_mask = sum(1 << x for x in amax)
+        assert amax_mask == a.mask | ps._free_mask(m, a.mask)
+        assert ps._r_maximal_points(m, amax_mask, mp) == \
+            [x for x in range(m) if is_r_maximal(amax, x, mp, m=m)]
+
+
+def test_earliest_latest_keeps_the_tie_check(monkeypatch):
+    monkeypatch.setattr(ps, "_max_point_info", lambda m, mask: (0, False))
+    with pytest.raises(MaximalityTieError):
+        ps.verify_earliest_latest(4)
+
+
 def test_full_extensions_count():
     a = PairSet.of(8, [0])
     assert len(list(full_extensions(a))) == 2 ** 3

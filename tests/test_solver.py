@@ -168,6 +168,13 @@ def test_verify_strategy_sampled_reproducible():
     assert r1.seed == 42 and r1.samples == 200
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_strategy_sampled_needs_a_sample(samples):
+    with pytest.raises(GameError):
+        verify_strategy(C.pairs_game(3), pairs_strategy(3), Player.ONE, Goal.WIN,
+                        mode="sampled", samples=samples)
+
+
 def test_win_pass_implies_solver_pi_win():
     for spec, strat in [("pairs(3)", pairs_strategy(3))]:
         g = C.parse_game_spec(spec)

@@ -216,3 +216,92 @@ def test_strategy_for_registry():
         S.strategy_for(C.pairs_game(3), "odd-bucket")
     with pytest.raises(StrategyInvariantError):
         S.strategy_for(C.pairs_game(3), "no-such")
+
+
+GAME_FOR = {"odd-bucket": "odd_composite(3,5)", "pairs": "pairs(5)",
+            "even-general": "even_general(2,3)", "torus-pairing": "torus(3,2)",
+            "involution-pairing": "torus(2,2)", "copy-mirror": "copies(pairs(3),3)",
+            "product": "product_torus(1)", "lowest": "pairs(5)"}
+
+
+def _play(strat, game, a, b, rng, rounds):
+    """Adversary then owner, from an adversary-to-move position, for up to
+    ``rounds`` rounds; (a, b, moves, whether a line or a full board ended it)."""
+    contains, full = game.lines.contains_mask, game.full_mask
+    owner_one = strat.role is Player.ONE
+    moves = []
+    for _ in range(rounds):
+        q = rng.choice([x for x in range(game.n) if not ((a | b) >> x) & 1])
+        strat.observe(a, b, q)
+        moves.append(q)
+        if owner_one:
+            b |= 1 << q
+        else:
+            a |= 1 << q
+        if a | b == full or contains(b if owner_one else a):
+            return a, b, moves, True
+        x = strat.choose(a, b)
+        moves.append(x)
+        if owner_one:
+            a |= 1 << x
+        else:
+            b |= 1 << x
+        if a | b == full or contains(a if owner_one else b):
+            return a, b, moves, True
+    return a, b, moves, False
+
+
+@pytest.mark.parametrize("name", S.STRATEGY_NAMES)
+def test_restore_rewinds_to_the_keyed_state(name):
+    game = C.parse_game_spec(GAME_FOR[name])
+    rng = random.Random(11)
+    rewound = 0
+    for trial in range(40):
+        s = S.strategy_for(game, name)
+        s.reset()
+        a = b = 0
+        if s.role is Player.ONE:
+            a = 1 << s.choose(0, 0)
+        a, b, _, over = _play(s, game, a, b, rng, rng.randint(0, game.n // 2 - 1))
+        if over:
+            continue
+        rewound += 1
+        k = s.key()
+        twin = s.clone()
+        _play(s, game, a, b, random.Random(trial), game.n)  # move s on
+        s.restore(k)
+        assert s.key() == k
+        seed = rng.randrange(1 << 30)
+        got = _play(s, game, a, b, random.Random(seed), game.n)
+        want = _play(twin, game, a, b, random.Random(seed), game.n)
+        assert got == want
+    assert rewound >= 20
+
+
+# Reports of the exhaustive verifier before it stopped copying the strategy
+# per branch; the traversal order, merging and leaf counting must not move.
+PINNED_REPORTS = [
+    ("pairs(3)", "pairs", Goal.WIN, 11, None),
+    ("pairs(5)", "pairs", Goal.WIN, 134, None),
+    ("odd_composite(3,3)", "odd-bucket", Goal.WIN, 100, None),
+    ("odd_composite(3,5)", "odd-bucket", Goal.WIN, 8256, None),
+    ("even_general(2,3)", "even-general", Goal.WIN, 476, None),
+    ("torus(3,2)", "torus-pairing", Goal.NEVER_LOSE, 72, None),
+    ("torus(2,2)", "involution-pairing", Goal.NEVER_LOSE, 8, None),
+    ("copies(pairs(3),3)", "copy-mirror", Goal.WIN, 16893, None),
+    ("product_torus(1)", "product", Goal.WIN, 16893, None),
+    ("pairs(3)", "lowest", Goal.WIN, 0, [0, 1, 2, 3, 4]),
+    ("pairs(5)", "lowest", Goal.NEVER_LOSE, 0, list(range(9))),
+]
+
+
+@pytest.mark.parametrize("spec,name,goal,leaves,cx", PINNED_REPORTS)
+def test_exhaustive_reports_are_pinned(spec, name, goal, leaves, cx):
+    game = C.parse_game_spec(spec)
+    strat = S.strategy_for(game, name)
+    report = verify_strategy(game, strat, strat.role, goal)
+    want = {"verdict": "pass" if cx is None else "counterexample",
+            "leaves": leaves, "mode": "exhaustive"}
+    if cx is not None:
+        want["counterexample"] = cx
+    assert report.to_json() == want
