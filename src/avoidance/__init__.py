@@ -4,7 +4,7 @@ Submodules:
   core           game model: boards, line stores, positions, automorphisms
   pairset        cyclic pair sets in Z_m and rotation-extremum machinery
   constructions  factories for every shipped game family
-  strategies     scripted move-selection state machines
+  strategies     scripted strategies as pure state transitions
   solver         exact solvers and exhaustive strategy verification
   cli            command-line workbench
 """

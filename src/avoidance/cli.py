@@ -145,7 +145,8 @@ def cmd_play(args) -> int:
     opponent = None
     if args.strategy and args.strategy != "solver":
         opponent = strategy_for(game, args.strategy)
-        opponent.reset()
+        state = opponent.initial
+    last = None  # the human's last move, which a strategy opponent answers
     human = Player.ONE if args.side == "1" else Player.TWO
     if opponent is not None and opponent.role is human:
         print(f"strategy {opponent.name} plays side {opponent.role.name}; "
@@ -175,19 +176,16 @@ def cmd_play(args) -> int:
             except IllegalMoveError as exc:
                 print(f"illegal: {exc}")
                 continue
+            last = x
         else:
             if opponent is not None:
                 a_mask = sum(1 << p for p in pos.a)
                 b_mask = sum(1 << p for p in pos.b)
-                x = opponent.choose(a_mask, b_mask)
+                x, state = opponent.step(state, a_mask, b_mask, last)
             else:
                 x = _solver_move(game, pos, args.cap)
             print(f"opponent plays {x}")
             newpos, lost = apply_move(game, pos, x)
-        if opponent is not None and pos.to_move is human:
-            a_mask = sum(1 << p for p in pos.a)
-            b_mask = sum(1 << p for p in pos.b)
-            opponent.observe(a_mask, b_mask, x)
         if lost:
             loser = pos.to_move
             print(f"PI={masks(newpos.a)} PII={masks(newpos.b)}")

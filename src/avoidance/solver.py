@@ -359,11 +359,11 @@ def verify_strategy(game: Game, strategy, owner: Player, goal: Goal,
     if strategy.n != game.n:
         raise GameError("strategy board size differs from the game")
     if mode == "exhaustive":
-        return _verify_exhaustive(game, strategy.clone(), owner, goal)
+        return _verify_exhaustive(game, strategy, owner, goal)
     if mode == "sampled":
         if samples < 1:
             raise GameError(f"sampled mode needs at least 1 sample, got {samples}")
-        return _verify_sampled(game, strategy.clone(), owner, goal, samples, seed)
+        return _verify_sampled(game, strategy, owner, goal, samples, seed)
     raise GameError(f"unknown mode {mode!r}")
 
 
@@ -385,7 +385,7 @@ def _mover(a: int, b: int) -> Player:
 
 
 def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyReport:
-    """Depth-first over adversary replies, rewinding one strategy object.
+    """Depth-first over adversary replies, one ``step`` per reply.
 
     Masks are owner-relative; the strategy sees (Player I's, Player II's).
     """
@@ -395,48 +395,21 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
     minline = game.lines.min_line_size
     first = owner is Player.ONE
     win = goal is Goal.WIN
-    choose, observe, key, restore = strat.choose, strat.observe, strat.key, strat.restore
+    step = strat.step
     memo: set = set()
     leaves = 0
 
-    def explore(mine: int, theirs: int) -> Optional[list]:
-        """Owner to move, game not over. None = subtree passes."""
-        nonlocal leaves
-        try:
-            x = choose(mine, theirs) if first else choose(theirs, mine)
-        except IllegalMoveError:
-            return [-1]
-        bit = 1 << x
-        if not 0 <= x < n or (mine | theirs) & bit:
-            return [x]
-        mine |= bit
-        if mine.bit_count() >= minline and loses_after(mine, x):
-            return [x]
-        if mine | theirs == full:
-            leaves += 1
-            return [x] if win else None
-        state = key()
-        memo_key = (mine, theirs, state)
-        if memo_key in memo:
-            return None
-        sub = replies(mine, theirs, state)
-        if sub is not None:
-            return [x] + sub
-        memo.add(memo_key)
-        return None
-
     def replies(mine: int, theirs: int, state) -> Optional[list]:
-        """Adversary to move from strategy ``state``, game not over."""
+        """Adversary to move against strategy ``state``, game not over.
+        None = subtree passes."""
         nonlocal leaves
-        a, b = (mine, theirs) if first else (theirs, mine)
         unclaimed = full & ~(mine | theirs)
         may_lose = theirs.bit_count() + 1 >= minline
+        owner_may_lose = mine.bit_count() + 1 >= minline
         while unclaimed:
             bit = unclaimed & -unclaimed
             unclaimed ^= bit
             q = bit.bit_length() - 1
-            restore(state)
-            observe(a, b, q)
             nt = theirs | bit
             if may_lose and loses_after(nt, q):
                 leaves += 1
@@ -446,13 +419,46 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                 if win:
                     return [q]  # adversary escaped with a draw
                 continue
-            sub = explore(mine, nt)
+            try:
+                x, after = step(state, mine, nt, q) if first else step(state, nt, mine, q)
+            except IllegalMoveError:
+                return [q, -1]
+            if not 0 <= x < n or ((mine | nt) >> x) & 1:
+                return [q, x]
+            nm = mine | 1 << x
+            if owner_may_lose and loses_after(nm, x):
+                return [q, x]
+            if nm | nt == full:
+                leaves += 1
+                if win:
+                    return [q, x]
+                continue
+            memo_key = (nm, nt, after)
+            if memo_key in memo:
+                continue
+            sub = replies(nm, nt, after)
             if sub is not None:
-                return [q] + sub
+                return [q, x] + sub
+            memo.add(memo_key)
         return None
 
-    strat.reset()
-    cx = explore(0, 0) if first else replies(0, 0, key())
+    state = strat.initial
+    if not first:
+        cx = replies(0, 0, state)
+    else:  # the owner opens: the same checks as an answer in ``replies``
+        try:
+            x, state = step(state, 0, 0, None)
+        except IllegalMoveError:
+            x = -1
+        if not 0 <= x < n or (minline <= 1 and loses_after(1 << x, x)):
+            cx = [x]
+        elif 1 << x == full:
+            leaves += 1
+            cx = [x] if win else None
+        else:
+            cx = replies(1 << x, 0, state)
+            if cx is not None:
+                cx = [x] + cx
     if cx is not None:
         return VerifyReport("counterexample", tuple(cx), leaves, "exhaustive")
     return VerifyReport("pass", None, leaves, "exhaustive")
@@ -462,9 +468,10 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
                     samples: int, seed: int) -> VerifyReport:
     full = game.full_mask
     rng = random.Random(seed)
+    step = strat.step
     leaves = 0
     for _ in range(samples):
-        strat.reset()
+        state, q = strat.initial, None
         a = b = 0
         history: list = []
         failed = None
@@ -473,7 +480,7 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
             if mover is owner:
                 x = -1
                 try:
-                    x = strat.choose(a, b)
+                    x, state = step(state, a, b, q)
                     a, b, lost = _step(game, a, b, x, owner)
                 except IllegalMoveError:
                     failed = history + [x]
@@ -485,7 +492,6 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
             else:
                 unclaimed = full & ~(a | b)
                 q = rng.choice(list(iter_bits(unclaimed)))
-                strat.observe(a, b, q)
                 a, b, lost = _step(game, a, b, q, owner.other)
                 history.append(q)
                 if lost:

@@ -166,3 +166,16 @@ def test_play_quits_cleanly(monkeypatch, capsys):
     rc = main(["play", "--game", "pairs(3)", "--side", "1"])
     assert rc == 0
     assert "bye" in capsys.readouterr().out
+
+
+def test_play_against_a_strategy_opponent(monkeypatch, capsys):
+    # the pairs strategy opens, mirrors 4 to 5, and answers the stray 2 by
+    # doubling its pair (1); the illegal and garbled inputs are not moves
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n4\nx\n2\n3\n"))
+    rc = main(["play", "--game", "pairs(3)", "--strategy", "pairs", "--side", "2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert [l for l in out.splitlines() if l.startswith("opponent plays")] == [
+        "opponent plays 0", "opponent plays 5", "opponent plays 1"]
+    assert "illegal: point 0 already claimed" in out
+    assert out.splitlines()[-1] == "Player II completed a line and loses on move 6"

@@ -9,19 +9,17 @@ from avoidance import strategies as S
 
 
 def run_history(strategy, moves):
-    """Feed alternating moves; owner moves come from choose and must match."""
-    strategy = strategy.clone()
-    strategy.reset()
+    """Feed alternating moves; owner moves come from step and must match."""
+    state, q = strategy.initial, None
     a = b = 0
     got = []
     for i, mv in enumerate(moves):
         mover = Player.ONE if bin(a).count("1") == bin(b).count("1") else Player.TWO
         if mover is strategy.role:
-            x = strategy.choose(a, b)
+            x, state = strategy.step(state, a, b, q)
             got.append(x)
         else:
-            strategy.observe(a, b, mv)
-            x = mv
+            x = q = mv
         if mover is Player.ONE:
             a |= 1 << x
         else:
@@ -31,37 +29,34 @@ def run_history(strategy, moves):
 
 def test_odd_bucket_opening_and_rule1():
     s = S.odd_bucket_strategy(3, 3)
-    s.reset()
-    assert s.choose(0, 0) == 0          # open bucket 0
+    x, st = s.step(s.initial, 0, 0, None)
+    assert x == 0                       # open bucket 0
     # adversary answers inside bucket 0 -> rule 1 keeps us there
-    s.observe(0b1, 0, 1)
-    assert s.choose(0b1, 0b10) == 2
+    assert s.step(st, 0b1, 0b10, 1)[0] == 2
     # now bucket 0 is full for us; adversary plays bucket 1 -> rule 2 opens
     s2 = S.odd_bucket_strategy(3, 3)
-    s2.reset()
-    s2.choose(0, 0)
-    s2.observe(0b1, 0, 3)
-    assert s2.choose(0b1, 0b1000) == 6  # bucket 1 not active (we have 0 there)
+    _, st2 = s2.step(s2.initial, 0, 0, None)
+    assert s2.step(st2, 0b1, 0b1000, 3)[0] == 6  # bucket 1 not active (we have 0 there)
 
 
 def test_pairs_strategy_first_move_and_mirror():
     s = S.pairs_strategy(3)
-    s.reset()
-    assert s.choose(0, 0) == 0          # (0, 0)
-    s.observe(0b1, 0, 4)                # adversary plays (2,0): not a trigger
-    assert s.choose(0b1, 0b10000) == 5  # mirrors to (2,1)
+    x, st = s.step(s.initial, 0, 0, None)
+    assert x == 0                       # (0, 0)
+    # adversary plays (2,0): not a trigger; we mirror to (2,1)
+    assert s.step(st, 0b1, 0b10000, 4)[0] == 5
 
 
 def test_pairs_strategy_direct_win_branch_shapes():
     # adversary stray lands one pair after our unmatched point: we double it
     g = C.pairs_game(3)
     s = S.pairs_strategy(3)
-    s.reset()
-    assert s.choose(0, 0) == 0
-    s.observe(0b1, 0, 2)                # (1,0): pair distance 1 -> direct
-    x = s.choose(0b1, 0b100)
+    x, st = s.step(s.initial, 0, 0, None)
+    assert x == 0
+    x, st = s.step(st, 0b1, 0b100, 2)   # (1,0): pair distance 1 -> direct
     assert x == 1                       # doubles pair 0
-    assert s.phase == "direct" and s.forbidden == 3
+    phase, _, forbidden = st
+    assert phase == "direct" and forbidden == 3
     # finish all play-outs from here and check the final shape
     r = verify_strategy(g, S.pairs_strategy(3), Player.ONE, Goal.WIN)
     assert r.passed
@@ -80,14 +75,13 @@ def test_pairs_direct_win_final_shape():
     # the doubled pair and neither of the adversary's stray pair
     g = C.pairs_game(5)
     s = S.pairs_strategy(5)
-    s.reset()
     a = b = 0
-    x = s.choose(a, b)          # (0,0)
+    x, st = s.step(s.initial, a, b, None)   # (0,0)
     a |= 1 << x
-    s.observe(a, b, 2)          # (1,0): distance 1 -> direct
-    b |= 1 << 2
+    q = 2                       # (1,0): distance 1 -> direct
+    b |= 1 << q
     while True:
-        x = s.choose(a, b)
+        x, st = s.step(st, a, b, q)
         a |= 1 << x
         if g.contains_line([i for i in range(10) if (a >> i) & 1]):
             pytest.fail("strategy completed a line itself")
@@ -96,7 +90,6 @@ def test_pairs_direct_win_final_shape():
         # adversary: lowest free reply
         taken = a | b
         q = next(i for i in range(10) if not (taken >> i) & 1)
-        s.observe(a, b, q)
         b |= 1 << q
         if g.contains_line([i for i in range(10) if (b >> i) & 1]):
             break
@@ -107,8 +100,7 @@ def test_pairs_direct_win_final_shape():
 
 def test_even_strategy_first_move_and_guess_invariant():
     s = S.even_general_strategy(2, 3)
-    s.reset()
-    assert s.choose(0, 0) == 0
+    assert s.step(s.initial, 0, 0, None)[0] == 0
     # a full exhaustive run exercises the guess bookkeeping and its asserts
     r = verify_strategy(C.even_general(2, 3), S.even_general_strategy(2, 3),
                         Player.ONE, Goal.WIN)
@@ -127,20 +119,64 @@ def test_even_strategy_m8_sampled():
 
 def test_even_strategy_type2_trigger():
     s = S.even_general_strategy(3, 3)   # m = 8, windows are nonempty
-    s.reset()
-    assert s.choose(0, 0) == 0          # extra = (0,0)
-    s.observe(0b1, 0, 1)                # same bin, displacement 1 in (0, m/4)
-    assert s.phase == "direct"
-    assert s.forbidden == 5             # opposite of the stray point
-    assert s.choose(0b1, 0b10) == 4     # doubles our pair (0, 0+m/2)
+    x, st = s.step(s.initial, 0, 0, None)
+    assert x == 0                       # extra = (0,0)
+    # same bin, displacement 1 in (0, m/4)
+    x, st = s.step(st, 0b1, 0b10, 1)
+    phase, _, forbidden = st[:3]
+    assert phase == "direct"
+    assert forbidden == 5               # opposite of the stray point
+    assert x == 4                       # doubles our pair (0, 0+m/2)
+
+
+@pytest.mark.parametrize("strat,m", [(S.pairs_strategy(5), 2), (S.even_general_strategy(3, 3), 8)],
+                         ids=["pairs", "even-general"])
+def test_direct_mode_matches_the_point_scan(strat, m):
+    # answer q with its opposite if admissible, else take the lowest
+    # admissible point: unclaimed, not forbidden, neither it nor its
+    # opposite ours; random positions, most of them unreachable in play
+    n = strat.n
+    opp = [x - x % m + (x % m + m // 2) % m for x in range(n)]
+    rng = random.Random(5)
+    raised = 0
+    for _ in range(3000):
+        a = b = 0
+        for x in rng.sample(range(n), rng.randrange(1, n)):
+            if rng.random() < 0.5:
+                a |= 1 << x
+            else:
+                b |= 1 << x
+        if not b:
+            continue
+        q = rng.choice([x for x in range(n) if (b >> x) & 1])
+        forbidden = rng.randrange(n)
+        state = ("direct", None, forbidden) + strat.initial[3:]
+        ok = [x for x in range(n) if not ((a | b) >> x) & 1 and x != forbidden
+              and not (a >> opp[x]) & 1]
+        if not ok:
+            raised += 1
+            with pytest.raises(StrategyInvariantError):
+                strat.step(state, a, b, q)
+            continue
+        want = opp[q] if opp[q] in ok else ok[0]
+        got = strat.step(state, a, b, q)
+        assert got[0] == want and got[1] is state
+    assert 0 < raised < 2500
 
 
 def test_torus_pairing_negation_table():
     s = S.torus_pairing_strategy(2)
-    s.reset()
-    assert s.choose(0, 0) == 0
-    s.observe(1, 0, 5)                  # (1,2) -> negation (2,1) = index 7
-    assert s.choose(1, 0b100000) == 7
+    x, st = s.step(s.initial, 0, 0, None)
+    assert x == 0
+    # (1,2) -> negation (2,1) = index 7
+    assert s.step(st, 1, 0b100000, 5)[0] == 7
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_negation_table_is_the_torus_negation(d):
+    neg = tuple(C.torus(3, d).generators[-1].image)  # pointwise negation
+    assert S.torus_pairing_strategy(d).neg == neg
+    assert S.product_strategy(d).f == neg
 
 
 def test_involution_pairing_requires_fpf():
@@ -182,15 +218,14 @@ def test_copy_mirror_never_emits_claimed_points():
     strat = S.copy_mirror_strategy(S.pairs_strategy(3), 3)
     rng = random.Random(2)
     for _ in range(200):
-        s = strat.clone()
-        s.reset()
+        st, q = strat.initial, None
         a = b = 0
         while True:
             taken = a | b
             if taken == (1 << 18) - 1:
                 break
             if bin(a).count("1") == bin(b).count("1"):
-                x = s.choose(a, b)
+                x, st = strat.step(st, a, b, q)
                 assert not (taken >> x) & 1
                 a |= 1 << x
                 if game.contains_line([i for i in range(18) if (a >> i) & 1]):
@@ -198,7 +233,6 @@ def test_copy_mirror_never_emits_claimed_points():
             else:
                 free = [i for i in range(18) if not (taken >> i) & 1]
                 q = rng.choice(free)
-                s.observe(a, b, q)
                 b |= 1 << q
                 if game.contains_line([i for i in range(18) if (b >> i) & 1]):
                     break
@@ -224,58 +258,53 @@ GAME_FOR = {"odd-bucket": "odd_composite(3,5)", "pairs": "pairs(5)",
             "product": "product_torus(1)", "lowest": "pairs(5)"}
 
 
-def _play(strat, game, a, b, rng, rounds):
-    """Adversary then owner, from an adversary-to-move position, for up to
-    ``rounds`` rounds; (a, b, moves, whether a line or a full board ended it)."""
-    contains, full = game.lines.contains_mask, game.full_mask
-    owner_one = strat.role is Player.ONE
-    moves = []
-    for _ in range(rounds):
-        q = rng.choice([x for x in range(game.n) if not ((a | b) >> x) & 1])
-        strat.observe(a, b, q)
-        moves.append(q)
-        if owner_one:
-            b |= 1 << q
-        else:
-            a |= 1 << q
-        if a | b == full or contains(b if owner_one else a):
-            return a, b, moves, True
-        x = strat.choose(a, b)
-        moves.append(x)
-        if owner_one:
-            a |= 1 << x
-        else:
-            b |= 1 << x
-        if a | b == full or contains(a if owner_one else b):
-            return a, b, moves, True
-    return a, b, moves, False
+def _attrs(strategy):
+    """The strategy's attributes, a sub-strategy's expanded in place."""
+    return {k: _attrs(v) if isinstance(v, S.Strategy) else v
+            for k, v in vars(strategy).items()}
 
 
 @pytest.mark.parametrize("name", S.STRATEGY_NAMES)
-def test_restore_rewinds_to_the_keyed_state(name):
+def test_step_is_a_pure_transition(name):
     game = C.parse_game_spec(GAME_FOR[name])
+    s, twin = S.strategy_for(game, name), S.strategy_for(game, name)
+    before = _attrs(s)
+    contains, full = game.lines.contains_mask, game.full_mask
+    owner_one = s.role is Player.ONE
     rng = random.Random(11)
-    rewound = 0
-    for trial in range(40):
-        s = S.strategy_for(game, name)
-        s.reset()
+    seen: dict = {}
+    steps = changed = 0
+    for _ in range(40):
+        state, q = s.initial, None
         a = b = 0
-        if s.role is Player.ONE:
-            a = 1 << s.choose(0, 0)
-        a, b, _, over = _play(s, game, a, b, rng, rng.randint(0, game.n // 2 - 1))
-        if over:
-            continue
-        rewound += 1
-        k = s.key()
-        twin = s.clone()
-        _play(s, game, a, b, random.Random(trial), game.n)  # move s on
-        s.restore(k)
-        assert s.key() == k
-        seed = rng.randrange(1 << 30)
-        got = _play(s, game, a, b, random.Random(seed), game.n)
-        want = _play(twin, game, a, b, random.Random(seed), game.n)
-        assert got == want
-    assert rewound >= 20
+        while a | b != full:
+            if (a.bit_count() == b.bit_count()) == owner_one:
+                args = (state, a, b, q)
+                x, after = got = s.step(*args)
+                assert s.step(*args) == got == twin.step(*args)
+                assert seen.setdefault(args, got) == got
+                steps += 1
+                hash(after)
+                if after == state:
+                    assert after is state  # an unchanged state is passed through
+                else:
+                    changed += 1
+                state, mover_mask = after, 1 << x
+            else:
+                q = rng.choice([y for y in range(game.n) if not ((a | b) >> y) & 1])
+                mover_mask = 1 << q
+            if a.bit_count() == b.bit_count():
+                a |= mover_mask
+                if contains(a):
+                    break
+            else:
+                b |= mover_mask
+                if contains(b):
+                    break
+    assert _attrs(s) == before
+    assert steps >= 40
+    if name in ("pairs", "even-general", "copy-mirror", "product"):
+        assert changed > 0
 
 
 # Reports of the exhaustive verifier before it stopped copying the strategy
@@ -302,6 +331,34 @@ def test_exhaustive_reports_are_pinned(spec, name, goal, leaves, cx):
     report = verify_strategy(game, strat, strat.role, goal)
     want = {"verdict": "pass" if cx is None else "counterexample",
             "leaves": leaves, "mode": "exhaustive"}
+    if cx is not None:
+        want["counterexample"] = cx
+    assert report.to_json() == want
+
+
+# Sampled reports of the verifier before strategies became pure transitions:
+# the adversary's random draws must come in the same order.
+SAMPLED_REPORTS = [
+    ("pairs(5)", lambda g: S.strategy_for(g, "lowest"), Goal.WIN, 50, 3,
+     1, [0, 4, 1, 7, 2, 9, 3, 5, 6, 8]),
+    ("matching(3)", lambda g: S.pairs_strategy(3), Goal.WIN, 200, 1,
+     4, [0, 4, 5, 2, 1, 3]),
+    ("cycle(18)", lambda g: S.copy_mirror_strategy(S.pairs_strategy(3), 3), Goal.WIN, 200, 1,
+     1, [0, 5, 4, 12, 6, 17, 11, 2, 1]),
+    ("even_general(2,3)", lambda g: S.strategy_for(g, "even-general"), Goal.WIN, 300, 5,
+     300, None),
+]
+
+
+@pytest.mark.parametrize("spec,build,goal,samples,seed,leaves,cx", SAMPLED_REPORTS,
+                         ids=[r[0] for r in SAMPLED_REPORTS])
+def test_sampled_reports_are_pinned(spec, build, goal, samples, seed, leaves, cx):
+    game = C.parse_game_spec(spec)
+    strat = build(game)
+    report = verify_strategy(game, strat, strat.role, goal, mode="sampled",
+                             samples=samples, seed=seed)
+    want = {"verdict": "pass" if cx is None else "counterexample",
+            "leaves": leaves, "mode": "sampled", "seed": seed, "samples": samples}
     if cx is not None:
         want["counterexample"] = cx
     assert report.to_json() == want
