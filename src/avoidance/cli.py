@@ -15,9 +15,10 @@ from typing import Optional
 
 from . import pairset
 from .core import (Game, GameError, IllegalMoveError, Player, Position,
-                   apply_move, is_transitive, iter_bits, orbit)
+                   apply_move, is_transitive, mask_of, orbit)
 from .constructions import CATALOG, game_from_json, game_to_json, parse_game_spec
-from .solver import Goal, earliest_forced_loss, solve, solve_plus, verify_strategy
+from .solver import (Goal, best_move, earliest_forced_loss, solve, solve_plus,
+                     verify_strategy)
 from .strategies import STRATEGY_NAMES, strategy_for
 
 
@@ -178,12 +179,13 @@ def cmd_play(args) -> int:
                 continue
             last = x
         else:
+            a_mask, b_mask = mask_of(pos.a), mask_of(pos.b)
             if opponent is not None:
-                a_mask = sum(1 << p for p in pos.a)
-                b_mask = sum(1 << p for p in pos.b)
                 x, state = opponent.step(state, a_mask, b_mask, last)
+            elif pos.to_move is Player.ONE:
+                x = best_move(game, a_mask, b_mask, args.cap)
             else:
-                x = _solver_move(game, pos, args.cap)
+                x = best_move(game, b_mask, a_mask, args.cap)
             print(f"opponent plays {x}")
             newpos, lost = apply_move(game, pos, x)
         if lost:
@@ -193,53 +195,6 @@ def cmd_play(args) -> int:
                   f"and loses on move {len(newpos.claimed())}")
             return 0
         pos = newpos
-
-
-def _solver_move(game: Game, pos: Position, cap: int) -> int:
-    """Best move for the side to move, by exact search from this position."""
-    from .solver import LOSS, WIN
-    if game.n > cap:
-        raise GameError(f"solver opponent needs n <= {cap}")
-    full = game.full_mask
-    minline = game.lines.min_line_size
-    table: dict = {}
-
-    def search(mine: int, theirs: int) -> int:
-        key = mine | (theirs << game.n)
-        hit = table.get(key)
-        if hit is not None:
-            return hit
-        unclaimed = full & ~(mine | theirs)
-        if unclaimed == 0:
-            return 0
-        best = LOSS
-        cnt = mine.bit_count() + 1
-        for x in iter_bits(unclaimed):
-            nm = mine | (1 << x)
-            if cnt >= minline and game.loses_after(nm, x):
-                val = LOSS
-            else:
-                val = -search(theirs, nm)
-            if val > best:
-                best = val
-                if best == WIN:
-                    break
-        table[key] = best
-        return best
-
-    mine = sum(1 << p for p in (pos.a if pos.to_move is Player.ONE else pos.b))
-    theirs = sum(1 << p for p in (pos.b if pos.to_move is Player.ONE else pos.a))
-    best_x, best_val = None, -2
-    cnt = mine.bit_count() + 1
-    for x in iter_bits(full & ~(mine | theirs)):
-        nm = mine | (1 << x)
-        if cnt >= minline and game.loses_after(nm, x):
-            val = LOSS
-        else:
-            val = -search(theirs, nm)
-        if val > best_val:
-            best_x, best_val = x, val
-    return best_x
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -74,6 +74,13 @@ def odd_composite(p: int, q: int) -> Game:
             for parts in itertools.product(*choices):
                 yield frozenset(itertools.chain.from_iterable(parts))
 
+    def canonical(mine: int, theirs: int) -> tuple:
+        # lines depend only on per-bucket counts, so every bucket-preserving
+        # permutation (S_p wr S_q) is an automorphism: the sorted profile
+        # of (mine, theirs) counts per bucket names the orbit
+        return tuple(sorted([((mine & bk).bit_count(), (theirs & bk).bit_count())
+                             for bk in buckets]))
+
     store = ImplicitLines(n, k, is_line, contains,
                           spec=("odd_composite", {"p": p, "q": q}),
                           w_iter=w_iter,
@@ -82,7 +89,8 @@ def odd_composite(p: int, q: int) -> Game:
     in_bucket = Permutation(tuple((i + 1) % p if i < p else i for i in range(n)))
     return Game(n, store, (bucket_cycle, in_bucket), f"odd_composite({p},{q})",
                 meta={"construction": "odd_composite", "params": {"p": p, "q": q},
-                      "indexing": "point i -> (bucket i//p, offset i%p)"})
+                      "indexing": "point i -> (bucket i//p, offset i%p)"},
+                canonical=canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +169,43 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
     return Game(n, line_store, (pair_cycle, double_swap),
                 f"pairs({b})",
                 meta={"construction": "pairs", "params": {"b": b},
-                      "indexing": "(x, y) in Z_b x Z_2 -> 2x + y"})
+                      "indexing": "(x, y) in Z_b x Z_2 -> 2x + y"},
+                canonical=_pairs_canonical(b))
+
+
+def _pairs_canonical(b: int):
+    """Key of a position's orbit under the shipped group of ``pairs_game(b)``.
+
+    The group is the pair rotations times the flips of an even number of
+    pairs. Flipping each pair that holds one claimed point on its high
+    side, or mine on the high point and theirs on the low one, brings every
+    pair to one orientation. The parity of those flips is kept, unless an
+    empty pair or one held whole by a player (a pair the flip fixes) can
+    absorb an odd flip. The key is the least of the b rotations of
+    ``mine | theirs << n``, with the parity as bit 2n.
+    """
+    n = 2 * b
+    lo = mask_of(range(0, n, 2))
+    wrap = 3 | 3 << n      # pair 0 of each half, where a rotation wraps in
+    keep = ((1 << 2 * n) - 1) & ~wrap
+
+    def canonical(mine: int, theirs: int) -> int:
+        claimed = mine | theirs
+        c_lo, c_hi = claimed & lo, (claimed >> 1) & lo
+        flip = (c_hi & ~c_lo) | ((mine >> 1) & theirs & lo)
+        both = flip | flip << 1
+        mine = (mine & ~both) | (mine & flip) << 1 | (mine >> 1) & flip
+        theirs = (theirs & ~both) | (theirs & flip) << 1 | (theirs >> 1) & flip
+        best = v = mine | theirs << n
+        for _ in range(b - 1):
+            v = (v << 2) & keep | (v >> (n - 2)) & wrap
+            if v < best:
+                best = v
+        if lo & ~(c_lo | c_hi) or mine & (mine >> 1) & lo or theirs & (theirs >> 1) & lo:
+            return best
+        return best | (flip.bit_count() & 1) << 2 * n
+
+    return canonical
 
 
 def _pairs_extendable(b: int, t: frozenset) -> bool:
@@ -357,6 +401,11 @@ def torus_lines(q: int, d: int) -> list[frozenset]:
     return sorted(seen, key=lambda l: sorted(l))
 
 
+# digit operations ``torus_lines`` may make, n^2 * q * d; torus(16,2) is at
+# the budget (about 2 s)
+TORUS_WORK_BUDGET = 1 << 21
+
+
 def torus(q: int, d: int) -> Game:
     """Arithmetic-progression game on Z_q^d.
 
@@ -367,8 +416,11 @@ def torus(q: int, d: int) -> Game:
     """
     _require(q >= 2, f"q must be >= 2, got {q}")
     _require(d >= 1, f"d must be >= 1, got {d}")
+    # torus_lines makes n^2 * q = q^(2d+1) point images of d digits each;
+    # d <= 20 keeps the power cheap, as q >= 2 puts any d >= 10 over budget
+    _require(d <= 20 and q ** (2 * d + 1) * d <= TORUS_WORK_BUDGET,
+             f"torus({q},{d}) is over the work budget: n^2 * q * d > {TORUS_WORK_BUDGET}")
     n = q ** d
-    _require(n <= 1 << 20, "board too large")
     store = ExplicitLines(n, torus_lines(q, d))
     gens = []
     for axis in range(d):
@@ -584,7 +636,8 @@ CATALOG = {
     "pairs": {"factory": pairs_game, "params": ["b"], "ranges": "b odd >= 3"},
     "even_general": {"factory": even_general, "params": ["a", "b"],
                      "ranges": "a >= 2, b odd > 1"},
-    "torus": {"factory": torus, "params": ["q", "d"], "ranges": "q >= 2, d >= 1"},
+    "torus": {"factory": torus, "params": ["q", "d"],
+              "ranges": "q >= 2, d >= 1, q^(2d+1) * d <= 2^21"},
     "product_torus": {"factory": product_torus, "params": ["d"], "ranges": "d >= 1"},
     "affine": {"factory": affine_game, "params": ["n"], "ranges": "n in {11, 13}"},
     "cycle": {"factory": cycle_game, "params": ["n"], "ranges": "n >= 3"},

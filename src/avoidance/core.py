@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
 
 class GameError(Exception):
@@ -310,11 +310,22 @@ class ImplicitLines(LineStore):
 
 @dataclass(frozen=True)
 class Game:
+    """A board, its lines and shipped automorphism generators.
+
+    ``canonical``, when set, maps a position ``(mine, theirs)`` of point
+    masks to a hashable key that two positions share only if an
+    automorphism of the game carries one onto the other; the solvers key
+    their tables by it. It is not serialized: the factories that define
+    one set it again when a document is loaded.
+    """
+
     n: int
     lines: LineStore
     generators: tuple[Permutation, ...]
     name: str
     meta: Mapping[str, object] = field(default_factory=dict)
+    canonical: Optional[Callable[[int, int], Hashable]] = field(
+        default=None, compare=False, repr=False)
 
     def contains_line(self, s: Iterable[int]) -> bool:
         return self.lines.contains(s)

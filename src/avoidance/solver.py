@@ -64,23 +64,67 @@ def solve(game: Game, cap: int = 16, use_table: bool = True,
 
     ``root_symmetry`` restricts the first move to point 0; this is exact
     for transitive games (verified before use) since the automorphism
-    group then carries any opening move to any other.
+    group then carries any opening move to any other. When the game has a
+    ``canonical`` form, states and table size count its equivalence
+    classes of positions.
     """
+    _check_cap(game, cap)
+    if root_symmetry and not is_transitive(game):
+        raise GameError("root_symmetry requires a transitive game")
+    descending = move_order == "descending"
+    search, table, stats = _negamax(game, use_table, descending)
+
+    if root_symmetry and game.n > 0:
+        first = 1 << 0
+        if 1 >= game.lines.min_line_size and game.loses_after(first, 0):
+            root_val = LOSS
+        else:
+            root_val = -search(0, first)
+        stats["visited"] += 1
+    else:
+        root_val = search(0, 0)
+
+    pv = _principal_variation(game, search, root_val,
+                              first=0 if root_symmetry else None,
+                              descending=descending)
+    outcome = _outcome_from_pv(game, pv)
+    got = {Winner.PI_WIN: WIN, Winner.DRAW: DRAW, Winner.PII_WIN: LOSS}[outcome.winner]
+    if got != root_val:
+        raise GameError("principal variation does not replay to the solved value")
+    return SolveReport(outcome, tuple(pv), stats["visited"], len(table))
+
+
+def best_move(game: Game, mine: int, theirs: int, cap: int = 16) -> int:
+    """The solver's move for the side holding ``mine``, to move: the
+    first point, ascending, of highest value. The game must not be over."""
+    _check_cap(game, cap)
+    search, _, _ = _negamax(game)
+    return _principal_variation(game, search, search(mine, theirs), mine, theirs)[0]
+
+
+def _check_cap(game: Game, cap: int) -> None:
     if game.n > cap:
         raise SearchCapExceeded(
             f"board size {game.n} exceeds solve cap {cap}; raise cap explicitly")
-    if root_symmetry and not is_transitive(game):
-        raise GameError("root_symmetry requires a transitive game")
+
+
+def _negamax(game: Game, use_table: bool = True, descending: bool = False):
+    """The search behind ``solve`` and ``best_move``: ``(search, table, stats)``.
+
+    ``search(mine, theirs)`` is the value for the side holding ``mine``,
+    to move. The table is keyed by ``game.canonical`` when the game has
+    one, else by the masks themselves.
+    """
     full = game.full_mask
     n = game.n
     loses_after = game.lines.loses_after
     minline = game.lines.min_line_size
+    canonical = game.canonical
     table: dict = {}
     stats = {"visited": 0}
-    descending = move_order == "descending"
 
     def search(mine: int, theirs: int) -> int:
-        key = mine | (theirs << n)
+        key = mine | (theirs << n) if canonical is None else canonical(mine, theirs)
         if use_table:
             hit = table.get(key)
             if hit is not None:
@@ -112,34 +156,17 @@ def solve(game: Game, cap: int = 16, use_table: bool = True,
             table[key] = best
         return best
 
-    if root_symmetry and game.n > 0:
-        first = 1 << 0
-        if 1 >= minline and loses_after(first, 0):
-            root_val = LOSS
-        else:
-            root_val = -search(0, first)
-        stats["visited"] += 1
-    else:
-        root_val = search(0, 0)
-
-    pv = _principal_variation(game, search, root_val,
-                              force_first=0 if root_symmetry else None,
-                              move_order=move_order)
-    outcome = _outcome_from_pv(game, pv)
-    got = {Winner.PI_WIN: WIN, Winner.DRAW: DRAW, Winner.PII_WIN: LOSS}[outcome.winner]
-    if got != root_val:
-        raise GameError("principal variation does not replay to the solved value")
-    return SolveReport(outcome, tuple(pv), stats["visited"], len(table))
+    return search, table, stats
 
 
-def _principal_variation(game, search, root_val, force_first, move_order) -> list:
+def _principal_variation(game, search, want, mine=0, theirs=0, first=None,
+                         descending=False) -> list:
+    """Moves from (mine, theirs) that keep the solved value ``want``: at
+    each step the first move, in search order, whose value matches."""
     full = game.full_mask
     minline = game.lines.min_line_size
     loses_after = game.lines.loses_after
-    descending = move_order == "descending"
     pv: list = []
-    mine, theirs = 0, 0
-    want = root_val
     while True:
         unclaimed = full & ~(mine | theirs)
         if unclaimed == 0:
@@ -147,8 +174,8 @@ def _principal_variation(game, search, root_val, force_first, move_order) -> lis
         options = list(iter_bits(unclaimed))
         if descending:
             options.reverse()
-        if force_first is not None and not pv:
-            options = [force_first]
+        if first is not None and not pv:
+            options = [first]
         cnt = mine.bit_count() + 1
         for x in options:
             nm = mine | (1 << x)
@@ -206,11 +233,13 @@ def earliest_forced_loss(game: Game, cap: int = 16) -> int:
     n = game.n
     minline = game.lines.min_line_size
     loses_after = game.lines.loses_after
+    canonical = game.canonical
     INF = float("inf")
     table: dict = {}
 
     def search(a: int, b: int):
-        key = a | (b << n)
+        # automorphisms keep the loss index, so a canonical key is exact
+        key = a | (b << n) if canonical is None else canonical(a, b)
         hit = table.get(key)
         if hit is not None:
             return hit

@@ -1,0 +1,183 @@
+"""Canonical position keys: invariance, exactness, and where they are carried.
+
+``Game.canonical`` keys the solver tables, so two positions may share a
+key only if an automorphism maps one onto the other. The properties below
+check that against the shipped generators (and, for ``odd_composite``,
+every bucket-preserving permutation), against the orbits of the shipped
+group, against the values of the plain-key tables, and against the
+plain-key solve itself.
+"""
+
+import dataclasses
+import json
+from collections import deque
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from avoidance import constructions as C
+from avoidance.core import ExplicitLines, Game, Permutation, iter_bits, mask_of
+from avoidance.solver import _negamax, earliest_forced_loss, solve
+
+CANONICAL_GAMES = [C.pairs_game(3), C.pairs_game(5), C.pairs_game(7),
+                   C.pairs_game(5, "implicit"), C.odd_composite(3, 3),
+                   C.odd_composite(3, 5), C.odd_composite(5, 3)]
+
+
+def _ids(game):
+    return f"{game.name}-{type(game.lines).__name__}"
+
+
+def _image(img, mask: int) -> int:
+    return mask_of(img[x] for x in iter_bits(mask))
+
+
+def _position(owners) -> tuple:
+    """(mine, theirs) from a per-point owner list: 0 free, 1 mine, 2 theirs."""
+    mine = mask_of(x for x, o in enumerate(owners) if o == 1)
+    theirs = mask_of(x for x, o in enumerate(owners) if o == 2)
+    return mine, theirs
+
+
+def _positions(n: int):
+    return st.lists(st.integers(0, 2), min_size=n, max_size=n).map(_position)
+
+
+def _group(game) -> list:
+    """Every element of the generated group, as image tuples."""
+    ident = tuple(range(game.n))
+    seen, queue = {ident}, deque([ident])
+    while queue:
+        cur = queue.popleft()
+        for g in game.generators:
+            nxt = tuple(g.image[c] for c in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("game", CANONICAL_GAMES, ids=_ids)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_key_is_invariant_under_products_of_the_generators(game, data):
+    mine, theirs = data.draw(_positions(game.n))
+    word = data.draw(st.lists(st.integers(0, len(game.generators) - 1), max_size=12))
+    img = tuple(range(game.n))
+    for i in word:
+        img = game.generators[i].compose(Permutation(img)).image
+    assert game.canonical(_image(img, mine), _image(img, theirs)) == \
+        game.canonical(mine, theirs)
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (3, 5), (5, 3)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_odd_composite_key_is_invariant_under_bucket_preserving_permutations(p, q, data):
+    game = C.odd_composite(p, q)
+    mine, theirs = data.draw(_positions(game.n))
+    buckets = data.draw(st.permutations(range(q)))
+    inside = [data.draw(st.permutations(range(p))) for _ in range(q)]
+    perm = Permutation(tuple(buckets[i // p] * p + inside[i // p][i % p]
+                             for i in range(game.n)))
+    game.lines.check_preserved(perm)
+    assert game.canonical(_image(perm.image, mine), _image(perm.image, theirs)) == \
+        game.canonical(mine, theirs)
+
+
+@pytest.mark.parametrize("b,most", [(3, 6), (5, 4)])
+def test_pairs_keys_are_exactly_the_orbits_of_the_shipped_group(b, most):
+    # every position with at most ``most`` claimed points: equal keys
+    # exactly when some element of rotations x even flips relates them
+    game = C.pairs_game(b)
+    group = _group(game)
+    assert len(group) == b * 2 ** (b - 1)
+    orbits, keys = {}, {}
+    for owners in _owner_lists(game.n, most):
+        mine, theirs = _position(owners)
+        orbit = frozenset((_image(g, mine), _image(g, theirs)) for g in group)
+        orbits[mine, theirs] = orbit
+        keys.setdefault(game.canonical(mine, theirs), set()).add((mine, theirs))
+    for members in keys.values():
+        assert members == orbits[next(iter(members))]
+
+
+def _owner_lists(n: int, most: int):
+    def rec(prefix, claimed):
+        if len(prefix) == n:
+            yield prefix
+            return
+        yield from rec(prefix + [0], claimed)
+        if claimed < most:
+            yield from rec(prefix + [1], claimed + 1)
+            yield from rec(prefix + [2], claimed + 1)
+    return rec([], 0)
+
+
+@pytest.mark.parametrize("game", [C.pairs_game(5), C.pairs_game(5, "implicit"),
+                                  C.odd_composite(3, 3), C.odd_composite(3, 5)],
+                         ids=_ids)
+def test_plain_key_table_entries_with_one_key_share_one_value(game):
+    search, table, _ = _negamax(dataclasses.replace(game, canonical=None))
+    search(0, 0)
+    full, n = game.full_mask, game.n
+    values: dict = {}
+    for key, value in table.items():
+        canon = game.canonical(key & full, key >> n)
+        assert values.setdefault(canon, value) == value
+    assert len(values) < len(table)
+
+
+# with pairs(7) and odd_composite(5,3), whose two solves
+# test_bench_solves_keep_reference_work_counts pins, this is every board
+# with n <= 16 that has a canonical form
+@pytest.mark.parametrize("game", [C.pairs_game(3), C.pairs_game(3, "implicit"),
+                                  C.pairs_game(5), C.pairs_game(5, "implicit"),
+                                  C.pairs_game(7, "implicit"), C.odd_composite(3, 3),
+                                  C.odd_composite(3, 5)], ids=_ids)
+def test_canonical_solve_equals_the_plain_key_solve(game):
+    plain_game = dataclasses.replace(game, canonical=None)
+    orders = ("ascending", "descending") if game.n <= 10 else ("ascending",)
+    for order in orders:
+        report = solve(game, move_order=order)
+        plain = solve(plain_game, move_order=order)
+        assert report.outcome == plain.outcome
+        assert report.principal_variation == plain.principal_variation
+        assert report.states_visited <= plain.states_visited
+
+
+@pytest.mark.parametrize("game", [C.pairs_game(3), C.pairs_game(5),
+                                  C.odd_composite(3, 3)], ids=_ids)
+def test_canonical_earliest_forced_loss_equals_the_plain_key_one(game):
+    assert earliest_forced_loss(game) == \
+        earliest_forced_loss(dataclasses.replace(game, canonical=None))
+
+
+def test_canonical_earliest_forced_loss_past_the_plain_key_budget():
+    # the plain-key searches take 10-20 s each and give the same values
+    assert earliest_forced_loss(C.pairs_game(7)) == 14
+    assert earliest_forced_loss(C.odd_composite(5, 3)) == 12
+
+
+@pytest.mark.parametrize("game", [C.pairs_game(5), C.pairs_game(5, "implicit"),
+                                  C.odd_composite(3, 5)], ids=_ids)
+def test_json_round_trip_keeps_the_canonical_form(game):
+    doc = C.game_to_json(game)
+    loaded = C.game_from_json(json.loads(json.dumps(doc)))
+    assert loaded.canonical is not None and loaded.name == game.name
+    before, after = solve(game), solve(loaded)
+    assert (after.states_visited, after.table_size) == \
+        (before.states_visited, before.table_size)
+    plain = solve(dataclasses.replace(game, canonical=None))
+    assert after.states_visited < plain.states_visited
+
+
+@pytest.mark.parametrize("game", [
+    C.parse_game_spec("copies(pairs(3),1)"),
+    C.parse_game_spec("superset(pairs(3),4)"),
+    C.parse_game_spec("superset(pairs(5),6)"),
+    Game(4, ExplicitLines(4, [[0, 1], [2, 3]]), (), "hand-built"),
+], ids=lambda g: g.name)
+def test_derived_and_hand_built_games_carry_no_canonical_form(game):
+    assert game.canonical is None
+    assert C.game_from_json(C.game_to_json(game)).canonical is None

@@ -179,3 +179,22 @@ def test_play_against_a_strategy_opponent(monkeypatch, capsys):
         "opponent plays 0", "opponent plays 5", "opponent plays 1"]
     assert "illegal: point 0 already claimed" in out
     assert out.splitlines()[-1] == "Player II completed a line and loses on move 6"
+
+
+def test_play_against_the_solver_opponent(monkeypatch, capsys):
+    # the solver opens and answers with the first point of highest value;
+    # the moves were recorded from the solver opponent before it shared
+    # solve's search and canonical keys
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n5\n7\n9\n1\n0\n2\n4\n6\n8\n"))
+    rc = main(["play", "--game", "pairs(5)", "--side", "2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert [l for l in out.splitlines() if l.startswith("opponent plays")] == [
+        f"opponent plays {x}" for x in (0, 1, 2, 6, 8)]
+    assert out.splitlines()[-1] == "Player II completed a line and loses on move 10"
+
+
+def test_oversize_torus_is_refused(capsys):
+    rc, _, err = run_cli(capsys, "solve", "--game", "torus(64,2)")
+    assert rc == 2
+    assert "work budget" in err

@@ -56,6 +56,17 @@ def test_parameter_validation():
             bad()
 
 
+def test_torus_over_the_work_budget_is_refused_before_enumerating():
+    # torus_lines is O(n^2 q d): torus(64,2) would run for many minutes
+    import time
+    for q, d in [(64, 2), (17, 2), (3, 6), (2, 10 ** 9)]:
+        start = time.perf_counter()
+        with pytest.raises(GameError, match="work budget"):
+            C.torus(q, d)
+        assert time.perf_counter() - start < 0.5
+    assert 16 ** 5 * 2 <= C.TORUS_WORK_BUDGET    # torus(16,2) is admitted
+
+
 # --- odd composite -----------------------------------------------------------
 
 def test_odd_composite_counts():

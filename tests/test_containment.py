@@ -3,9 +3,12 @@
 ``loses_after`` and ``contains_mask`` pick fast paths by popcount (set
 lookups, popcount predicates); every path must agree with subset
 enumeration. The solve counts pin the search itself: a faster loop must
-visit the same states and report the same principal variation.
+visit the same states and report the same principal variation. They are
+pinned twice, for the plain-key search (the game with ``canonical=None``)
+and for the canonical-key search, which share every principal variation.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import pathlib
@@ -106,13 +109,26 @@ BENCH_PV = {
 }
 
 
+# (states, table) of the canonical-key search; affine keeps plain keys
+BENCH_CANONICAL_COUNTS = {
+    "solve-affine-13": (62217, 62217),
+    "solve-pairs-7": (8877, 8647),
+    "solve-odd-composite-5-3": (145, 145),
+}
+
+
 @pytest.mark.parametrize("cmd_id", sorted(BENCH_PV))
 def test_bench_solves_keep_reference_work_counts(cmd_id):
+    # the reference counts are those of the plain-key search
     want = _workloads().REFERENCE_COUNTS[cmd_id]
     spec, pv = BENCH_PV[cmd_id]
-    report = solve(C.parse_game_spec(spec))
-    assert report.states_visited == want["states"]
-    assert report.table_size == want["table"]
+    game = C.parse_game_spec(spec)
+    plain = solve(dataclasses.replace(game, canonical=None))
+    assert plain.states_visited == want["states"]
+    assert plain.table_size == want["table"]
+    assert list(plain.principal_variation) == pv
+    report = solve(game)
+    assert (report.states_visited, report.table_size) == BENCH_CANONICAL_COUNTS[cmd_id]
     assert list(report.principal_variation) == pv
 
 
@@ -123,6 +139,17 @@ def test_bench_solves_keep_reference_work_counts(cmd_id):
     ("odd_composite(3,3)", "descending", 548, 548, [8, 7, 6, 5, 2, 4, 1, 3]),
 ])
 def test_move_order_work_counts(spec, order, states, table, pv):
-    report = solve(C.parse_game_spec(spec), move_order=order)
-    assert (report.states_visited, report.table_size) == (states, table)
+    # (states, table) above are the plain-key search's; these the canonical one's
+    canonical_counts = {
+        ("affine(11)", "descending"): (4458, 4458),
+        ("pairs(5)", "ascending"): (386, 368),
+        ("pairs(5)", "descending"): (287, 270),
+        ("odd_composite(3,3)", "descending"): (34, 34),
+    }
+    game = C.parse_game_spec(spec)
+    plain = solve(dataclasses.replace(game, canonical=None), move_order=order)
+    assert (plain.states_visited, plain.table_size) == (states, table)
+    assert list(plain.principal_variation) == pv
+    report = solve(game, move_order=order)
+    assert (report.states_visited, report.table_size) == canonical_counts[spec, order]
     assert list(report.principal_variation) == pv

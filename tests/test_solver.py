@@ -3,8 +3,8 @@ import pytest
 from avoidance.core import (ExplicitLines, Game, GameError, Permutation,
                             Player, SearchCapExceeded, Winner)
 from avoidance import constructions as C
-from avoidance.solver import (Goal, earliest_forced_loss, solve, solve_plus,
-                              verify_strategy)
+from avoidance.solver import (Goal, best_move, earliest_forced_loss, solve,
+                              solve_plus, verify_strategy)
 from avoidance.strategies import LowestFreeStrategy, pairs_strategy
 
 from oracles import ref_solve, ref_solve_plus
@@ -85,6 +85,43 @@ def test_solve_root_symmetry_agrees():
     nontransitive = Game(4, ExplicitLines(4, [[0, 1]]), (), "lopsided")
     with pytest.raises(GameError):
         solve(nontransitive, root_symmetry=True)
+
+
+@pytest.mark.parametrize("spec,claimed", [("pairs(3)", 0), ("cycle(5)", 0),
+                                          ("odd_composite(3,3)", 3), ("pairs(5)", 4)])
+def test_best_move_is_the_first_point_of_highest_value(spec, claimed):
+    # reference: every move valued by plain recursion, first maximum taken
+    import random as _random
+    g = C.parse_game_spec(spec)
+    rng = _random.Random(5)
+    checked = 0
+    while checked < 12:
+        a, b = set(), set()
+        order = rng.sample(range(g.n), g.n)
+        for x in order[:claimed + rng.randrange(g.n - claimed - 1)]:
+            (a if len(a) == len(b) else b).add(x)
+        if g.contains_line(a) or g.contains_line(b):
+            continue
+        mine, theirs = (a, b) if len(a) == len(b) else (b, a)
+        values = []
+        for x in range(g.n):
+            if x in a or x in b:
+                continue
+            if g.contains_line(mine | {x}):
+                values.append((-1, x))
+            elif mine is a:
+                values.append((-ref_solve(g, frozenset(a | {x}), frozenset(b)), x))
+            else:
+                values.append((-ref_solve(g, frozenset(a), frozenset(b | {x})), x))
+        want = max(values, key=lambda v: (v[0], -v[1]))[1]
+        got = best_move(g, sum(1 << x for x in mine), sum(1 << x for x in theirs))
+        assert got == want, (sorted(a), sorted(b))
+        checked += 1
+
+
+def test_best_move_cap_refusal():
+    with pytest.raises(SearchCapExceeded):
+        best_move(C.pairs_game(9), 0, 0)
 
 
 def test_earliest_forced_loss_values():
