@@ -241,30 +241,22 @@ def _bin_sets(n: int, b: int, m: int, s: frozenset) -> list[set]:
 def _even_allowed(b: int, m: int, w: int) -> bool:
     """Is the point mask ``w`` an allowed set of the general even game?
 
-    Per bin, ``lo & hi`` marks doubled opposite pairs and the pairs in
-    neither half are empty; with |w| = n/2 the two counts are equal.
+    Over all bins at once, ``lo & hi`` marks doubled opposite pairs and the
+    pairs in neither half are empty; with |w| = n/2 the two counts are equal.
     """
     half, mp, bp = m // 2, m // 4, (b - 1) // 2
     if w.bit_count() != b * half:
         return False
-    binmask, halfmask = (1 << m) - 1, (1 << half) - 1
-    doubled = empty = None  # (bin, pair id) of the only one so far
-    for j in range(b):
-        seg = (w >> (j * m)) & binmask
-        lo, hi = seg & halfmask, seg >> half
-        d, e = lo & hi, halfmask & ~(lo | hi)
-        if d:
-            if doubled is not None or d & (d - 1):
-                return False
-            doubled = (j, d.bit_length() - 1)
-        if e:
-            if empty is not None or e & (e - 1):
-                return False
-            empty = (j, e.bit_length() - 1)
-    if doubled is None:
+    binmask = (1 << m) - 1
+    low = ((1 << half) - 1) * (((1 << (b * m)) - 1) // binmask)  # first half of each bin
+    lo, hi = w & low, (w >> half) & low
+    doubled, empty = lo & hi, low & ~(lo | hi)
+    if not doubled:
         total = sum(_ps._max_point_info(m, (w >> (j * m)) & binmask)[0] for j in range(b))
         return total % m < half
-    (j, f), (j2, e) = doubled, empty
+    if doubled & (doubled - 1) or empty & (empty - 1):
+        return False
+    (j, f), (j2, e) = divmod(doubled.bit_length() - 1, m), divmod(empty.bit_length() - 1, m)
     if j2 != j:
         return 1 <= (j2 - j) % b <= bp
     return 1 <= (e - f) % half <= mp - 1
@@ -649,6 +641,9 @@ CATALOG = {
 }
 
 
+MAX_SPEC_DEPTH = 16  # parentheses a game spec may nest
+
+
 def parse_game_spec(spec: str) -> Game:
     """Build a game from a compact string like ``pairs(3)`` or ``copies(pairs(3),3)``."""
     spec = spec.strip()
@@ -665,6 +660,8 @@ def parse_game_spec(spec: str) -> Game:
     for i, ch in enumerate(inner):
         if ch == "(":
             depth += 1
+            if depth >= MAX_SPEC_DEPTH:
+                raise GameError(f"game spec nests deeper than {MAX_SPEC_DEPTH} parentheses")
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:

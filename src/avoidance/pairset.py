@@ -146,7 +146,12 @@ def _coerce(a: Union[PairSet, Iterable[int]], m: Optional[int]) -> tuple[int, in
     return m, mask
 
 
-@lru_cache(maxsize=None)
+# Both caches hold one entry per distinct mask; ``verify-lemma all --m 16``
+# fills 12864 of each, which the bound keeps.
+_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _base_word(m: int, mask: int) -> int:
     """Pack the indicator of ``mask`` into an int, position 0 at the MSB."""
     w = 0
@@ -164,7 +169,7 @@ def _rotation_word(m: int, mask: int, x: int) -> int:
     return ((w << x) | (w >> (m - x))) & full
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _max_point_info(m: int, mask: int) -> tuple[int, bool]:
     """(first maximal rotation start, whether it is unique)."""
     best_x, best_w, unique = 0, _rotation_word(m, mask, 0), True
@@ -227,9 +232,14 @@ def _unique_max_point(m: int, mask: int) -> int:
     return x
 
 
+def _windows(m: int, mask: int, r: int) -> list[int]:
+    """Packed words of the windows [x, x+r) of ``mask``, indexed by x."""
+    return [_rotation_word(m, mask, x) >> (m - r) for x in range(m)]
+
+
 def _r_maximal_points(m: int, mask: int, r: int) -> list[int]:
     """Every x whose window [x, x+r) is a greatest length-r window of ``mask``."""
-    words = [_rotation_word(m, mask, x) >> (m - r) for x in range(m)]
+    words = _windows(m, mask, r)
     top = max(words)
     return [x for x, w in enumerate(words) if w == top]
 
@@ -277,14 +287,12 @@ def full_extensions(a: PairSet) -> Iterator[PairSet]:
 
 
 def _extension_masks(m: int, mask: int) -> Iterator[int]:
+    """Masks of the full pair sets containing ``mask`` (one pick per free pair)."""
     half = m // 2
-    free = [p for p in range(half)
-            if not (mask >> p) & 1 and not (mask >> (p + half)) & 1]
-    for picks in itertools.product(*(((1 << p, 1 << (p + half)) for p in free))):
-        v = mask
-        for b in picks:
-            v |= b
-        yield v
+    free = _free_mask(m, mask)
+    choices = [(1 << p, 1 << (p + half)) for p in range(half) if (free >> p) & 1]
+    for picks in itertools.product(*choices):
+        yield mask | sum(picks)
 
 
 @dataclass(frozen=True)
@@ -321,17 +329,18 @@ def key_params(a: PairSet) -> KeyParams:
     (maximum already pinned, or a fully periodic free zone) return zero
     width. Output is exhaustively validated by ``verify_key_lemma``.
     """
-    m = a.m
-    mp = m // 4
-    u_star = maximal_point(a_max(a), m=m)
-    base = a.rotate(-u_star)
+    return _key_params(a.m, a.mask)
 
-    def quarter_fill(k: int) -> PairSet:
-        filled = fill_interval(base, (k * mp) % m, mp)
-        return fill_interval(filled, ((k + 1) * mp) % m, mp)
+
+def _key_params(m: int, mask: int) -> KeyParams:
+    """``key_params`` of the pair set with point mask ``mask``."""
+    mp = m // 4
+    u_star = _unique_max_point(m, mask | _free_mask(m, mask))
+    base = ((mask >> u_star) | (mask << (m - u_star))) & ((1 << m) - 1)
 
     def max_of(k: int) -> int:
-        return maximal_point(quarter_fill(k))
+        # the two quarters span m/2 points, so no fill blocks the other
+        return _unique_max_point(m, _fill_mask(m, base, _interval_mask(m, k * mp, 2 * mp)))
 
     def out(s: int, t: int, z1: int, z2: int) -> KeyParams:
         return KeyParams(s, (t + u_star) % m, (z1 + u_star) % m, (z2 + u_star) % m)
@@ -356,15 +365,17 @@ def key_params(a: PairSet) -> KeyParams:
 
 def verify_key_params(a: PairSet, p: KeyParams) -> bool:
     """Brute-force check of both window guarantees over all completions."""
-    m = a.m
+    return _key_params_hold(a.m, a.mask, p)
+
+
+def _key_params_hold(m: int, mask: int, p: KeyParams) -> bool:
     mp = m // 4
     checks = (
         (p.z1, (p.t - p.s) % m, p.s + 1),
         (p.z2, p.t, 2 * mp - p.s),
     )
     for z, lo, width in checks:
-        filled = fill_interval(a, z % m, mp)
-        for ext in _extension_masks(m, filled.mask):
+        for ext in _extension_masks(m, _fill_mask(m, mask, _interval_mask(m, z, mp))):
             mx, unique = _max_point_info(m, ext)
             if not unique:
                 raise MaximalityTieError("full pair set with a non-unique maximum")
@@ -377,19 +388,18 @@ def verify_key_params(a: PairSet, p: KeyParams) -> bool:
 # enumeration + exhaustive verification suites (driven by the CLI)
 
 def all_partial_pair_sets(m: int) -> Iterator[PairSet]:
-    half = m // 2
-    for picks in itertools.product((None, 0, 1), repeat=half):
-        members = frozenset(
-            p if side == 0 else p + half
-            for p, side in enumerate(picks) if side is not None)
-        if members:
-            yield PairSet(m, members)
+    return (PairSet.of(m, iter_bits(v)) for v in _partial_masks(m))
 
 
 def all_full_pair_sets(m: int) -> Iterator[PairSet]:
+    return (PairSet.of(m, iter_bits(v)) for v in _extension_masks(m, 0))
+
+
+def _partial_masks(m: int) -> Iterator[int]:
+    """Masks of the nonempty pair sets, pair 0's choice varying slowest."""
     half = m // 2
-    for picks in itertools.product((0, 1), repeat=half):
-        yield PairSet(m, frozenset(p + side * half for p, side in enumerate(picks)))
+    choices = [(0, 1 << p, 1 << (p + half)) for p in range(half)]
+    return filter(None, map(sum, itertools.product(*choices)))
 
 
 @dataclass
@@ -419,58 +429,53 @@ class SuiteReport:
 def verify_unique_max(m: int) -> SuiteReport:
     """Every partial pair set has exactly one m-maximal point."""
     checked, failures = 0, []
-    for a in all_partial_pair_sets(m):
+    for mask in _partial_masks(m):
         checked += 1
-        _, unique = _max_point_info(m, a.mask)
+        _, unique = _max_point_info(m, mask)
         if not unique:
-            failures.append(a)
+            failures.append(PairSet.of(m, iter_bits(mask)))
     return SuiteReport("unique-max", m, checked, failures, {})
 
 
 def verify_not_min(m: int) -> SuiteReport:
     """Full pair set with 0 maximal: no point of [0, r] is r-minimal, r < m/2."""
     checked, failures = 0, []
-    for a in all_full_pair_sets(m):
-        if maximal_point(a) != 0:
+    for mask in _extension_masks(m, 0):
+        if _unique_max_point(m, mask) != 0:
             continue
         for r in range(1, m // 2):
+            words = _windows(m, mask, r)
+            low = min(words)
             for x in range(r + 1):
                 checked += 1
-                if is_r_minimal(a, x, r):
-                    failures.append((a, x, r))
+                if words[x] == low:
+                    failures.append((PairSet.of(m, iter_bits(mask)), x, r))
     return SuiteReport("not-min", m, checked, failures, {})
 
 
 def verify_not_top(m: int) -> SuiteReport:
     """Full pair set, x m/4-maximal: the maximal point lies in (x - m/2, x]."""
-    mp = m // 4
     checked, failures = 0, []
-    for a in all_full_pair_sets(m):
-        mx = maximal_point(a)
-        for x in range(m):
-            if not is_r_maximal(a, x, mp):
-                continue
+    for mask in _extension_masks(m, 0):
+        mx = _unique_max_point(m, mask)
+        for x in _r_maximal_points(m, mask, m // 4):
             checked += 1
             if (x - mx) % m >= m // 2:
-                failures.append((a, x))
+                failures.append((PairSet.of(m, iter_bits(mask)), x))
     return SuiteReport("not-top", m, checked, failures, {})
 
 
 def verify_least_max(m: int) -> SuiteReport:
     """With 0 m/4-maximal, the maximum is the first m/4-maximal point in (m/2, m]."""
-    mp = m // 4
     checked, failures = 0, []
-    for a in all_full_pair_sets(m):
-        if not is_r_maximal(a, 0, mp):
+    for mask in _extension_masks(m, 0):
+        top = _r_maximal_points(m, mask, m // 4)
+        if top[0] != 0:
             continue
         checked += 1
-        first = None
-        for off in range(m // 2 + 1, m + 1):
-            if is_r_maximal(a, off % m, mp):
-                first = off % m
-                break
-        if first is None or maximal_point(a) != first:
-            failures.append((a, first))
+        first = next((x for x in top if x > m // 2), 0)
+        if _unique_max_point(m, mask) != first:
+            failures.append((PairSet.of(m, iter_bits(mask)), first))
     return SuiteReport("least-max", m, checked, failures, {})
 
 
@@ -488,33 +493,33 @@ def verify_earliest_latest(m: int) -> SuiteReport:
     mp = m // 4
     interval = [[_interval_mask(m, x, r) for r in range(m)] for x in range(m)]
     quarter = [row[mp] for row in interval]
+    ext_maxima: dict = {}  # upper fill mask -> maxima of its full completions
     checked, failures = 0, []
-    for a in all_partial_pair_sets(m):
-        mask = a.mask
+    for mask in _partial_masks(m):
         free = _free_mask(m, mask)
         maximal_in_amax = _r_maximal_points(m, mask | free, mp)
-        maximal_set = set(maximal_in_amax)
         for y in range(m):
-            upper = _fill_mask(m, mask, quarter[y])
-            lower = _fill_mask(m, upper, quarter[(y - mp) % m])
-            xp = _unique_max_point(m, lower)
-            ext_maxima = None
+            # [y - m/4, y + m/4) spans m/2 points: no fill there blocks another
+            upper = mask | free & quarter[y]
+            xp = _unique_max_point(m, mask | free & interval[(y - mp) % m][2 * mp])
             for x in maximal_in_amax:
                 if free & interval[x][(y - x) % m]:
                     continue  # a free point inside [x, y)
                 checked += 1
-                if ext_maxima is None:
-                    ext_maxima = {_max_point_info(m, ext)[0]
-                                  for ext in _extension_masks(m, upper)}
+                maxima = ext_maxima.get(upper)
+                if maxima is None:
+                    maxima = ext_maxima[upper] = {
+                        _max_point_info(m, ext)[0] for ext in _extension_masks(m, upper)}
                 ok_a = (x - xp) % m < m // 2
-                ok_b = xp in maximal_set
+                ok_b = xp in maximal_in_amax
                 dv = (xp - (y - mp)) % m
                 in_yx = 0 < dv <= (x - (y - mp)) % m
                 width = (x - xp) % m + 1
                 ok_c = in_yx or not free & interval[xp][(y - mp - xp) % m]
-                ok_d = all((mx - xp) % m < width for mx in ext_maxima)
+                ok_d = all((mx - xp) % m < width for mx in maxima)
                 if not (ok_a and ok_b and ok_c and ok_d):
-                    failures.append((a, x, y, xp, ok_a, ok_b, ok_c, ok_d))
+                    failures.append((PairSet.of(m, iter_bits(mask)), x, y, xp,
+                                     ok_a, ok_b, ok_c, ok_d))
     return SuiteReport("earliest-latest", m, checked, failures, {})
 
 
@@ -522,15 +527,15 @@ def verify_key_lemma(m: int, max_free_pairs: Optional[int] = None) -> SuiteRepor
     """key_params output passes verify_key_params for every partial pair set."""
     checked, skipped, failures = 0, 0, []
     max_s = 0
-    for a in all_partial_pair_sets(m):
-        if max_free_pairs is not None and len(a.free_pairs()) > max_free_pairs:
+    for mask in _partial_masks(m):
+        if max_free_pairs is not None and _free_mask(m, mask).bit_count() // 2 > max_free_pairs:
             skipped += 1
             continue
         checked += 1
-        p = key_params(a)
+        p = _key_params(m, mask)
         max_s = max(max_s, p.s)
-        if not verify_key_params(a, p):
-            failures.append((a, p))
+        if not _key_params_hold(m, mask, p):
+            failures.append((PairSet.of(m, iter_bits(mask)), p))
     notes = {"max_s_observed": max_s}
     if max_free_pairs is not None:
         notes["restricted_to_free_pairs"] = max_free_pairs

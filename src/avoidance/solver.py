@@ -396,23 +396,6 @@ def verify_strategy(game: Game, strategy, owner: Player, goal: Goal,
     raise GameError(f"unknown mode {mode!r}")
 
 
-def _step(game: Game, a: int, b: int, x: int, mover: Player):
-    bit = 1 << x
-    if not 0 <= x < game.n or (a | b) & bit:
-        raise IllegalMoveError(f"illegal move {x}")
-    if mover is Player.ONE:
-        a |= bit
-        lost = a.bit_count() >= game.lines.min_line_size and game.loses_after(a, x)
-    else:
-        b |= bit
-        lost = b.bit_count() >= game.lines.min_line_size and game.loses_after(b, x)
-    return a, b, lost
-
-
-def _mover(a: int, b: int) -> Player:
-    return Player.ONE if a.bit_count() == b.bit_count() else Player.TWO
-
-
 def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyReport:
     """Depth-first over adversary replies, one ``step`` per reply.
 
@@ -455,15 +438,17 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
             if not 0 <= x < n or ((mine | nt) >> x) & 1:
                 return [q, x]
             nm = mine | 1 << x
+            # a memoized subtree passed, so its owner set holds no line and
+            # its board is not full: the probe may skip both checks below
+            memo_key = (nm, nt, after)
+            if memo_key in memo:
+                continue
             if owner_may_lose and loses_after(nm, x):
                 return [q, x]
             if nm | nt == full:
                 leaves += 1
                 if win:
                     return [q, x]
-                continue
-            memo_key = (nm, nt, after)
-            if memo_key in memo:
                 continue
             sub = replies(nm, nt, after)
             if sub is not None:
@@ -495,40 +480,54 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
 
 def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
                     samples: int, seed: int) -> VerifyReport:
-    full = game.full_mask
-    rng = random.Random(seed)
+    """Seeded random play-outs on owner-relative masks.
+
+    The adversary draws ``rng.choice`` over the ascending list of unclaimed
+    points, so a seed replays the same play-outs in every version.
+    """
+    n = game.n
+    loses_after = game.lines.loses_after
+    minline = game.lines.min_line_size
+    first = owner is Player.ONE
+    win = goal is Goal.WIN
     step = strat.step
+    rng = random.Random(seed)
     leaves = 0
     for _ in range(samples):
         state, q = strat.initial, None
-        a = b = 0
+        mine = theirs = 0
+        free = list(range(n))
         history: list = []
         failed = None
+        owner_moves = first
         while True:
-            mover = _mover(a, b)
-            if mover is owner:
-                x = -1
+            if owner_moves:
                 try:
-                    x, state = step(state, a, b, q)
-                    a, b, lost = _step(game, a, b, x, owner)
+                    x, state = (step(state, mine, theirs, q) if first
+                                else step(state, theirs, mine, q))
                 except IllegalMoveError:
-                    failed = history + [x]
-                    break
+                    x = -1
                 history.append(x)
-                if lost:
+                if not 0 <= x < n or ((mine | theirs) >> x) & 1:
                     failed = history
                     break
+                mine |= 1 << x
+                if mine.bit_count() >= minline and loses_after(mine, x):
+                    failed = history
+                    break
+                free.remove(x)
             else:
-                unclaimed = full & ~(a | b)
-                q = rng.choice(list(iter_bits(unclaimed)))
-                a, b, lost = _step(game, a, b, q, owner.other)
+                q = rng.choice(free)
+                free.remove(q)
+                theirs |= 1 << q
                 history.append(q)
-                if lost:
+                if theirs.bit_count() >= minline and loses_after(theirs, q):
                     break  # adversary lost: play-out passes
-            if (a | b) == full:
-                if goal is Goal.WIN and not lost:
+            if not free:
+                if win:
                     failed = history
                 break
+            owner_moves = not owner_moves
         leaves += 1
         if failed is not None:
             return VerifyReport("counterexample", tuple(failed), leaves,

@@ -88,3 +88,42 @@ def ref_maximal_points(members, m: int) -> list:
 def ref_is_r_maximal(members, m: int, x: int, r: int) -> bool:
     wx = word_string(members, m, x, r)
     return all(word_string(members, m, y, r) <= wx for y in range(m))
+
+
+def brute_key_params(a):
+    """``pairset.key_params`` on ``PairSet`` objects, one quarter fill at a time.
+
+    The set-based form the mask kernel replaced: rotate with
+    ``PairSet.rotate``, fill each quarter with ``fill_interval`` and take
+    every maximum with ``maximal_point``.
+    """
+    from avoidance.pairset import KeyParams, a_max, fill_interval, maximal_point
+
+    m = a.m
+    mp = m // 4
+    u_star = maximal_point(a_max(a), m=m)
+    base = a.rotate(-u_star)
+
+    def max_of(k: int) -> int:
+        filled = fill_interval(base, (k * mp) % m, mp)
+        return maximal_point(fill_interval(filled, ((k + 1) * mp) % m, mp))
+
+    def lift(residue: int, lo_exclusive: int) -> int:
+        return lo_exclusive + 1 + ((residue - lo_exclusive - 1) % m)
+
+    def out(s: int, t: int, z1: int, z2: int):
+        return KeyParams(s, (t + u_star) % m, (z1 + u_star) % m, (z2 + u_star) % m)
+
+    x3 = lift(max_of(3), 2 * mp)
+    if x3 == m:
+        return out(0, 0, 0, 0)
+    x2 = lift(max_of(2), x3 - 2 * mp)
+    if m - x2 < 2 * mp:
+        return out(x3 - x2, x3 % m, 3 * mp, 0)
+    x1 = lift(max_of(1), x2 - 2 * mp)
+    if x3 - x1 < 2 * mp:
+        return out(x2 - x1, x2 % m, 2 * mp, 3 * mp)
+    x0 = lift(max_of(0), x1 - 2 * mp)
+    if x2 - x0 < 2 * mp:
+        return out(x1 - x0, x1 % m, mp, 2 * mp)
+    return out(0, 0, 0, 0)

@@ -198,3 +198,10 @@ def test_oversize_torus_is_refused(capsys):
     rc, _, err = run_cli(capsys, "solve", "--game", "torus(64,2)")
     assert rc == 2
     assert "work budget" in err
+
+
+def test_deeply_nested_spec_is_refused(capsys):
+    spec = "copies(" * 2999 + "pairs(3)" + ",1)" * 2999
+    rc, _, err = run_cli(capsys, "solve", "--game", spec)
+    assert rc == 2
+    assert "nests deeper than" in err and "unexpected" not in err

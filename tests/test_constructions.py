@@ -298,6 +298,18 @@ def test_game_spec_parser_errors():
             C.parse_game_spec(bad)
 
 
+def _nested_copies(depth: int) -> str:
+    """``pairs(3)`` inside depth - 1 one-copy wrappers: depth nested parentheses."""
+    return "copies(" * (depth - 1) + "pairs(3)" + ",1)" * (depth - 1)
+
+
+def test_game_spec_nesting_is_bounded_before_recursing():
+    assert C.parse_game_spec(_nested_copies(C.MAX_SPEC_DEPTH)).n == 6
+    for depth in (C.MAX_SPEC_DEPTH + 1, 3000):
+        with pytest.raises(GameError, match=str(C.MAX_SPEC_DEPTH)):
+            C.parse_game_spec(_nested_copies(depth))
+
+
 @pytest.mark.parametrize("spec", ["pairs(3)", "torus(3,2)", "cycle(5)",
                                   "odd_composite(3,3)", "even_general(2,3)",
                                   "copies(pairs(3),3)"])

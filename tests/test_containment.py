@@ -87,6 +87,25 @@ def test_even_general_lines_are_complements_of_enumerated_allowed_sets(a, b):
         assert contains(mask) == ((full ^ mask) in allowed), combo
 
 
+def test_even_allowed_matches_enumerated_allowed_sets_at_m8():
+    # at m = 4 a doubled and an empty pair never share a bin; m = 8 reaches
+    # the same-bin branch of the whole-mask predicate
+    b, m = 3, 8
+    n, k = b * m, b * m // 2
+    allowed = {mask_of(w) for w in C._even_w_iter(b, m)}
+    assert len(allowed) == 63488
+    assert all(C._even_allowed(b, m, w) for w in allowed)
+    rng = random.Random(24)
+    for _ in range(3000):
+        mask = mask_of(rng.sample(range(n), k))
+        assert C._even_allowed(b, m, mask) == (mask in allowed), sorted(set_of(mask))
+    for w in rng.sample(sorted(allowed), 400):
+        x = rng.choice(list(iter_bits(w)))
+        y = rng.choice([p for p in range(n) if not (w >> p) & 1])
+        moved = w ^ (1 << x) ^ (1 << y)
+        assert C._even_allowed(b, m, moved) == (moved in allowed), (sorted(set_of(w)), x, y)
+
+
 def test_lookup_cutoff_keeps_sparse_families_on_the_scan():
     # torus(3,3) has 13 lines through a point: any popcount above k scans
     assert C.torus(3, 3).lines._lookup_upto == 3

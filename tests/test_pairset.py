@@ -9,7 +9,7 @@ from avoidance.pairset import (
     restrict, run_suite, verify_key_params,
 )
 
-from oracles import ref_is_r_maximal, ref_maximal_points
+from oracles import brute_key_params, ref_is_r_maximal, ref_maximal_points
 
 
 def w(bits: str) -> IntervalWord:
@@ -170,6 +170,18 @@ def test_earliest_latest_keeps_the_tie_check(monkeypatch):
 def test_full_extensions_count():
     a = PairSet.of(8, [0])
     assert len(list(full_extensions(a))) == 2 ** 3
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_key_params_kernel_matches_the_pair_set_construction(m):
+    for a in all_partial_pair_sets(m):
+        assert ps._key_params(m, a.mask) == brute_key_params(a), sorted(a.members)
+
+
+def test_kernel_caches_are_bounded():
+    # ``verify-lemma all --m 16`` fills 12864 entries of each; all must fit
+    for cache in (ps._base_word, ps._max_point_info):
+        assert 12864 < cache.cache_info().maxsize < float("inf")
 
 
 def test_key_params_spec_case():

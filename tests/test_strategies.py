@@ -336,6 +336,18 @@ def test_exhaustive_reports_are_pinned(spec, name, goal, leaves, cx):
     assert report.to_json() == want
 
 
+class _NextPointStrategy(S.Strategy):
+    """Opens at 0, then answers q with q + 1, claimed or not."""
+
+    name, initial = "next-point", ()
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def step(self, state, a, b, q):
+        return (0 if q is None else (q + 1) % self.n), state
+
+
 # Sampled reports of the verifier before strategies became pure transitions:
 # the adversary's random draws must come in the same order.
 SAMPLED_REPORTS = [
@@ -347,6 +359,15 @@ SAMPLED_REPORTS = [
      1, [0, 5, 4, 12, 6, 17, 11, 2, 1]),
     ("even_general(2,3)", lambda g: S.strategy_for(g, "even-general"), Goal.WIN, 300, 5,
      300, None),
+    # rows computed before the play-out loop drew from a free-point list
+    ("torus(2,2)", lambda g: S.strategy_for(g, "involution-pairing"), Goal.NEVER_LOSE, 100, 2,
+     100, None),
+    ("odd_composite(3,3)", lambda g: S.LowestFreeStrategy(g.n, Player.TWO), Goal.NEVER_LOSE,
+     50, 2, 5, [8, 0, 3, 1, 7, 2, 5, 4]),
+    ("cycle(9)", lambda g: _NextPointStrategy(g.n), Goal.NEVER_LOSE, 100, 4,
+     2, [0, 2, 3, 8, 0]),
+    ("torus(3,3)", lambda g: S.strategy_for(g, "torus-pairing"), Goal.NEVER_LOSE, 2000, 7,
+     2000, None),
 ]
 
 
