@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import pairset
 from .core import (Game, GameError, IllegalMoveError, Player, Position,
-                   apply_move, is_transitive, mask_of, orbit)
+                   apply_move, is_transitive, iter_bits, orbit)
 from .constructions import CATALOG, game_from_json, game_to_json, parse_game_spec
 from .solver import (Goal, best_move, earliest_forced_loss, solve, solve_plus,
                      verify_strategy)
@@ -44,16 +44,11 @@ def cmd_gen(args) -> int:
             raise GameError(f"unknown construction {args.construction!r}")
         params = []
         for pname in entry["params"]:
-            val = getattr(args, pname if pname != "base" else "base", None)
+            val = getattr(args, pname, None)
             if val is None:
                 raise GameError(f"construction {args.construction} needs --{pname}")
             params.append(parse_game_spec(val) if pname == "base" else val)
-        if entry["factory"] is None:
-            from .constructions import disjoint_copies, superset_lines
-            fac = disjoint_copies if args.construction == "copies" else superset_lines
-            game = fac(*params)
-        else:
-            game = entry["factory"](*params)
+        game = entry["factory"](*params)
     doc = game_to_json(game)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -156,12 +151,12 @@ def cmd_play(args) -> int:
     pos = Position.initial()
     print(f"playing {game.name}: you are Player {'I' if human is Player.ONE else 'II'}; "
           f"enter a point 0..{game.n - 1}, or q to quit")
-    masks = lambda s: sorted(s)
+    points = lambda mask: list(iter_bits(mask))
     while True:
-        if len(pos.claimed()) == game.n:
+        if pos.a | pos.b == game.full_mask:
             print("board full: draw")
             return 0
-        print(f"PI={masks(pos.a)} PII={masks(pos.b)}  {pos.to_move.name} to move")
+        print(f"PI={points(pos.a)} PII={points(pos.b)}  {pos.to_move.name} to move")
         if pos.to_move is human:
             line = sys.stdin.readline()
             if not line or line.strip().lower() in ("q", "quit"):
@@ -179,20 +174,19 @@ def cmd_play(args) -> int:
                 continue
             last = x
         else:
-            a_mask, b_mask = mask_of(pos.a), mask_of(pos.b)
             if opponent is not None:
-                x, state = opponent.step(state, a_mask, b_mask, last)
+                x, state = opponent.step(state, pos.a, pos.b, last)
             elif pos.to_move is Player.ONE:
-                x = best_move(game, a_mask, b_mask, args.cap)
+                x = best_move(game, pos.a, pos.b, args.cap)
             else:
-                x = best_move(game, b_mask, a_mask, args.cap)
+                x = best_move(game, pos.b, pos.a, args.cap)
             print(f"opponent plays {x}")
             newpos, lost = apply_move(game, pos, x)
         if lost:
             loser = pos.to_move
-            print(f"PI={masks(newpos.a)} PII={masks(newpos.b)}")
+            print(f"PI={points(newpos.a)} PII={points(newpos.b)}")
             print(f"Player {'I' if loser is Player.ONE else 'II'} completed a line "
-                  f"and loses on move {len(newpos.claimed())}")
+                  f"and loses on move {(newpos.a | newpos.b).bit_count()}")
             return 0
         pos = newpos
 

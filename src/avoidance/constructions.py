@@ -24,7 +24,7 @@ import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (ExplicitLines, Game, GameError, ImplicitLines, Permutation,
-                   mask_of, set_of)
+                   iter_bits, mask_of)
 from . import pairset as _ps
 
 
@@ -113,22 +113,22 @@ def _pairs_w_sets(b: int) -> list[frozenset]:
     return out
 
 
-def _pairs_w_member(b: int, s: frozenset) -> bool:
-    if len(s) != b:
+def _pairs_allowed(b: int, w: int) -> bool:
+    """Is the point mask ``w`` an allowed set of the pair game?
+
+    ``lo & hi`` marks doubled pairs and ``low & ~(lo | hi)`` empty ones;
+    with |w| = b the two counts are equal.
+    """
+    if w.bit_count() != b:
         return False
-    bp = (b - 1) // 2
-    count = [0] * b
-    ones = 0
-    for x in s:
-        count[x // 2] += 1
-        ones += x % 2
-    fulls = [i for i, c in enumerate(count) if c == 2]
-    empties = [i for i, c in enumerate(count) if c == 0]
-    if not fulls:
-        return ones % 2 == 1
-    if len(fulls) == 1 and len(empties) == 1:
-        return 1 <= (empties[0] - fulls[0]) % b <= bp
-    return False
+    low = ((1 << 2 * b) - 1) // 3  # the first point of every pair
+    lo, hi = w & low, (w >> 1) & low
+    doubled, empty = lo & hi, low & ~(lo | hi)
+    if not doubled:
+        return hi.bit_count() % 2 == 1
+    if doubled & (doubled - 1):
+        return False
+    return 1 <= ((empty.bit_length() - doubled.bit_length()) // 2) % b <= (b - 1) // 2
 
 
 def pairs_game(b: int, store: str = "explicit") -> Game:
@@ -142,26 +142,27 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
     _require(b >= 3 and b % 2 == 1, f"b must be odd >= 3, got {b}")
     _require(store in ("explicit", "implicit"), f"unknown store {store!r}")
     n = 2 * b
-    board = frozenset(range(n))
+    full = (1 << n) - 1
 
     if store == "explicit":
+        board = frozenset(range(n))
         lines = [board - w for w in _pairs_w_sets(b)]
         line_store: object = ExplicitLines(n, lines)
     else:
         def is_line(s: frozenset) -> bool:
-            return len(s) == b and _pairs_w_member(b, board - s)
+            return len(s) == b and _pairs_allowed(b, full & ~mask_of(s))
 
         def contains(mask: int) -> bool:
             c = mask.bit_count()
             if c < b:
                 return False
-            rest = set_of(((1 << n) - 1) ^ mask)
-            return _pairs_w_member(b, rest) if c == b else _pairs_extendable(b, rest)
+            rest = full ^ mask
+            return _pairs_allowed(b, rest) if c == b else _pairs_extendable(b, rest)
 
         line_store = ImplicitLines(
             n, b, is_line, contains, spec=("pairs", {"b": b}),
             w_iter=lambda: iter(_pairs_w_sets(b)),
-            w_member=lambda s: _pairs_w_member(b, s))
+            w_member=lambda s: _pairs_allowed(b, mask_of(s)))
 
     pair_cycle = Permutation(tuple((2 * ((i // 2 + 1) % b)) + i % 2 for i in range(n)))
     double_swap = Permutation(tuple(
@@ -208,35 +209,22 @@ def _pairs_canonical(b: int):
     return canonical
 
 
-def _pairs_extendable(b: int, t: frozenset) -> bool:
-    """Is t a subset of some allowed set of the pair game?"""
-    count = [0] * b
-    ones = 0
-    for x in t:
-        count[x // 2] += 1
-        ones += x % 2
-    fulls = [i for i, c in enumerate(count) if c == 2]
-    if len(fulls) > 1:
+def _pairs_extendable(b: int, t: int) -> bool:
+    """Is the point mask ``t`` a subset of some allowed set of the pair game?"""
+    low = ((1 << 2 * b) - 1) // 3
+    lo, hi = t & low, (t >> 1) & low
+    doubled, empty = lo & hi, low & ~(lo | hi)
+    if doubled & (doubled - 1):
         return False
-    free = [i for i, c in enumerate(count) if c == 0]
-    bp = (b - 1) // 2
-    if not fulls and free:
-        return True  # parity fixable with a free pair's choice
-    if not fulls:
-        return ones % 2 == 1
-    f = fulls[0]
-    return any(1 <= (e - f) % b <= bp for e in free)
+    if not doubled:
+        # with a free pair the parity is fixable by that pair's choice
+        return bool(empty) or hi.bit_count() % 2 == 1
+    f = doubled.bit_length() // 2
+    return any(1 <= (e // 2 - f) % b <= (b - 1) // 2 for e in iter_bits(empty))
 
 
 # ---------------------------------------------------------------------------
 # general even boards: b bins of m = 2^a points
-
-def _bin_sets(n: int, b: int, m: int, s: frozenset) -> list[set]:
-    bins: list[set] = [set() for _ in range(b)]
-    for x in s:
-        bins[x // m].add(x % m)
-    return bins
-
 
 def _even_allowed(b: int, m: int, w: int) -> bool:
     """Is the point mask ``w`` an allowed set of the general even game?
@@ -285,36 +273,32 @@ def _even_w_iter(b: int, m: int) -> Iterator[frozenset]:
                     yield frozenset(s)
 
 
-def _even_extendable(b: int, m: int, t: frozenset) -> bool:
-    """Is t a subset of some allowed set of the general even game?"""
+def _even_extendable(b: int, m: int, t: int) -> bool:
+    """Is the point mask ``t`` a subset of some allowed set of the general even game?"""
     half, mp, bp = m // 2, m // 4, (b - 1) // 2
-    bins = _bin_sets(b * m, b, m, t)
-    fulls = [(j, pid) for j, bs in enumerate(bins) for pid in range(half)
-             if pid in bs and (pid + half) % m in bs]
-    if len(fulls) > 1:
+    binmask = (1 << m) - 1
+    low = ((1 << half) - 1) * (((1 << (b * m)) - 1) // binmask)  # first half of each bin
+    lo, hi = t & low, (t >> half) & low
+    doubled, empty = lo & hi, low & ~(lo | hi)
+    if doubled & (doubled - 1):
         return False
-    if not fulls:
+    if not doubled:
         # transversal completion: per-bin achievable maxima, then a sum test
         reachable = {0}
-        for bs in bins:
-            if bs:
-                options = {_ps.maximal_point(e)
-                           for e in _ps.full_extensions(_ps.PairSet.of(m, bs))}
-            else:
-                options = {_ps.maximal_point(e) for e in _ps.all_full_pair_sets(m)}
+        for j in range(b):
+            options = {_ps._unique_max_point(m, e)
+                       for e in _ps._extension_masks(m, (t >> (j * m)) & binmask)}
             reachable = {(r + o) % m for r in reachable for o in options}
         if any(v < half for v in reachable):
             return True
-    # completion with one doubled pair: enumerate its position and the empty
-    # pair; the only doubled pair of t, if any, is the candidate itself
-    candidates = fulls or [(j, pid) for j in range(b) for pid in range(half)]
-    for (j, fpid) in candidates:
-        placements = [(j, (fpid + d) % half) for d in range(1, mp)]
-        placements += [((j + d) % b, pid)
-                       for d in range(1, bp + 1) for pid in range(half)]
-        for (je, epid) in placements:
-            if not {je * m + epid, je * m + (epid + half) % m} & t:
-                return True
+    # completion with one doubled pair, t's own or any when t has none: an
+    # empty pair of t must lie in that pair's window
+    for f in iter_bits(doubled or low):
+        j, fpid = divmod(f, m)
+        window = sum(1 << (j * m + (fpid + d) % half) for d in range(1, mp))
+        window |= sum(low & (binmask << ((j + d) % b * m)) for d in range(1, bp + 1))
+        if empty & window:
+            return True
     return False
 
 
@@ -343,7 +327,7 @@ def even_general(a: int, b: int) -> Game:
         if c < k:
             return False
         rest = full ^ mask
-        return _even_allowed(b, m, rest) if c == k else _even_extendable(b, m, set_of(rest))
+        return _even_allowed(b, m, rest) if c == k else _even_extendable(b, m, rest)
 
     store = ImplicitLines(n, k, is_line, contains,
                           spec=("even_general", {"a": a, "b": b}),
@@ -459,7 +443,6 @@ def disjoint_copies(g: Game, c: int) -> Game:
 
 def superset_lines(g: Game, r: int) -> Game:
     """Same board as ``g``; lines are the r-sets containing a line of ``g``."""
-    max_line = getattr(g.lines, "min_line_size", None)
     if isinstance(g.lines, ExplicitLines):
         max_line = max(len(l) for l in g.lines.lines)
     else:
@@ -479,9 +462,10 @@ def superset_lines(g: Game, r: int) -> Game:
                  if g.contains_line(c)}
         store: object = ExplicitLines(n, sorted(lines, key=sorted))
     else:
+        # a permutation preserving g's lines preserves the r-sets holding one
         store = ImplicitLines(n, r, is_line, contains,
-                              spec=("superset", {"base": g.name, "r": r}))
-        store.check_preserved = lambda perm: g.lines.check_preserved(perm)  # type: ignore
+                              spec=("superset", {"base": g.name, "r": r}),
+                              check=g.lines.check_preserved)
     return Game(n, store, g.generators, f"superset({g.name},{r})",
                 meta={"construction": "superset", "params": {"base": g.name, "r": r},
                       "base": g})
@@ -635,8 +619,8 @@ CATALOG = {
     "cycle": {"factory": cycle_game, "params": ["n"], "ranges": "n >= 3"},
     "complete": {"factory": complete_graph_game, "params": ["n"], "ranges": "n >= 3"},
     "matching": {"factory": matching_game, "params": ["k"], "ranges": "k >= 2"},
-    "copies": {"factory": None, "params": ["base", "c"], "ranges": "c odd >= 1"},
-    "superset": {"factory": None, "params": ["base", "r"],
+    "copies": {"factory": disjoint_copies, "params": ["base", "c"], "ranges": "c odd >= 1"},
+    "superset": {"factory": superset_lines, "params": ["base", "r"],
                  "ranges": "r >= max base line size"},
 }
 
@@ -669,17 +653,24 @@ def parse_game_spec(spec: str) -> Game:
             start = i + 1
     args.append(inner[start:])
     args = [a.strip() for a in args if a.strip()]
-
-    def as_value(token: str):
-        return parse_game_spec(token) if "(" in token else int(token)
-
-    values = [as_value(a) for a in args]
-    if head == "copies":
-        return disjoint_copies(*values)
-    if head == "superset":
-        return superset_lines(*values)
-    if head not in CATALOG or CATALOG[head]["factory"] is None:
+    if head not in CATALOG:
         raise GameError(f"unknown construction {head!r}")
+    params = CATALOG[head]["params"]
+    if len(args) != len(params):
+        raise GameError(f"{head} takes {len(params)} argument(s) ({', '.join(params)}), "
+                        f"got {len(args)}")
+    values: list = []
+    for name, token in zip(params, args):
+        if name == "base":
+            if "(" not in token:
+                raise GameError(f"{head} argument base must be a game spec, got {token!r}")
+            values.append(parse_game_spec(token))
+            continue
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise GameError(f"{head} argument {name} must be an integer, "
+                            f"got {token!r}") from None
     return CATALOG[head]["factory"](*values)
 
 

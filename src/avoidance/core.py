@@ -1,10 +1,11 @@
 """Game model for avoidance positional games.
 
-The board is the integer range 0..n-1 and a point set is any frozenset of
-board points. A game designates certain point sets as *lines*; two players
-alternate claiming unclaimed points and the first player whose claimed set
-contains a line loses immediately. A full board with no contained line is
-a draw.
+The board is the integer range 0..n-1. Positions, containment tests and
+the search and strategy code hold point sets as masks, bit i for point i;
+line enumerations and reports list them as frozensets. A game designates
+certain point sets as *lines*; two players alternate claiming unclaimed
+points and the first player whose claimed set contains a line loses
+immediately. A full board with no contained line is a draw.
 
 Line families are held either explicitly (a list of sets) or implicitly
 (an analytic membership predicate, used where the family is too large to
@@ -266,9 +267,10 @@ class ImplicitLines(LineStore):
 
     ``contains_fn`` must answer containment for arbitrary point masks; it
     is cross-checked against k-subset enumeration at desk sizes by the test
-    suite before being trusted. ``w_iter``/``w_member``, when present,
-    describe the complementary family of allowed sets used for generator
-    validation.
+    suite before being trusted. Generators are validated by ``check``
+    when given (a derived family delegates to its base's check), else
+    through ``w_iter``/``w_member``, the complementary family of allowed
+    sets.
     """
 
     def __init__(self, n: int, k: int,
@@ -276,7 +278,8 @@ class ImplicitLines(LineStore):
                  contains_fn: Callable[[int], bool],
                  spec: tuple[str, dict],
                  w_iter: Optional[Callable[[], Iterator[frozenset]]] = None,
-                 w_member: Optional[Callable[[frozenset], bool]] = None):
+                 w_member: Optional[Callable[[frozenset], bool]] = None,
+                 check: Optional[Callable[[Permutation], None]] = None):
         self.n = n
         self.min_line_size = k
         self.k = k
@@ -285,6 +288,7 @@ class ImplicitLines(LineStore):
         self.spec = spec
         self._w_iter = w_iter
         self._w_member = w_member
+        self._check = check
 
     def contains_mask(self, mask: int) -> bool:
         return self._contains(mask)
@@ -296,6 +300,9 @@ class ImplicitLines(LineStore):
         return self._is_line(frozenset(s))
 
     def check_preserved(self, perm: Permutation) -> None:
+        if self._check is not None:
+            self._check(perm)
+            return
         if self._w_iter is None or self._w_member is None:
             raise GameError("implicit store lacks an allowed-set enumeration")
         # The line family is determined by the allowed family inside the
@@ -340,26 +347,28 @@ class Game:
 
 @dataclass(frozen=True)
 class Position:
-    """Claimed point sets for both players plus the side to move."""
+    """Claimed point masks of Player I (``a``) and Player II (``b``).
 
-    a: frozenset
-    b: frozenset
-    to_move: Player
+    Player I moves first, so the side to move follows from the counts.
+    """
+
+    a: int
+    b: int
 
     def __post_init__(self):
         if self.a & self.b:
             raise ValueError("player point sets overlap")
-        diff = len(self.a) - len(self.b)
-        want = 0 if self.to_move is Player.ONE else 1
-        if diff != want:
-            raise ValueError(f"|a|-|b|={diff} inconsistent with {self.to_move} to move")
+        diff = self.a.bit_count() - self.b.bit_count()
+        if diff not in (0, 1):
+            raise ValueError(f"|a|-|b|={diff}: Player I moves first and players alternate")
+
+    @property
+    def to_move(self) -> Player:
+        return Player.ONE if self.a.bit_count() == self.b.bit_count() else Player.TWO
 
     @staticmethod
     def initial() -> "Position":
-        return Position(frozenset(), frozenset(), Player.ONE)
-
-    def claimed(self) -> frozenset:
-        return self.a | self.b
+        return Position(0, 0)
 
 
 def contains_line(game: Game, s: Iterable[int]) -> bool:
@@ -376,14 +385,15 @@ def apply_move(game: Game, pos: Position, x: int) -> tuple[Position, bool]:
     """
     if not 0 <= x < game.n:
         raise IllegalMoveError(f"point {x} off the board [0, {game.n})")
-    if x in pos.a or x in pos.b:
+    bit = 1 << x
+    if (pos.a | pos.b) & bit:
         raise IllegalMoveError(f"point {x} already claimed")
     if pos.to_move is Player.ONE:
-        new = Position(pos.a | {x}, pos.b, Player.TWO)
-        lost = game.contains_line(new.a)
+        new = Position(pos.a | bit, pos.b)
+        lost = game.lines.contains_mask(new.a)
     else:
-        new = Position(pos.a, pos.b | {x}, Player.ONE)
-        lost = game.contains_line(new.b)
+        new = Position(pos.a, pos.b | bit)
+        lost = game.lines.contains_mask(new.b)
     return new, lost
 
 

@@ -198,24 +198,16 @@ def _principal_variation(game, search, want, mine=0, theirs=0, first=None,
 
 def _outcome_from_pv(game: Game, pv: list) -> Outcome:
     a = b = 0
-    for i, move in enumerate(pv):
-        bits = move if isinstance(move, int) else None
+    for i, x in enumerate(pv):
         if i % 2 == 0:
-            a |= (1 << bits) if bits is not None else _mask(move)
+            a |= 1 << x
             if game.lines.contains_mask(a):
                 return Outcome(Winner.PII_WIN, i + 1)
         else:
-            b |= (1 << bits) if bits is not None else _mask(move)
+            b |= 1 << x
             if game.lines.contains_mask(b):
                 return Outcome(Winner.PI_WIN, i + 1)
     return Outcome(Winner.DRAW)
-
-
-def _mask(points) -> int:
-    v = 0
-    for p in points:
-        v |= 1 << p
-    return v
 
 
 def earliest_forced_loss(game: Game, cap: int = 16) -> int:
@@ -320,6 +312,7 @@ def solve_plus(game: Game, cap: int = 8) -> SolveReport:
     root = search(0, 0)
     pv: list = []
     cur, other, want = 0, 0, root
+    outcome = Outcome(Winner.DRAW)
     while True:
         unclaimed = full & ~(cur | other)
         if unclaimed == 0:
@@ -335,8 +328,10 @@ def solve_plus(game: Game, cap: int = 8) -> SolveReport:
         else:
             raise GameError("no plus move matches the solved value")
         if terminal:
+            # the mover of an odd-numbered move is Player I
+            winner = Winner.PII_WIN if len(pv) % 2 else Winner.PI_WIN
+            outcome = Outcome(winner, len(pv))
             break
-    outcome = _outcome_from_pv(game, pv)
     return SolveReport(outcome, tuple(pv), stats["visited"], len(table))
 
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Game, Permutation, Player, StrategyInvariantError, iter_bits
+from .core import Game, Permutation, Player, StrategyInvariantError
 from . import pairset as _ps
-from .pairset import PairSet, key_params
 
 
 class Strategy:
@@ -70,35 +69,26 @@ class OddBucketStrategy(Strategy):
         self.p, self.q = p, q
         self.pp, self.qq = (p + 1) // 2, (q + 1) // 2
         self.n = p * q
-
-    def _lowest_in_bucket(self, bucket: int, taken: int) -> Optional[int]:
-        for x in range(bucket * self.p, (bucket + 1) * self.p):
-            if not (taken >> x) & 1:
-                return x
-        return None
+        self.buckets = tuple(((1 << p) - 1) << (j * p) for j in range(q))
 
     def step(self, state, a, b, q):
         taken = a | b
-        counts = [0] * self.q
-        for x in iter_bits(a):
-            counts[x // self.p] += 1
+        counts = [(a & bucket).bit_count() for bucket in self.buckets]
         if q is not None and 1 <= counts[q // self.p] < self.pp:
-            x = self._lowest_in_bucket(q // self.p, taken)
-            if x is not None:
-                return x, state
+            free = self.buckets[q // self.p] & ~taken
+            if free:
+                return (free & -free).bit_length() - 1, state
             raise StrategyInvariantError("active bucket with no unclaimed point")
         committed = sum(1 for c in counts if c >= 1)
         if committed < self.qq:
-            for bucket in range(self.q):
-                lo = bucket * self.p
-                if not (taken >> lo) & ((1 << self.p) - 1):
-                    return lo, state
+            for bucket in self.buckets:
+                if not taken & bucket:
+                    return (bucket & -bucket).bit_length() - 1, state
             raise StrategyInvariantError("no empty bucket for the opening rule")
-        for bucket in range(self.q):
-            if 1 <= counts[bucket] < self.pp:
-                x = self._lowest_in_bucket(bucket, taken)
-                if x is not None:
-                    return x, state
+        for bucket, c in zip(self.buckets, counts):
+            free = bucket & ~taken
+            if 1 <= c < self.pp and free:
+                return (free & -free).bit_length() - 1, state
         raise StrategyInvariantError("no rule applies (all buckets full?)")
 
 
@@ -229,41 +219,30 @@ class EvenGeneralStrategy(_MirrorCore):
 
     def __init__(self, a: int, b: int):
         super().__init__(f"even-general({a},{b})", b, 1 << a)
-
-    def _bin_members(self, mask: int, j: int) -> set:
-        base = j * self.m
-        return {y for y in range(self.m) if (mask >> (base + y)) & 1}
-
-    def _bin_complete(self, taken: int, j: int) -> bool:
-        seg = (taken >> (j * self.m)) & ((1 << self.m) - 1)
-        return seg == (1 << self.m) - 1
-
-    def _lowest_unclaimed_in_bin(self, taken: int, j: int) -> Optional[int]:
-        for y in range(self.m):
-            if not (taken >> (j * self.m + y)) & 1:
-                return j * self.m + y
-        return None
+        self.binmask = (1 << self.m) - 1
 
     def _guess_terms(self, a: int, upto: int) -> int:
         """Sum of final maxima for bins < upto plus window centres beyond."""
         total = 0
         for j in range(self.b):
-            mine = self._bin_members(a, j)
+            mine = (a >> (j * self.m)) & self.binmask
             if j < upto:
-                total += _ps.maximal_point(mine, m=self.m)
+                total += _ps._unique_max_point(self.m, mine)
             elif j > upto:
-                total += key_params(PairSet.of(self.m, mine)).t
+                total += _ps._key_params(self.m, mine).t
         return total % self.m
 
     def _close_finished_bins(self, a, taken, cur_bin, fill_z, r_bin, guess, t_cur):
         """(cur_bin, fill_z, guess, t_cur) after closing every complete bin."""
+        binmask = self.binmask
         while cur_bin is not None and cur_bin < self.b \
-                and self._bin_complete(taken, cur_bin):
-            u = _ps.maximal_point(self._bin_members(a, cur_bin), m=self.m)
+                and ((taken >> (cur_bin * self.m)) & binmask) == binmask:
+            mine = (a >> (cur_bin * self.m)) & binmask
+            u = _ps._unique_max_point(self.m, mine)
             if guess is not None:
                 t = t_cur
                 if t is None:
-                    t = key_params(PairSet.of(self.m, self._bin_members(a, cur_bin))).t
+                    t = _ps._key_params(self.m, mine).t
                 guess = (guess + u - t) % self.m
                 if guess >= self.half:
                     raise StrategyInvariantError(
@@ -291,7 +270,7 @@ class EvenGeneralStrategy(_MirrorCore):
             phase = ENDGAME
             cur_bin = self.bp
             empty_bins = [j for j in range(self.b)
-                          if not (taken >> (j * self.m)) & ((1 << self.m) - 1)]
+                          if not (taken >> (j * self.m)) & self.binmask]
             if not empty_bins:
                 raise StrategyInvariantError("endgame entered with no empty bin")
             r_bin = max(empty_bins)
@@ -311,20 +290,19 @@ class EvenGeneralStrategy(_MirrorCore):
             else:
                 raise StrategyInvariantError("no interval start fits the guess window")
         elif fill_z is None and guess is not None:
-            kp = key_params(PairSet.of(self.m, self._bin_members(a, j)))
+            kp = _ps._key_params(self.m, (a >> (j * self.m)) & self.binmask)
             t_cur = kp.t
             fill_z = kp.z1 if (guess - kp.s) % self.m < self.half else kp.z2
-        point = None
+        free = ~(taken >> (j * self.m)) & self.binmask
+        if not free:
+            raise StrategyInvariantError("current bin closed unexpectedly")
+        y = (free & -free).bit_length() - 1
         if fill_z is not None:
-            for i in range(self.mp):
-                y = (fill_z + i) % self.m
-                if not (taken >> (j * self.m + y)) & 1:
-                    point = j * self.m + y
-                    break
-        if point is None:
-            point = self._lowest_unclaimed_in_bin(taken, j)
-            if point is None:
-                raise StrategyInvariantError("current bin closed unexpectedly")
+            # free points of [fill_z, fill_z + m/4), rotated down to bit 0
+            window = ((free >> fill_z) | (free << (self.m - fill_z))) & ((1 << self.mp) - 1)
+            if window:
+                y = (fill_z + (window & -window).bit_length() - 1) % self.m
+        point = j * self.m + y
         return point, (phase, point, forbidden, cur_bin, fill_z, r_bin, guess, t_cur)
 
 

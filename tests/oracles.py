@@ -34,6 +34,18 @@ def brute_loses_after(store, members, x) -> bool:
     return any(x in l and l <= members for l in store.lines)
 
 
+def brute_downset(masks) -> set:
+    """Every submask of every mask in ``masks``, by walking submasks."""
+    out = set()
+    for w in masks:
+        sub = w
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & w
+        out.add(0)
+    return out
+
+
 def ref_solve(game, a=frozenset(), b=frozenset()) -> int:
     """Plain negamax, no table, no pruning shortcuts. 1/0/-1 for the mover."""
     claimed = a | b

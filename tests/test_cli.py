@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from avoidance.cli import main
 
 
@@ -205,3 +207,13 @@ def test_deeply_nested_spec_is_refused(capsys):
     rc, _, err = run_cli(capsys, "solve", "--game", spec)
     assert rc == 2
     assert "nests deeper than" in err and "unexpected" not in err
+
+
+@pytest.mark.parametrize("spec", ["pairs()", "torus(3)", "odd_composite(3,3,3)",
+                                  "superset(pairs(3))", "copies(3,3)", "pairs(3,4)",
+                                  "affine(13,1)", "pairs(pairs(3))", "cycle(x)"])
+def test_spec_of_wrong_arity_or_kind_is_refused(capsys, spec):
+    rc, out, err = run_cli(capsys, "solve", "--game", spec)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "unexpected" not in err
+    assert "argument" in err

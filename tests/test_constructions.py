@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from avoidance.core import (ExplicitLines, GameError, Permutation,
-                            check_line_preservation, is_transitive)
+from avoidance.core import (ExplicitLines, Game, GameError, ImplicitLines,
+                            LinePreservationError, Permutation,
+                            check_line_preservation, is_transitive, iter_bits,
+                            mask_of, set_of)
 from avoidance import constructions as C
 from avoidance import pairset as ps
 
-from oracles import brute_contains_line, word_string
+from oracles import brute_contains_line, brute_downset, word_string
 
 
 def all_catalog_games():
@@ -17,6 +19,7 @@ def all_catalog_games():
         C.odd_composite(3, 3),
         C.pairs_game(3),
         C.pairs_game(5),
+        C.pairs_game(5, "implicit"),
         C.even_general(2, 3),
         C.torus(3, 1),
         C.torus(3, 2),
@@ -28,15 +31,24 @@ def all_catalog_games():
         C.cycle_game(5),
         C.complete_graph_game(4),
         C.matching_game(2),
+        C.superset_lines(C.odd_composite(3, 3), 5),
+        C.superset_lines(C.even_general(2, 3), 7),
     ]
 
 
-@pytest.mark.parametrize("game", all_catalog_games(), ids=lambda g: g.name)
+def _catalog_id(game) -> str:
+    """The game's name; the implicit pair store is marked apart from the explicit one."""
+    if game.meta["construction"] == "pairs" and isinstance(game.lines, ImplicitLines):
+        return game.name + "-implicit"
+    return game.name
+
+
+@pytest.mark.parametrize("game", all_catalog_games(), ids=_catalog_id)
 def test_every_construction_is_transitive(game):
     assert is_transitive(game)
 
 
-@pytest.mark.parametrize("game", all_catalog_games(), ids=lambda g: g.name)
+@pytest.mark.parametrize("game", all_catalog_games(), ids=_catalog_id)
 def test_generators_preserve_lines(game):
     check_line_preservation(game)
     # and so do products of generators
@@ -128,6 +140,12 @@ def test_pairs_explicit_implicit_agree():
         assert ge.contains_line(s) == gi.contains_line(s)
         if len(s) == 3:
             assert ge.lines.is_line(s) == gi.lines.is_line(s)
+    # the implicit store's mask predicates against the enumerated family
+    allowed = {mask_of(w) for w in C._pairs_w_sets(5)}
+    below = brute_downset(allowed)
+    for t in range(1 << 10):
+        assert C._pairs_allowed(5, t) == (t in allowed), sorted(set_of(t))
+        assert C._pairs_extendable(5, t) == (t in below), sorted(set_of(t))
 
 
 def test_pairs_implicit_contains_matches_bruteforce():
@@ -196,13 +214,19 @@ def test_even_general_contains_matches_bruteforce_random():
 
 
 def test_even_general_extendability_brute_cross_check():
-    g = C.even_general(2, 3)
-    w = list(g.lines._w_iter())
+    below = brute_downset(mask_of(w) for w in C._even_w_iter(3, 4))
+    for t in range(1 << 12):
+        assert C._even_extendable(3, 4, t) == (t in below), sorted(set_of(t))
+    # only m = 8 reaches the same-bin window (1..m/4-1 is empty at m = 4):
+    # subsets of allowed sets, half of them with one point added
+    allowed = [mask_of(w) for w in C._even_w_iter(3, 8)]
     rng = random.Random(9)
-    for _ in range(300):
-        t = frozenset(x for x in range(12) if rng.random() < 0.3)
-        expect = any(t <= s for s in w)
-        assert C._even_extendable(3, 4, t) == expect
+    for _ in range(200):
+        t = mask_of(rng.sample(list(iter_bits(rng.choice(allowed))), rng.randrange(13)))
+        if rng.random() < 0.5:
+            t |= 1 << rng.randrange(24)
+        expect = any(t & w == t for w in allowed)
+        assert C._even_extendable(3, 8, t) == expect, sorted(set_of(t))
 
 
 # --- torus -------------------------------------------------------------------
@@ -250,6 +274,18 @@ def test_superset_lines_small_example():
     assert lines == {frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4})}
 
 
+def test_implicit_superset_checks_generators_against_its_base():
+    # swapping points 2 and 3 moves the allowed set {0, 1, 3, 4} of the
+    # base to {0, 1, 2, 4}, three points in one bucket
+    sup = C.superset_lines(C.odd_composite(3, 3), 5)
+    assert isinstance(sup.lines, ImplicitLines)
+    swap = Permutation.from_mapping(9, {2: 3, 3: 2})
+    with pytest.raises(LinePreservationError):
+        sup.lines.check_preserved(swap)
+    with pytest.raises(LinePreservationError):
+        is_transitive(Game(9, sup.lines, (swap,), "broken"))
+
+
 def test_superset_lines_containment_equivalence():
     host = C.pairs_game(3)
     sup = C.superset_lines(host, 4)
@@ -294,7 +330,7 @@ def test_affine_13_intersecting():
 
 def test_game_spec_parser_errors():
     for bad in ["nope(3)", "pairs", "pairs(3", "torus(3,2,9)"]:
-        with pytest.raises((GameError, TypeError)):
+        with pytest.raises(GameError):
             C.parse_game_spec(bad)
 
 

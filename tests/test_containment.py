@@ -6,6 +6,8 @@ enumeration. The solve counts pin the search itself: a faster loop must
 visit the same states and report the same principal variation. They are
 pinned twice, for the plain-key search (the game with ``canonical=None``)
 and for the canonical-key search, which share every principal variation.
+The benchmark's in-process twins run here too, so a change to the library
+calls they make fails a test before it fails a benchmark run.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import itertools
 import pathlib
 import random
 import sys
+import types
 
 import pytest
 
@@ -28,9 +31,10 @@ SMALL = ["pairs(3)", "pairs(5)", "affine(11)", "cycle(5)", "complete(4)",
          "superset(pairs(3),4)", "superset(odd_composite(3,3),5)"]
 
 
-def _workloads():
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _perfbench(name: str):
+    """``perfbench/<name>.py``, loaded from its file (the directory is no package)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # dataclasses look the module up
     spec.loader.exec_module(mod)
@@ -139,7 +143,7 @@ BENCH_CANONICAL_COUNTS = {
 @pytest.mark.parametrize("cmd_id", sorted(BENCH_PV))
 def test_bench_solves_keep_reference_work_counts(cmd_id):
     # the reference counts are those of the plain-key search
-    want = _workloads().REFERENCE_COUNTS[cmd_id]
+    want = _perfbench("workloads").REFERENCE_COUNTS[cmd_id]
     spec, pv = BENCH_PV[cmd_id]
     game = C.parse_game_spec(spec)
     plain = solve(dataclasses.replace(game, canonical=None))
@@ -172,3 +176,22 @@ def test_move_order_work_counts(spec, order, states, table, pv):
     report = solve(game, move_order=order)
     assert (report.states_visited, report.table_size) == canonical_counts[spec, order]
     assert list(report.principal_variation) == pv
+
+
+def test_bench_twins_pass_their_answer_checks():
+    # the harness replays PVs through Position.initial and apply_move and
+    # makes every other library call through tracing.Library
+    from avoidance import core, pairset, solver, strategies
+
+    workloads = _perfbench("workloads")
+    modules = types.SimpleNamespace(core=core, constructions=C, pairset=pairset,
+                                    solver=solver, strategies=strategies)
+    lib = _perfbench("tracing").Library(modules)
+    answers = workloads.Answers(modules)
+    cmds = workloads.commands("solve-large", 0) + [
+        c for c in workloads.commands("verify", 0) if c.id == "refute-pairs-3-lowest"]
+    assert len(cmds) == 7
+    for cmd in cmds:
+        status, doc = cmd.twin(lib)
+        assert status == cmd.status, cmd.id
+        assert cmd.check(doc, answers) == [], cmd.id

@@ -53,7 +53,7 @@ def test_apply_move_flow():
     g = torus(3, 1)
     pos = Position.initial()
     pos, lost = apply_move(g, pos, 0)
-    assert pos.a == {0} and pos.b == frozenset() and pos.to_move is Player.TWO
+    assert pos.a == 0b1 and pos.b == 0 and pos.to_move is Player.TWO
     assert not lost
     with pytest.raises(IllegalMoveError):
         apply_move(g, pos, 0)
@@ -67,14 +67,16 @@ def test_apply_move_detects_loss():
     pos, _ = apply_move(g, pos, 0)
     pos, _ = apply_move(g, pos, 2)
     pos, lost = apply_move(g, pos, 1)
-    assert lost and pos.a == {0, 1}
+    assert lost and pos.a == 0b11
 
 
 def test_position_invariants():
     with pytest.raises(ValueError):
-        Position(frozenset({1}), frozenset({1}), Player.TWO)
+        Position(0b10, 0b10)
     with pytest.raises(ValueError):
-        Position(frozenset({1, 2}), frozenset(), Player.TWO)
+        Position(0b110, 0)
+    with pytest.raises(ValueError):
+        Position(0, 0b10)
 
 
 def test_orbit_examples():
@@ -136,6 +138,6 @@ def test_apply_move_preserves_count_invariant(order):
     pos = Position.initial()
     for x in order:
         pos, lost = apply_move(g, pos, x)
-        assert len(pos.a) - len(pos.b) in (0, 1)
+        assert pos.a.bit_count() - pos.b.bit_count() in (0, 1)
         if lost:
             break

@@ -117,6 +117,39 @@ def test_even_strategy_m8_sampled():
     assert r.passed
 
 
+def _owner_final_masks(game, strat, samples, seed):
+    """Player I's mask at the end of each seeded play-out against ``strat``."""
+    rng = random.Random(seed)
+    contains, full = game.lines.contains_mask, game.full_mask
+    finals = []
+    for _ in range(samples):
+        state, q = strat.initial, None
+        a = b = 0
+        while a | b != full:
+            if a.bit_count() == b.bit_count():
+                x, state = strat.step(state, a, b, q)
+                a |= 1 << x
+                if contains(a):
+                    break
+            else:
+                q = rng.choice([y for y in range(game.n) if not ((a | b) >> y) & 1])
+                b |= 1 << q
+                if contains(b):
+                    break
+        finals.append(a)
+    return finals
+
+
+def test_even_strategy_m8_owner_moves_are_pinned():
+    # computed before the strategy read its bins as masks; a sampled pass
+    # cannot see a changed move that still wins
+    got = _owner_final_masks(C.even_general(3, 3), S.even_general_strategy(3, 3), 20, 33)
+    assert got == [
+        0xc30b1f, 0x3c3497, 0x3c34d3, 0x5ac22f, 0x2d1af1, 0xd2c395, 0x2d431f,
+        0xe11e95, 0x87073d, 0xc30d3d, 0x87851f, 0xa51e59, 0x87941f, 0x3ca13d,
+        0x1e34f1, 0x4b52d3, 0x1e5897, 0xc3d21d, 0xf05a1d, 0x69c13d]
+
+
 def test_even_strategy_type2_trigger():
     s = S.even_general_strategy(3, 3)   # m = 8, windows are nonempty
     x, st = s.step(s.initial, 0, 0, None)
@@ -321,6 +354,9 @@ PINNED_REPORTS = [
     ("product_torus(1)", "product", Goal.WIN, 16893, None),
     ("pairs(3)", "lowest", Goal.WIN, 0, [0, 1, 2, 3, 4]),
     ("pairs(5)", "lowest", Goal.NEVER_LOSE, 0, list(range(9))),
+    # m = 4 endgame over five bins; the row is added last so the ids of
+    # the rows above keep their positions
+    ("even_general(2,5)", "even-general", Goal.WIN, 29376, None),
 ]
 
 
