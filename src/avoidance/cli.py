@@ -267,11 +267,14 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return args.func(args)
     except (GameError, pairset.PairSetError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = f"error: {exc}"
     except Exception as exc:  # a crash must not exit 1, which means "refuted"
-        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        message = f"error: unexpected {type(exc).__name__}: {exc}"
+    try:
+        print(message, file=sys.stderr)
+    except OSError:  # stderr is a closed pipe too: the exit status still tells
+        pass
+    return 2
 
 
 if __name__ == "__main__":

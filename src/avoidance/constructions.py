@@ -625,6 +625,11 @@ CATALOG = {
 }
 
 
+# the constructions a document may name as implicit lines, with the factory
+# options that build those lines
+IMPLICIT = {"odd_composite": {}, "pairs": {"store": "implicit"}, "even_general": {},
+            "superset": {}}
+
 MAX_SPEC_DEPTH = 16  # parentheses a game spec may nest
 
 
@@ -652,26 +657,40 @@ def parse_game_spec(spec: str) -> Game:
             args.append(inner[start:i])
             start = i + 1
     args.append(inner[start:])
-    args = [a.strip() for a in args if a.strip()]
-    if head not in CATALOG:
+    args = [a.strip() for a in args] if inner.strip() else []
+    if "" in args:
+        raise GameError(f"empty argument in game spec {spec!r}")
+    return _catalog_game(head, [_int_token(a) for a in args])
+
+
+def _int_token(token: str):
+    """A spec argument as an int when it reads as one, else the string."""
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def _catalog_game(head: str, args: list, **options) -> Game:
+    """``CATALOG[head]``'s factory on ``args``, after checking their count
+    and kinds: a base is a game spec string, every other argument an int."""
+    entry = CATALOG.get(head)
+    if entry is None:
         raise GameError(f"unknown construction {head!r}")
-    params = CATALOG[head]["params"]
+    params = entry["params"]
     if len(args) != len(params):
         raise GameError(f"{head} takes {len(params)} argument(s) ({', '.join(params)}), "
                         f"got {len(args)}")
     values: list = []
-    for name, token in zip(params, args):
-        if name == "base":
-            if "(" not in token:
-                raise GameError(f"{head} argument base must be a game spec, got {token!r}")
-            values.append(parse_game_spec(token))
-            continue
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise GameError(f"{head} argument {name} must be an integer, "
-                            f"got {token!r}") from None
-    return CATALOG[head]["factory"](*values)
+    for name, arg in zip(params, args):
+        if name == "base" and isinstance(arg, str) and "(" in arg:
+            values.append(parse_game_spec(arg))
+        elif name != "base" and type(arg) is int:
+            values.append(arg)
+        else:
+            kind = "a game spec" if name == "base" else "an integer"
+            raise GameError(f"{head} argument {name} must be {kind}, got {arg!r}")
+    return entry["factory"](*values, **options)
 
 
 def game_to_json(game: Game) -> dict:
@@ -698,34 +717,44 @@ def _family_key(doc: dict) -> tuple:
     return lines, frozenset(tuple(g) for g in doc["generators"])
 
 
+def _point_lists(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(v, list) and all(type(x) is int for x in v) for v in value)
+
+
 def game_from_json(doc: dict) -> Game:
     """Load a game document, rebuilding named constructions.
 
     A game rebuilt from its name or implicit parameters must have the
-    document's lines and generators; a mismatch is refused, never swapped.
+    document's lines and generators; a mismatch is refused, never swapped,
+    and so is a document of any other shape.
     """
-    n = doc["n"]
-    name = doc.get("name", "game")
-    lines = doc["lines"]
+    if not (isinstance(doc, dict) and type(doc.get("n")) is int and doc["n"] >= 0
+            and isinstance(doc.get("name", ""), str) and isinstance(doc.get("lines"), dict)
+            and _point_lists(doc.get("generators"))):
+        raise GameError("a game document is an object with an integer n, a string "
+                        "name, a lines object and generators as lists of points")
+    n, name, lines = doc["n"], doc.get("name", "game"), doc["lines"]
     if "explicit" in lines:
+        if not _point_lists(lines["explicit"]):
+            raise GameError("explicit lines must be lists of points")
         try:
             game = parse_game_spec(name)
         except GameError:
+            if any(len(g) != n for g in doc["generators"]):
+                raise GameError(f"a generator does not permute {n} points") from None
             gens = tuple(Permutation(tuple(img)) for img in doc["generators"])
             return Game(n, ExplicitLines(n, lines["explicit"]), gens, name)
     else:
-        impl = lines["implicit"]
-        cname, params = impl["construction"], impl["params"]
-        if cname == "odd_composite":
-            game = odd_composite(params["p"], params["q"])
-        elif cname == "pairs":
-            game = pairs_game(params["b"], store="implicit")
-        elif cname == "even_general":
-            game = even_general(params["a"], params["b"])
-        elif cname == "superset":
-            game = superset_lines(parse_game_spec(params["base"]), params["r"])
-        else:
+        impl = lines.get("implicit")
+        if not (isinstance(impl, dict) and isinstance(impl.get("params"), dict)):
+            raise GameError("implicit lines need a construction and a params object")
+        cname, params = impl.get("construction"), impl["params"]
+        options = IMPLICIT.get(cname) if isinstance(cname, str) else None
+        if options is None:
             raise GameError(f"unknown implicit construction {cname!r}")
+        game = _catalog_game(cname, [params.get(p) for p in CATALOG[cname]["params"]],
+                             **options)
     if game.n != n:
         raise GameError(f"rebuilt board size {game.n} != serialized {n}")
     if _family_key(game_to_json(game)) != _family_key(doc):

@@ -3,9 +3,10 @@
 State is a pair of point bitmasks; the side to move is implied by the
 cardinalities, so the transposition key is just (mover's set, waiter's
 set). A move that completes a line in the mover's set loses for the mover
-on the spot; a full board with no contained line is a draw. Search is
-three-valued (win / draw / loss from the mover's seat) with an early exit
-on the first winning move.
+on the spot; a full board with no contained line is a draw. One negamax
+kernel serves every single-point solver: by default it is three-valued
+(win / draw / loss from the mover's seat) with an early exit on the first
+winning move, and ``earliest_forced_loss`` gives it a table of loss values.
 
 ``verify_strategy`` plays a scripted strategy against every adversary
 reply (or a seeded random sample), memoizing on (position, strategy
@@ -68,72 +69,79 @@ def solve(game: Game, cap: int = 16, use_table: bool = True,
     ``canonical`` form, states and table size count its equivalence
     classes of positions.
     """
-    _check_cap(game, cap)
+    _check_cap(game, cap, "solve")
     if root_symmetry and not is_transitive(game):
         raise GameError("root_symmetry requires a transitive game")
     descending = move_order == "descending"
     search, table, stats = _negamax(game, use_table, descending)
+    moves = _point_moves(game, descending)
 
     if root_symmetry and game.n > 0:
-        first = 1 << 0
-        if 1 >= game.lines.min_line_size and game.loses_after(first, 0):
-            root_val = LOSS
-        else:
-            root_val = -search(0, first)
         stats["visited"] += 1
+        ((_, lost),) = moves(0, 1)  # the opening at point 0
+        root_val = LOSS if lost else -search(0, 1)
+        pv = [1] + ([] if lost else _principal_variation(game, search, moves, 0, 1))
     else:
         root_val = search(0, 0)
-
-    pv = _principal_variation(game, search, root_val,
-                              first=0 if root_symmetry else None,
-                              descending=descending)
-    outcome = _outcome_from_pv(game, pv)
-    got = {Winner.PI_WIN: WIN, Winner.DRAW: DRAW, Winner.PII_WIN: LOSS}[outcome.winner]
-    if got != root_val:
-        raise GameError("principal variation does not replay to the solved value")
-    return SolveReport(outcome, tuple(pv), stats["visited"], len(table))
+        pv = _principal_variation(game, search, moves)
+    return _report(game, root_val, pv, _point, stats, table)
 
 
 def best_move(game: Game, mine: int, theirs: int, cap: int = 16) -> int:
     """The solver's move for the side holding ``mine``, to move: the
     first point, ascending, of highest value. The game must not be over."""
-    _check_cap(game, cap)
+    _check_cap(game, cap, "solve")
     search, _, _ = _negamax(game)
-    return _principal_variation(game, search, search(mine, theirs), mine, theirs)[0]
+    return _point(_principal_variation(game, search, _point_moves(game), mine, theirs)[0])
 
 
-def _check_cap(game: Game, cap: int) -> None:
+def _check_cap(game: Game, cap: int, what: str) -> None:
     if game.n > cap:
         raise SearchCapExceeded(
-            f"board size {game.n} exceeds solve cap {cap}; raise cap explicitly")
+            f"board size {game.n} exceeds {what} cap {cap}; raise cap explicitly")
 
 
-def _negamax(game: Game, use_table: bool = True, descending: bool = False):
-    """The search behind ``solve`` and ``best_move``: ``(search, table, stats)``.
+def _point(move: int) -> int:
+    return move.bit_length() - 1
+
+
+def _negamax(game: Game, use_table: bool = True, descending: bool = False,
+             loss=None, draw=DRAW):
+    """The search behind every single-point solver: ``(search, table, stats)``.
 
     ``search(mine, theirs)`` is the value for the side holding ``mine``,
-    to move. The table is keyed by ``game.canonical`` when the game has
-    one, else by the masks themselves.
+    to move. ``loss[d]`` is what completing a line on move d is worth to
+    the mover (``LOSS`` for every d by default) and ``draw`` what a full
+    board is worth to the side to move; a node stops at the first move
+    worth ``-min(loss)``. The table is keyed by ``game.canonical`` when
+    the game has one, else by the masks themselves, so the values must
+    depend on the move number only.
     """
     full = game.full_mask
     n = game.n
     loses_after = game.lines.loses_after
     minline = game.lines.min_line_size
     canonical = game.canonical
+    if loss is None:
+        loss = (LOSS,) * (n + 1)
+    worst = min(loss)
+    best_possible = -worst
     table: dict = {}
     stats = {"visited": 0}
 
-    def search(mine: int, theirs: int) -> int:
+    def search(mine: int, theirs: int):
         key = mine | (theirs << n) if canonical is None else canonical(mine, theirs)
         if use_table:
             hit = table.get(key)
             if hit is not None:
                 return hit
         stats["visited"] += 1
-        unclaimed = full & ~(mine | theirs)
-        if unclaimed == 0:
-            return DRAW
-        best = LOSS
+        claimed = mine | theirs
+        if claimed == full:
+            return draw
+        unclaimed = full ^ claimed
+        lost = loss[claimed.bit_count() + 1]
+        best = worst
         may_lose = mine.bit_count() + 1 >= minline
         while unclaimed:
             if descending:
@@ -145,12 +153,12 @@ def _negamax(game: Game, use_table: bool = True, descending: bool = False):
             unclaimed ^= bit
             nm = mine | bit
             if may_lose and loses_after(nm, x):
-                val = LOSS
+                val = lost
             else:
                 val = -search(theirs, nm)
             if val > best:
                 best = val
-                if best == WIN:
+                if best == best_possible:
                     break
         if use_table:
             table[key] = best
@@ -159,55 +167,59 @@ def _negamax(game: Game, use_table: bool = True, descending: bool = False):
     return search, table, stats
 
 
-def _principal_variation(game, search, want, mine=0, theirs=0, first=None,
-                         descending=False) -> list:
-    """Moves from (mine, theirs) that keep the solved value ``want``: at
-    each step the first move, in search order, whose value matches."""
-    full = game.full_mask
-    minline = game.lines.min_line_size
+def _point_moves(game: Game, descending: bool = False):
+    """Single-point moves for ``_principal_variation``, in search order."""
     loses_after = game.lines.loses_after
+    minline = game.lines.min_line_size
+
+    def moves(mine: int, unclaimed: int):
+        may_lose = mine.bit_count() + 1 >= minline
+        for x in sorted(iter_bits(unclaimed), reverse=descending):
+            nm = mine | 1 << x
+            yield nm, may_lose and loses_after(nm, x)
+
+    return moves
+
+
+def _principal_variation(game: Game, search, moves, mine: int = 0, theirs: int = 0) -> list:
+    """Move masks from (mine, theirs) that keep the solved value: at each
+    step the first move, in ``moves`` order, whose value matches.
+
+    ``moves(mine, unclaimed)`` yields ``(mine', lost)`` per move, where
+    ``lost`` says the move completes a line of the mover's.
+    """
+    full = game.full_mask
+    want = search(mine, theirs)
     pv: list = []
-    while True:
-        unclaimed = full & ~(mine | theirs)
-        if unclaimed == 0:
-            return pv
-        options = list(iter_bits(unclaimed))
-        if descending:
-            options.reverse()
-        if first is not None and not pv:
-            options = [first]
-        cnt = mine.bit_count() + 1
-        for x in options:
-            nm = mine | (1 << x)
-            if cnt >= minline and loses_after(nm, x):
-                val = LOSS
-                terminal = True
-            else:
-                val = -search(theirs, nm)
-                terminal = False
-            if val == want:
-                pv.append(x)
-                if terminal:
-                    return pv
-                mine, theirs = theirs, nm
-                want = -want
+    while mine | theirs != full:
+        for nm, lost in moves(mine, full & ~(mine | theirs)):
+            if (LOSS if lost else -search(theirs, nm)) == want:
                 break
         else:
             raise GameError("no move matches the solved value")
+        pv.append(nm ^ mine)
+        if lost:
+            break
+        mine, theirs, want = theirs, nm, -want
+    return pv
 
 
-def _outcome_from_pv(game: Game, pv: list) -> Outcome:
-    a = b = 0
-    for i, x in enumerate(pv):
-        if i % 2 == 0:
-            a |= 1 << x
-            if game.lines.contains_mask(a):
-                return Outcome(Winner.PII_WIN, i + 1)
-        else:
-            b |= 1 << x
-            if game.lines.contains_mask(b):
-                return Outcome(Winner.PI_WIN, i + 1)
-    return Outcome(Winner.DRAW)
+def _report(game: Game, value: int, pv: list, move_of, stats, table) -> SolveReport:
+    """Replay the PV's move masks to its outcome, which must be ``value``
+    for Player I; each move is reported as ``move_of(mask)``."""
+    contains = game.lines.contains_mask
+    sides = [0, 0]
+    outcome = Outcome(Winner.DRAW)
+    for i, move in enumerate(pv):
+        sides[i % 2] |= move
+        if contains(sides[i % 2]):
+            outcome = Outcome(Winner.PI_WIN if i % 2 else Winner.PII_WIN, i + 1)
+            break
+    got = {Winner.PI_WIN: WIN, Winner.DRAW: DRAW, Winner.PII_WIN: LOSS}[outcome.winner]
+    if got != value:
+        raise GameError("principal variation does not replay to the solved value")
+    return SolveReport(outcome, tuple(move_of(m) for m in pv),
+                       stats["visited"], len(table))
 
 
 def earliest_forced_loss(game: Game, cap: int = 16) -> int:
@@ -221,45 +233,14 @@ def earliest_forced_loss(game: Game, cap: int = 16) -> int:
     base = solve(game, cap=cap)
     if base.outcome.winner is not Winner.PI_WIN:
         raise GameError("earliest_forced_loss needs a first-player-win game")
-    full = game.full_mask
-    n = game.n
-    minline = game.lines.min_line_size
-    loses_after = game.lines.loses_after
-    canonical = game.canonical
-    INF = float("inf")
-    table: dict = {}
-
-    def search(a: int, b: int):
-        # automorphisms keep the loss index, so a canonical key is exact
-        key = a | (b << n) if canonical is None else canonical(a, b)
-        hit = table.get(key)
-        if hit is not None:
-            return hit
-        depth = (a | b).bit_count()
-        unclaimed = full & ~(a | b)
-        if unclaimed == 0:
-            val = INF
-        elif depth % 2 == 0:  # Player I to move, minimising
-            val = INF
-            for x in iter_bits(unclaimed):
-                na = a | (1 << x)
-                if na.bit_count() >= minline and loses_after(na, x):
-                    continue  # suicide never hurries Player II's loss
-                val = min(val, search(na, b))
-        else:
-            val = 0
-            for x in iter_bits(unclaimed):
-                nb = b | (1 << x)
-                if nb.bit_count() >= minline and loses_after(nb, x):
-                    cand = depth + 1
-                else:
-                    cand = search(a, nb)
-                val = max(val, cand)
-        table[key] = val
-        return val
-
-    value = search(0, 0)
-    if value == INF:
+    # Player I scores -index and Player II +index, so Player II losing on
+    # (even) move d is worth d to it, and an escape +inf to Player II and
+    # -inf to Player I; automorphisms keep the index, so canonical keys hold
+    inf = float("inf")
+    loss = [-inf if d % 2 else d for d in range(game.n + 1)]
+    search, _, _ = _negamax(game, loss=loss, draw=inf if game.n % 2 else -inf)
+    value = -search(0, 0)
+    if value == inf:
         raise GameError("delay search disagrees with the solver (bug)")
     return int(value)
 
@@ -271,23 +252,22 @@ def solve_plus(game: Game, cap: int = 8) -> SolveReport:
     same table entry serves both seats. Moves are enumerated smallest set
     first.
     """
-    if game.n > cap:
-        raise SearchCapExceeded(
-            f"board size {game.n} exceeds plus-solve cap {cap}; raise cap explicitly")
+    _check_cap(game, cap, "plus-solve")
     full = game.full_mask
     contains = game.lines.contains_mask
     table: dict = {}
     stats = {"visited": 0}
     n = game.n
 
-    def submasks(mask: int) -> list:
+    def moves(cur: int, unclaimed: int):
         subs = []
-        s = mask
+        s = unclaimed
         while s:
             subs.append(s)
-            s = (s - 1) & mask
+            s = (s - 1) & unclaimed
         subs.sort(key=lambda v: (v.bit_count(), v))
-        return subs
+        for u in subs:
+            yield cur | u, contains(cur | u)
 
     def search(cur: int, other: int) -> int:
         key = cur | (other << n)
@@ -295,13 +275,11 @@ def solve_plus(game: Game, cap: int = 8) -> SolveReport:
         if hit is not None:
             return hit
         stats["visited"] += 1
-        unclaimed = full & ~(cur | other)
-        if unclaimed == 0:
+        if cur | other == full:
             return DRAW
         best = LOSS
-        for u in submasks(unclaimed):
-            nc = cur | u
-            val = LOSS if contains(nc) else -search(other, nc)
+        for nc, lost in moves(cur, full & ~(cur | other)):
+            val = LOSS if lost else -search(other, nc)
             if val > best:
                 best = val
                 if best == WIN:
@@ -310,29 +288,8 @@ def solve_plus(game: Game, cap: int = 8) -> SolveReport:
         return best
 
     root = search(0, 0)
-    pv: list = []
-    cur, other, want = 0, 0, root
-    outcome = Outcome(Winner.DRAW)
-    while True:
-        unclaimed = full & ~(cur | other)
-        if unclaimed == 0:
-            break
-        for u in submasks(unclaimed):
-            nc = cur | u
-            terminal = contains(nc)
-            val = LOSS if terminal else -search(other, nc)
-            if val == want:
-                pv.append(set_of(u))
-                cur, other, want = other, nc, -want
-                break
-        else:
-            raise GameError("no plus move matches the solved value")
-        if terminal:
-            # the mover of an odd-numbered move is Player I
-            winner = Winner.PII_WIN if len(pv) % 2 else Winner.PI_WIN
-            outcome = Outcome(winner, len(pv))
-            break
-    return SolveReport(outcome, tuple(pv), stats["visited"], len(table))
+    return _report(game, root, _principal_variation(game, search, moves),
+                   set_of, stats, table)
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,37 @@ def ref_solve_plus(game, cur=frozenset(), other=frozenset()) -> int:
     return best
 
 
+def ref_earliest_loss(game) -> float:
+    """Index of the move on which Player II first contains a line, Player I
+    minimising and Player II maximising it; ``inf`` where Player II escapes
+    (a full board with no line, or Player I containing a line first).
+
+    Plain min/max recursion over frozensets, memoized on the two sets only.
+    """
+    inf = float("inf")
+    memo: dict = {}
+
+    def value(a: frozenset, b: frozenset) -> float:
+        if (a, b) not in memo:
+            claimed = a | b
+            first = len(a) == len(b)
+            values = []
+            for x in range(game.n):
+                if x in claimed:
+                    continue
+                if first:
+                    na = a | {x}
+                    values.append(inf if game.contains_line(na) else value(na, b))
+                else:
+                    nb = b | {x}
+                    values.append(len(claimed) + 1 if game.contains_line(nb)
+                                  else value(a, nb))
+            memo[a, b] = inf if not values else min(values) if first else max(values)
+        return memo[a, b]
+
+    return value(frozenset(), frozenset())
+
+
 def word_string(members, m: int, x: int, r: int) -> str:
     """Indicator string of a set on [x, x+r), built character by character."""
     return "".join("1" if (x + i) % m in members else "0" for i in range(r))

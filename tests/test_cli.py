@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -79,6 +82,22 @@ def test_game_file_swapped_lines_is_refusal(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "solve", "--game-file", str(path))
     assert rc == 2
     assert "differ" in err
+
+
+def implicit(construction, params):
+    return {"n": 6, "name": "x", "generators": [],
+            "lines": {"implicit": {"construction": construction, "params": params}}}
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 6}, [1, 2], implicit("pairs", {}), implicit("pairs", {"b": "3"}),
+    implicit("superset", {"base": "pairs(3)", "r": "4"})])
+def test_malformed_game_file_is_refused(tmp_path, capsys, doc):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "solve", "--game-file", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "unexpected" not in err
 
 
 def test_verify_strategy_exit_codes(capsys):
@@ -211,9 +230,28 @@ def test_deeply_nested_spec_is_refused(capsys):
 
 @pytest.mark.parametrize("spec", ["pairs()", "torus(3)", "odd_composite(3,3,3)",
                                   "superset(pairs(3))", "copies(3,3)", "pairs(3,4)",
-                                  "affine(13,1)", "pairs(pairs(3))", "cycle(x)"])
+                                  "affine(13,1)", "pairs(pairs(3))", "cycle(x)",
+                                  "torus(3,,2)", "pairs(,3)", "pairs(3,)"])
 def test_spec_of_wrong_arity_or_kind_is_refused(capsys, spec):
     rc, out, err = run_cli(capsys, "solve", "--game", spec)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "unexpected" not in err
     assert "argument" in err
+
+
+def test_closed_output_pipes_never_exit_with_a_verdict():
+    # stdout and stderr both go to a pipe nobody reads: printing the report
+    # fails, and so does printing the error about it
+    import avoidance
+    src = os.path.dirname(os.path.dirname(avoidance.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "avoidance.cli", "verify-strategy", "--game", "pairs(3)",
+             "--strategy", "pairs", "--goal", "win"],
+            stdout=write, stderr=write, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert proc.returncode not in (0, 1)

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from avoidance.core import (ExplicitLines, Game, GameError, Permutation,
@@ -7,7 +10,7 @@ from avoidance.solver import (Goal, best_move, earliest_forced_loss, solve,
                               solve_plus, verify_strategy)
 from avoidance.strategies import LowestFreeStrategy, pairs_strategy
 
-from oracles import ref_solve, ref_solve_plus
+from oracles import ref_earliest_loss, ref_solve, ref_solve_plus
 
 VAL = {Winner.PI_WIN: 1, Winner.DRAW: 0, Winner.PII_WIN: -1}
 
@@ -135,6 +138,37 @@ def test_earliest_forced_loss_affine_11():
     # lines have size 5 and the board has 11 points, so the second player's
     # fifth move (move 10) is both the earliest possible and his last
     assert earliest_forced_loss(C.affine_game(11)) == 10
+
+
+@pytest.mark.parametrize("spec", ["pairs(3)", "odd_composite(3,3)", "torus(3,2)",
+                                  "copies(pairs(3),1)", "superset(odd_composite(3,3),4)"])
+def test_earliest_forced_loss_matches_plain_recursion_on_catalog_boards(spec):
+    # every first-player-win catalog board with n <= 9
+    g = C.parse_game_spec(spec)
+    assert earliest_forced_loss(g) == ref_earliest_loss(g)
+
+
+def _hand_built_boards():
+    # three 6-point boards on which a wrong draw value overflows, then the
+    # first-player wins among seeded random 3-uniform boards on 6 and 8 points
+    boards = [[[0, 1, 5], [0, 2, 3], [0, 3, 5], [1, 2, 3], [1, 2, 5]],
+              [[1, 2, 4], [1, 2, 5], [1, 3, 4], [2, 3, 5], [3, 4, 5]],
+              [[0, 2, 5], [0, 4, 5], [2, 3, 4], [2, 3, 5], [2, 4, 5]]]
+    games = [Game(6, ExplicitLines(6, lines), (), "hand6") for lines in boards]
+    rng = random.Random(8)
+    for n in (6, 8):
+        triples = list(itertools.combinations(range(n), 3))
+        for _ in range(30):
+            game = Game(n, ExplicitLines(n, rng.sample(triples, rng.randrange(4, 12))),
+                        (), f"hand{n}")
+            if solve(game).outcome.winner is Winner.PI_WIN:
+                games.append(game)
+    return games
+
+
+@pytest.mark.parametrize("game", _hand_built_boards())
+def test_earliest_forced_loss_matches_plain_recursion_on_hand_built_boards(game):
+    assert earliest_forced_loss(game) == ref_earliest_loss(game)
 
 
 def test_solver_agrees_with_bin_strategy_at_n12():

@@ -5,6 +5,7 @@ import pytest
 from avoidance.core import Player, StrategyInvariantError, find_fpf_involution
 from avoidance import constructions as C
 from avoidance.solver import Goal, verify_strategy
+from avoidance import pairset
 from avoidance import strategies as S
 
 
@@ -160,6 +161,55 @@ def test_even_strategy_type2_trigger():
     assert phase == "direct"
     assert forbidden == 5               # opposite of the stray point
     assert x == 4                       # doubles our pair (0, 0+m/2)
+
+
+def _steered_bin_masks(m: int) -> list:
+    # the partial pair sets whose two key-lemma windows differ; for m <= 8
+    # there are none, so only m = 16 exercises the steering
+    return [v for v in pairset._partial_masks(m)
+            if pairset._key_params(m, v).z1 != pairset._key_params(m, v).z2]
+
+
+def _in_bin_2(v: int, m: int = 16) -> tuple:
+    """Masks (ours, theirs): pair set ``v`` in bin 2, opposites to the adversary."""
+    return v << 2 * m, ((v >> m // 2) | (v << m // 2)) % (1 << m) << 2 * m
+
+
+def test_even_strategy_steers_a_later_bin_into_the_z1_window():
+    # endgame state (phase, extra, forbidden, cur_bin, fill_z, r_bin, guess,
+    # t_cur): bin 2 is current and the guess is set; the adversary holds
+    # the opposite of each of our points there
+    m, s = 16, S.even_general_strategy(4, 3)
+    masks = _steered_bin_masks(m)
+    assert len(masks) == 48
+    for v in masks:
+        kp = pairset._key_params(m, v)
+        a, b = _in_bin_2(v)
+        window = [(kp.z1 + i) % m for i in range(m // 4)]
+        want = 2 * m + next(y for y in window if not ((a | b) >> (2 * m + y)) & 1)
+        for guess in range(m // 2):
+            if (guess - kp.s) % m >= m // 2:
+                continue
+            x, state = s.step((S.ENDGAME, None, None, 2, None, 1, guess, None), a, b, None)
+            assert (x, state[4], state[7]) == (want, kp.z1, kp.t), (bin(v), guess)
+    first = [s.step((S.ENDGAME, None, None, 2, None, 1, g, None), *_in_bin_2(v), None)[0]
+             - 2 * m for g, v in zip((0, 3, 7), masks)]
+    assert first == [8, 11, 12]
+
+
+def test_even_strategy_places_the_r_bin_window_from_later_bins_t():
+    # bin 0 closed with maximum 0, bin 1 is r_bin and empty, bin 2 holds a
+    # partial pair set whose t (6) is not its z1 (8): the guess terms are
+    # 0 + 6, so the window start u is the first with (6 + u) % 16 in [4, 8),
+    # which is 0 (z1 in place of t would give 12)
+    m, s = 16, S.even_general_strategy(4, 3)
+    v = _steered_bin_masks(m)[0]
+    kp = pairset._key_params(m, v)
+    assert (kp.s, kp.t, kp.z1) == (0, 6, 8)
+    a, b = _in_bin_2(v)
+    a, b = a | 0xFF, b | 0xFF00
+    x, state = s.step((S.ENDGAME, None, None, 1, None, 1, None, None), a, b, None)
+    assert (x, state[4]) == (m, 0)
 
 
 @pytest.mark.parametrize("strat,m", [(S.pairs_strategy(5), 2), (S.even_general_strategy(3, 3), 8)],
