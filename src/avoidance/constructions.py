@@ -21,6 +21,7 @@ per construction.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (ExplicitLines, Game, GameError, ImplicitLines, Permutation,
@@ -31,6 +32,33 @@ from . import pairset as _ps
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise GameError(msg)
+
+
+# Work a construction may do, checked on a size estimate before anything is
+# built. A unit is about a microsecond or a machine word: a digit operation
+# of ``torus_lines`` (torus(16,2) is at the budget, about 2 s), a word of a
+# board and its line store (``_board_work``), or a candidate line.
+CONSTRUCTION_WORK_BUDGET = 1 << 21
+
+# estimates that grow with a parameter take it capped here: past the cap
+# the estimate is over the budget anyway, and the power stays cheap
+_PARAM_CAP = 64
+
+
+def _require_work(work: int, what: str, estimate: str) -> None:
+    _require(work <= CONSTRUCTION_WORK_BUDGET,
+             f"{what} is over the work budget: {estimate} > {CONSTRUCTION_WORK_BUDGET}")
+
+
+def _board_work(n: int, lines: int, generators: int) -> int:
+    """Words of a board of n points with ``lines`` explicit lines: per-point
+    line tables (16 words a point), an image per generator (4 words a
+    point) and an n-bit mask per line."""
+    return n * (16 + 4 * generators) + lines * (n // 64 + 1)
+
+
+def _require_board(n: int, lines: int, generators: int, what: str) -> None:
+    _require_work(_board_work(n, lines, generators), what, "the words of its board")
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +75,7 @@ def odd_composite(p: int, q: int) -> Game:
     _require(p >= 3 and p % 2 == 1, f"p must be odd >= 3, got {p}")
     _require(q >= 3 and q % 2 == 1, f"q must be odd >= 3, got {q}")
     n = p * q
+    _require_board(n, 0, 2, f"odd_composite({p},{q})")
     pp, qq = (p + 1) // 2, (q + 1) // 2
     k = pp * qq
     buckets = [((1 << p) - 1) << (j * p) for j in range(q)]
@@ -142,6 +171,11 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
     _require(b >= 3 and b % 2 == 1, f"b must be odd >= 3, got {b}")
     _require(store in ("explicit", "implicit"), f"unknown store {store!r}")
     n = 2 * b
+    # explicit lines: 2^(b-1) odd transversals and b(b-1)/2 * 2^(b-2) sets
+    # with a doubled pair
+    c = min(b, _PARAM_CAP)
+    line_count = (1 << (c - 1)) + c * (c - 1) // 2 * (1 << (c - 2))
+    _require_board(n, line_count if store == "explicit" else 0, 2, f"pairs({b})")
     full = (1 << n) - 1
 
     if store == "explicit":
@@ -314,6 +348,7 @@ def even_general(a: int, b: int) -> Game:
     """
     _require(a >= 2, f"a must be >= 2, got {a}")
     _require(b > 1 and b % 2 == 1, f"b must be odd > 1, got {b}")
+    _require_board(b << min(a, _PARAM_CAP), 0, 2, f"even_general({a},{b})")
     m = 1 << a
     n = b * m
     k = n // 2
@@ -377,11 +412,6 @@ def torus_lines(q: int, d: int) -> list[frozenset]:
     return sorted(seen, key=lambda l: sorted(l))
 
 
-# digit operations ``torus_lines`` may make, n^2 * q * d; torus(16,2) is at
-# the budget (about 2 s)
-TORUS_WORK_BUDGET = 1 << 21
-
-
 def torus(q: int, d: int) -> Game:
     """Arithmetic-progression game on Z_q^d.
 
@@ -392,10 +422,9 @@ def torus(q: int, d: int) -> Game:
     """
     _require(q >= 2, f"q must be >= 2, got {q}")
     _require(d >= 1, f"d must be >= 1, got {d}")
-    # torus_lines makes n^2 * q = q^(2d+1) point images of d digits each;
-    # d <= 20 keeps the power cheap, as q >= 2 puts any d >= 10 over budget
-    _require(d <= 20 and q ** (2 * d + 1) * d <= TORUS_WORK_BUDGET,
-             f"torus({q},{d}) is over the work budget: n^2 * q * d > {TORUS_WORK_BUDGET}")
+    # torus_lines makes n^2 * q = q^(2d+1) point images of d digits each
+    d_c = min(d, _PARAM_CAP)
+    _require_work(q ** (2 * d_c + 1) * d_c, f"torus({q},{d})", "n^2 * q * d")
     n = q ** d
     store = ExplicitLines(n, torus_lines(q, d))
     gens = []
@@ -427,6 +456,8 @@ def disjoint_copies(g: Game, c: int) -> Game:
     _require(isinstance(g.lines, ExplicitLines),
              "disjoint copies need an explicit base line store")
     n = c * g.n
+    _require_board(n, c * len(g.lines.lines), len(g.generators) + 1,
+                   f"copies({g.name},{c})")
     lines = [frozenset(i * g.n + x for x in l)
              for i in range(c) for l in g.lines.lines]
     gens = []
@@ -456,7 +487,6 @@ def superset_lines(g: Game, r: int) -> Game:
     def contains(mask: int) -> bool:
         return mask.bit_count() >= r and g.lines.contains_mask(mask)
 
-    from math import comb
     if isinstance(g.lines, ExplicitLines) and comb(n, r) <= 100_000:
         lines = {frozenset(c) for c in itertools.combinations(range(n), r)
                  if g.contains_line(c)}
@@ -481,6 +511,8 @@ def product_torus(d: int) -> Game:
     h1 = pairs_game(3)
     t3 = torus(3, d)
     n = t3.n * 6
+    _require_board(n, t3.n * len(h1.lines.lines) + 6 * len(t3.lines.lines),
+                   d + len(h1.generators), f"product_torus({d})")
     lines = [frozenset(t * 6 + x for x in l)
              for t in range(t3.n) for l in h1.lines.lines]
     lines += [frozenset(t * 6 + y for t in l) for l in t3.lines.lines
@@ -543,6 +575,8 @@ def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game
     explicitly. Rejects base families whose affine closure is not
     intersecting (two disjoint allowed sets make the construction vacuous).
     """
+    c = max(0, min(n, _PARAM_CAP))
+    _require_work(comb(c, c // 2), f"affine({n})", "C(n, (n-1)/2) candidate lines")
     _require(_is_prime(n), f"n must be prime, got {n}")
     if bases is None:
         _require(n in AFFINE_BASES, f"no default base sets for n={n}")
@@ -582,6 +616,7 @@ def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game
 def cycle_game(k: int) -> Game:
     """Edges of the k-cycle as size-2 lines."""
     _require(k >= 3, f"cycle needs k >= 3, got {k}")
+    _require_board(k, k, 1, f"cycle({k})")
     lines = [frozenset({i, (i + 1) % k}) for i in range(k)]
     return Game(k, ExplicitLines(k, lines), (Permutation.cycle(k),),
                 f"cycle({k})", meta={"construction": "cycle", "params": {"n": k}})
@@ -590,6 +625,7 @@ def cycle_game(k: int) -> Game:
 def complete_graph_game(k: int) -> Game:
     """All pairs as size-2 lines."""
     _require(k >= 3, f"complete graph needs k >= 3, got {k}")
+    _require_board(k, k * (k - 1) // 2, 1, f"complete({k})")
     lines = [frozenset(e) for e in itertools.combinations(range(k), 2)]
     return Game(k, ExplicitLines(k, lines), (Permutation.cycle(k),),
                 f"complete({k})", meta={"construction": "complete", "params": {"n": k}})
@@ -598,6 +634,7 @@ def complete_graph_game(k: int) -> Game:
 def matching_game(k: int) -> Game:
     """A perfect matching on 2k points: lines {i, i+k}."""
     _require(k >= 2, f"matching needs k >= 2, got {k}")
+    _require_board(2 * k, k, 1, f"matching({k})")
     lines = [frozenset({i, i + k}) for i in range(k)]
     return Game(2 * k, ExplicitLines(2 * k, lines), (Permutation.cycle(2 * k),),
                 f"matching({k})", meta={"construction": "matching", "params": {"k": k}})
@@ -743,6 +780,8 @@ def game_from_json(doc: dict) -> Game:
         except GameError:
             if any(len(g) != n for g in doc["generators"]):
                 raise GameError(f"a generator does not permute {n} points") from None
+            _require_board(n, len(lines["explicit"]), len(doc["generators"]),
+                           f"a document on {n} points")
             gens = tuple(Permutation(tuple(img)) for img in doc["generators"])
             return Game(n, ExplicitLines(n, lines["explicit"]), gens, name)
     else:

@@ -238,7 +238,10 @@ class ExplicitLines(LineStore):
             self._lookup_upto = c
 
     def contains_mask(self, mask: int) -> bool:
-        return any(mask & lm == lm for lm in self.masks)
+        for lm in self.masks:  # a plain loop: cheaper than any() over a generator
+            if mask & lm == lm:
+                return True
+        return False
 
     def loses_after(self, mask: int, point: int) -> bool:
         c = mask.bit_count()
@@ -249,7 +252,10 @@ class ExplicitLines(LineStore):
             others = [1 << y for y in iter_bits(mask ^ (1 << point))]
             lines = self._mask_set
             return any(mask - sum(t) in lines for t in combinations(others, c - self._k))
-        return any(mask & lm == lm for lm in self._by_point[point])
+        for lm in self._by_point[point]:
+            if mask & lm == lm:
+                return True
+        return False
 
     def is_line(self, s: Iterable[int]) -> bool:
         return frozenset(s) in self._line_set

@@ -160,26 +160,21 @@ def _base_word(m: int, mask: int) -> int:
     return w
 
 
-def _rotation_word(m: int, mask: int, x: int) -> int:
-    """Packed word of the restriction to [x, x+m); integer order = lex order."""
+def _rotation_words(m: int, mask: int) -> list[int]:
+    """Packed words of the restrictions to [x, x+m), indexed by x, cut from
+    one doubled word; integer order = lex order."""
     w = _base_word(m, mask)
-    if x == 0:
-        return w
+    doubled = (w << m) | w
     full = (1 << m) - 1
-    return ((w << x) | (w >> (m - x))) & full
+    return [(doubled >> (m - x)) & full for x in range(m)]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _max_point_info(m: int, mask: int) -> tuple[int, bool]:
     """(first maximal rotation start, whether it is unique)."""
-    best_x, best_w, unique = 0, _rotation_word(m, mask, 0), True
-    for x in range(1, m):
-        w = _rotation_word(m, mask, x)
-        if w > best_w:
-            best_x, best_w, unique = x, w, True
-        elif w == best_w:
-            unique = False
-    return best_x, unique
+    words = _rotation_words(m, mask)
+    top = max(words)
+    return words.index(top), words.count(top) == 1
 
 
 def restrict(a: Union[PairSet, Iterable[int]], x: int, r: int,
@@ -197,9 +192,8 @@ def is_r_maximal(a: Union[PairSet, Iterable[int]], x: int, r: int,
     m, mask = _coerce(a, m)
     if not 1 <= r <= m:
         raise PairSetError(f"interval length {r} outside [1, {m}]")
-    shift = m - r
-    wx = (_rotation_word(m, mask, x % m) >> shift)
-    return all((_rotation_word(m, mask, y) >> shift) <= wx for y in range(m))
+    words = _windows(m, mask, r)
+    return words[x % m] == max(words)
 
 
 def is_r_minimal(a: Union[PairSet, Iterable[int]], x: int, r: int,
@@ -207,9 +201,8 @@ def is_r_minimal(a: Union[PairSet, Iterable[int]], x: int, r: int,
     m, mask = _coerce(a, m)
     if not 1 <= r <= m:
         raise PairSetError(f"interval length {r} outside [1, {m}]")
-    shift = m - r
-    wx = (_rotation_word(m, mask, x % m) >> shift)
-    return all((_rotation_word(m, mask, y) >> shift) >= wx for y in range(m))
+    words = _windows(m, mask, r)
+    return words[x % m] == min(words)
 
 
 def maximal_point(a: Union[PairSet, Iterable[int]], m: Optional[int] = None) -> int:
@@ -234,7 +227,8 @@ def _unique_max_point(m: int, mask: int) -> int:
 
 def _windows(m: int, mask: int, r: int) -> list[int]:
     """Packed words of the windows [x, x+r) of ``mask``, indexed by x."""
-    return [_rotation_word(m, mask, x) >> (m - r) for x in range(m)]
+    shift = m - r
+    return [w >> shift for w in _rotation_words(m, mask)]
 
 
 def _r_maximal_points(m: int, mask: int, r: int) -> list[int]:

@@ -11,7 +11,9 @@ winning move, and ``earliest_forced_loss`` gives it a table of loss values.
 ``verify_strategy`` plays a scripted strategy against every adversary
 reply (or a seeded random sample), memoizing on (position, strategy
 state); only passing subtrees are cached so a failure always carries a
-replayable history.
+replayable history. Exhaustive mode answers paired replies from the
+strategy's pairing table and skips, by sleep sets, those whose child it
+has already verified.
 
 Subtrees may be searched concurrently against a shared write-once table
 without changing any result; the implementation here is single-threaded
@@ -32,6 +34,7 @@ from .core import (
     Outcome,
     Player,
     SearchCapExceeded,
+    StrategyInvariantError,
     Winner,
     is_transitive,
     iter_bits,
@@ -349,9 +352,27 @@ def verify_strategy(game: Game, strategy, owner: Player, goal: Goal,
 
 
 def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyReport:
-    """Depth-first over adversary replies, one ``step`` per reply.
+    """Depth-first over adversary replies.
 
     Masks are owner-relative; the strategy sees (Player I's, Player II's).
+    A reply ``q`` is *paired* when the state's pairing table gives a
+    partner ``t[q]`` that is unclaimed: the answer is ``t[q]`` and the
+    state stays, with no ``step`` call; every other reply calls ``step``.
+
+    Sleep sets (Godefroid's partial-order reduction) skip paired replies
+    whose child is already in the memo. Two paired replies commute, since
+    the state and so the table stay, and ``t`` is an involution: from a
+    node N, q1 then q2 and q2 then q1 reach the same position. So once
+    N's child by q1 has passed, its own reply q2 led to that position
+    and put it in the memo, unless the move ended the game; ``sleep``
+    carries q1 into N's child by a later paired q2 (a point claimed on the
+    way stays claimed, so ``sleep`` needs no masking). A slept reply is
+    skipped only where it cannot end the game: after the adversary-line
+    check, and when the child is not a full board (the draw check never
+    fires, a paired answer being free). Then every skipped reply is a memo
+    hit that one ``step`` per reply would also make, so the memo, the
+    leaves, the containment calls and the first counterexample are those
+    of the plain loop.
     """
     full = game.full_mask
     n = game.n
@@ -361,15 +382,29 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
     win = goal is Goal.WIN
     step = strat.step
     memo: set = set()
+    tables: dict = {}
     leaves = 0
 
-    def replies(mine: int, theirs: int, state) -> Optional[list]:
-        """Adversary to move against strategy ``state``, game not over.
-        None = subtree passes."""
+    def table_of(state):
+        """The pairing table of ``state``, fetched and checked once."""
+        try:
+            return tables[state]
+        except KeyError:
+            t = tables[state] = _checked_pairing(strat.pairing(state), n)
+            return t
+
+    def replies(mine: int, theirs: int, state, t, sleep: int) -> Optional[list]:
+        """Adversary to move against strategy ``state`` with pairing table
+        ``t``, game not over; ``sleep`` holds paired replies whose child is
+        in the memo. None = subtree passes."""
         nonlocal leaves
-        unclaimed = full & ~(mine | theirs)
+        claimed = mine | theirs
+        unclaimed = full & ~claimed
         may_lose = theirs.bit_count() + 1 >= minline
         owner_may_lose = mine.bit_count() + 1 >= minline
+        if sleep and not may_lose and unclaimed.bit_count() >= 3:
+            unclaimed &= ~sleep  # no reply here can end the game
+        done = 0  # paired replies finished without ending the game
         while unclaimed:
             bit = unclaimed & -unclaimed
             unclaimed ^= bit
@@ -383,34 +418,50 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                 if win:
                     return [q]  # adversary escaped with a draw
                 continue
-            try:
-                x, after = step(state, mine, nt, q) if first else step(state, nt, mine, q)
-            except IllegalMoveError:
-                return [q, -1]
-            if not 0 <= x < n or ((mine | nt) >> x) & 1:
-                return [q, x]
+            x = -1 if t is None else t[q]
+            paired = x >= 0 and not (claimed >> x) & 1
+            if paired:
+                after = state
+            else:
+                try:
+                    x, after = step(state, mine, nt, q) if first else step(state, nt, mine, q)
+                except IllegalMoveError:
+                    return [q, -1]
+                if not 0 <= x < n or ((mine | nt) >> x) & 1:
+                    return [q, x]
             nm = mine | 1 << x
+            child_full = nm | nt == full
+            if paired and sleep & bit and not child_full:
+                done |= bit
+                continue
             # a memoized subtree passed, so its owner set holds no line and
             # its board is not full: the probe may skip both checks below
             memo_key = (nm, nt, after)
             if memo_key in memo:
+                if paired:
+                    done |= bit
                 continue
             if owner_may_lose and loses_after(nm, x):
                 return [q, x]
-            if nm | nt == full:
+            if child_full:
                 leaves += 1
                 if win:
                     return [q, x]
                 continue
-            sub = replies(nm, nt, after)
+            if paired:
+                sub = replies(nm, nt, after, t, sleep | done)
+            else:
+                sub = replies(nm, nt, after, table_of(after), 0)
             if sub is not None:
                 return [q, x] + sub
             memo.add(memo_key)
+            if paired:
+                done |= bit
         return None
 
     state = strat.initial
     if not first:
-        cx = replies(0, 0, state)
+        cx = replies(0, 0, state, table_of(state), 0)
     else:  # the owner opens: the same checks as an answer in ``replies``
         try:
             x, state = step(state, 0, 0, None)
@@ -422,12 +473,21 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
             leaves += 1
             cx = [x] if win else None
         else:
-            cx = replies(1 << x, 0, state)
+            cx = replies(1 << x, 0, state, table_of(state), 0)
             if cx is not None:
                 cx = [x] + cx
     if cx is not None:
         return VerifyReport("counterexample", tuple(cx), leaves, "exhaustive")
     return VerifyReport("pass", None, leaves, "exhaustive")
+
+
+def _checked_pairing(t: Optional[tuple], n: int) -> Optional[tuple]:
+    """``t`` itself, once it is a fixed-point-free partial involution on
+    ``n`` points (negative entries are holes)."""
+    if t is not None and (len(t) != n or any(
+            y >= 0 and (y >= n or y == q or t[y] != q) for q, y in enumerate(t))):
+        raise StrategyInvariantError("pairing table is no fixed-point-free partial involution")
+    return t
 
 
 def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,

@@ -8,7 +8,16 @@ owner's answer. ``step`` never mutates the strategy object, and when the
 move changes nothing it returns the input state object itself. The state
 is the whole memory of the strategy, so the verifier merges
 transpositions on (position, state) and branches by passing states
-around: one ``step`` call per adversary reply, and no copies.
+around, with no copies.
+
+A strategy may also expose a pairing table per state,
+``pairing(state) -> t``: ``t[q] >= 0`` promises that whenever point
+``t[q]`` is unclaimed after adversary move ``q``, ``step(state, a, b, q)``
+returns ``(t[q], state)`` with the same state object, and ``-1`` means
+"ask ``step``". ``t`` is a fixed-point-free partial involution
+(``t[q] != q`` and ``t[t[q]] == q``), so two paired answers commute; the
+exhaustive verifier answers paired replies from the table and skips
+those whose child it has already verified.
 
 All free choices are resolved lowest index first, so identical histories
 reproduce identical moves. The one exception is documented per strategy
@@ -32,6 +41,11 @@ class Strategy:
     def step(self, state, a: int, b: int, q: Optional[int]):
         """(owner's move answering adversary move ``q``, next state)."""
         raise NotImplementedError
+
+    def pairing(self, state) -> Optional[tuple]:
+        """The pairing table of ``state`` (see the module docstring), or
+        None when no reply is answered by a fixed partner."""
+        return None
 
 
 class LowestFreeStrategy(Strategy):
@@ -161,6 +175,23 @@ class _MirrorCore(Strategy):
             if q != self.opp[extra]:
                 return self.opp[q], state  # mirror; extra unchanged
         return self._free_choice(state, a, b)
+
+    def pairing(self, state):
+        """Opposite points, except where ``step`` may leave the mirror: the
+        forbidden pair in direct mode; our unmatched point, its opposite and
+        every trigger point (a set closed under ``opp``) otherwise."""
+        phase, extra, forbidden = state[0], state[1], state[2]
+        if phase == DIRECT:
+            holes = [forbidden, self.opp[forbidden]]
+        elif extra is None:
+            return None
+        else:
+            holes = [extra, self.opp[extra]]
+            holes += [q for q in range(self.n) if self._triggers_direct(q, extra)]
+        t = list(self.opp)
+        for q in holes:
+            t[q] = -1
+        return tuple(t)
 
     def _free_choice(self, state, a, b):
         raise NotImplementedError
@@ -328,6 +359,8 @@ class TorusPairingStrategy(Strategy):
         self.d = d
         self.n = 3 ** d
         self.neg = _negation_table(d)
+        # the origin is the opening move, and its own negation
+        self._pairs = (-1,) + self.neg[1:]
 
     def step(self, state, a, b, q):
         if a | b == 0:
@@ -338,6 +371,9 @@ class TorusPairingStrategy(Strategy):
         if ((a | b) >> x) & 1:
             raise StrategyInvariantError(f"negation {x} already claimed")
         return x, state
+
+    def pairing(self, state):
+        return self._pairs
 
 
 def torus_pairing_strategy(d: int) -> TorusPairingStrategy:
@@ -362,6 +398,9 @@ class InvolutionPairingStrategy(Strategy):
         if ((a | b) >> x) & 1:
             raise StrategyInvariantError(f"paired point {x} already claimed")
         return x, state
+
+    def pairing(self, state):
+        return self.g.image
 
 
 def involution_pairing_strategy(g: Permutation, game: Optional[Game] = None
@@ -402,6 +441,13 @@ class CopyMirrorStrategy(Strategy):
             return self.base.step(state, a & lo, b & lo, q)
         copy_i, v = divmod(q, self.n0)
         return self.f[copy_i] * self.n0 + v, state
+
+    def pairing(self, state):
+        """The base's table on copy 0, the copy swap everywhere else."""
+        n0 = self.n0
+        base = self.base.pairing(state)
+        return ((-1,) * n0 if base is None else base) + tuple(
+            self.f[i] * n0 + v for i in range(1, self.c) for v in range(n0))
 
 
 def copy_mirror_strategy(base: Strategy, c: int) -> CopyMirrorStrategy:

@@ -170,3 +170,84 @@ def brute_key_params(a):
     if x2 - x0 < 2 * mp:
         return out(x1 - x0, x1 % m, mp, 2 * mp)
     return out(0, 0, 0, 0)
+
+
+def ref_verify(game, strat, owner, goal) -> dict:
+    """The exhaustive strategy check as a plain loop, as a report document.
+
+    One ``step`` call per adversary reply, ascending, and a memo of the
+    (owner's set, adversary's set, state) triples whose subtree passed; no
+    pairing table and no sleep sets. The checks come in the verifier's
+    order, so leaves and the first counterexample are comparable.
+    """
+    from avoidance.core import IllegalMoveError, Player
+
+    n, full = game.n, game.full_mask
+    minline = game.lines.min_line_size
+    first = owner is Player.ONE
+    win = goal.value == "win"
+    memo = set()
+    leaves = 0
+
+    def loses_after(mask, x):  # no line fits in fewer points than the shortest
+        return mask.bit_count() >= minline and game.lines.loses_after(mask, x)
+
+    def answer(state, mine, theirs, q):
+        try:
+            return strat.step(state, mine, theirs, q) if first else \
+                strat.step(state, theirs, mine, q)
+        except IllegalMoveError:
+            return -1, state
+
+    def replies(mine, theirs, state):
+        nonlocal leaves
+        for q in range(n):
+            if ((mine | theirs) >> q) & 1:
+                continue
+            nt = theirs | 1 << q
+            if loses_after(nt, q):
+                leaves += 1
+                continue
+            if mine | nt == full:
+                leaves += 1
+                if win:
+                    return [q]
+                continue
+            x, after = answer(state, mine, nt, q)
+            if not 0 <= x < n or ((mine | nt) >> x) & 1:
+                return [q, x]
+            nm = mine | 1 << x
+            if (nm, nt, after) in memo:
+                continue
+            if loses_after(nm, x):
+                return [q, x]
+            if nm | nt == full:
+                leaves += 1
+                if win:
+                    return [q, x]
+                continue
+            sub = replies(nm, nt, after)
+            if sub is not None:
+                return [q, x] + sub
+            memo.add((nm, nt, after))
+        return None
+
+    state = strat.initial
+    if not first:
+        cx = replies(0, 0, state)
+    else:
+        x, state = answer(state, 0, 0, None)
+        if not 0 <= x < n or loses_after(1 << x, x):
+            cx = [x]
+        elif 1 << x == full:
+            leaves += 1
+            cx = [x] if win else None
+        else:
+            cx = replies(1 << x, 0, state)
+            if cx is not None:
+                cx = [x] + cx
+    doc = {"verdict": "pass" if cx is None else "counterexample", "leaves": leaves,
+           "mode": "exhaustive"}
+    if cx is not None:
+        doc["counterexample"] = cx
+    return doc

@@ -255,3 +255,34 @@ def test_closed_output_pipes_never_exit_with_a_verdict():
     finally:
         os.close(write)
     assert proc.returncode not in (0, 1)
+
+
+# the child prints its own peak resident set on stderr after the CLI returns
+_PEAK_RSS = ("import resource, sys\n"
+             "from avoidance.cli import main\n"
+             "rc = main(sys.argv[1:])\n"
+             "print('peak_kib', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
+             " file=sys.stderr)\n"
+             "sys.exit(rc)\n")
+
+
+@pytest.mark.parametrize("source", ["copies(pairs(3),20001)", 500_000, 10 ** 8])
+def test_oversize_construction_is_refused_before_it_is_built(tmp_path, source):
+    # built first, these took 15 s and 1.7 GiB (the copies) or grow linearly
+    # in the declared n (a 70-byte document); the budget refuses them up front
+    import avoidance
+    if isinstance(source, str):
+        where = ["--game", source]
+    else:
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"n": source, "name": "x", "lines": {"explicit": []},
+                                    "generators": []}))
+        where = ["--game-file", str(path)]
+    src = os.path.dirname(os.path.dirname(avoidance.__file__))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, "solve", *where],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2 and proc.stdout == ""
+    error, peak = proc.stderr.splitlines()
+    assert error.startswith("error:") and "work budget" in error
+    assert int(peak.split()[1]) < 100 * 1024

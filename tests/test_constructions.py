@@ -76,7 +76,27 @@ def test_torus_over_the_work_budget_is_refused_before_enumerating():
         with pytest.raises(GameError, match="work budget"):
             C.torus(q, d)
         assert time.perf_counter() - start < 0.5
-    assert 16 ** 5 * 2 <= C.TORUS_WORK_BUDGET    # torus(16,2) is admitted
+    assert 16 ** 5 * 2 <= C.CONSTRUCTION_WORK_BUDGET    # torus(16,2) is admitted
+
+
+@pytest.mark.parametrize("spec", ["pairs(17)", "pairs(41)", "even_general(40,3)",
+                                  "odd_composite(100001,100001)", "cycle(1000000)",
+                                  "complete(3000)", "matching(1000000)",
+                                  "copies(pairs(3),20001)", "product_torus(6)",
+                                  "affine(1000000000000000003)"])
+def test_oversize_catalog_game_is_refused_before_it_is_built(spec):
+    import time
+    start = time.perf_counter()
+    with pytest.raises(GameError, match="work budget"):
+        C.parse_game_spec(spec)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_affine_user_bases_over_the_budget_are_refused():
+    # the lines are every (n-1)/2-subset outside the allowed family
+    with pytest.raises(GameError, match="work budget"):
+        C.affine_game(29, bases=[range(14)])
+    assert C.affine_game(11, bases=[[0, 1, 2, 4, 5]]).n == 11
 
 
 # --- odd composite -----------------------------------------------------------

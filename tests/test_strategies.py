@@ -407,6 +407,7 @@ PINNED_REPORTS = [
     # m = 4 endgame over five bins; the row is added last so the ids of
     # the rows above keep their positions
     ("even_general(2,5)", "even-general", Goal.WIN, 29376, None),
+    ("pairs(9)", "pairs", Goal.WIN, 8224, None),
 ]
 
 
