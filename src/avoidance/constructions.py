@@ -37,7 +37,7 @@ def _require(cond: bool, msg: str) -> None:
 # Work a construction may do, checked on a size estimate before anything is
 # built. A unit is about a microsecond or a machine word: a digit operation
 # of ``torus_lines`` (torus(16,2) is at the budget, about 2 s), a word of a
-# board and its line store (``_board_work``), or a candidate line.
+# board and its line store (``_require_board``), or a candidate line.
 CONSTRUCTION_WORK_BUDGET = 1 << 21
 
 # estimates that grow with a parameter take it capped here: past the cap
@@ -50,15 +50,12 @@ def _require_work(work: int, what: str, estimate: str) -> None:
              f"{what} is over the work budget: {estimate} > {CONSTRUCTION_WORK_BUDGET}")
 
 
-def _board_work(n: int, lines: int, generators: int) -> int:
-    """Words of a board of n points with ``lines`` explicit lines: per-point
-    line tables (16 words a point), an image per generator (4 words a
-    point) and an n-bit mask per line."""
-    return n * (16 + 4 * generators) + lines * (n // 64 + 1)
-
-
 def _require_board(n: int, lines: int, generators: int, what: str) -> None:
-    _require_work(_board_work(n, lines, generators), what, "the words of its board")
+    """Refuse a board of n points with ``lines`` explicit lines whose words
+    are over the budget: per-point line tables (16 words a point), an image
+    per generator (4 words a point) and an n-bit mask per line."""
+    work = n * (16 + 4 * generators) + lines * (n // 64 + 1)
+    _require_work(work, what, "the words of its board")
 
 
 # ---------------------------------------------------------------------------

@@ -366,13 +366,14 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
     N's child by q1 has passed, its own reply q2 led to that position
     and put it in the memo, unless the move ended the game; ``sleep``
     carries q1 into N's child by a later paired q2 (a point claimed on the
-    way stays claimed, so ``sleep`` needs no masking). A slept reply is
-    skipped only where it cannot end the game: after the adversary-line
-    check, and when the child is not a full board (the draw check never
-    fires, a paired answer being free). Then every skipped reply is a memo
-    hit that one ``step`` per reply would also make, so the memo, the
-    leaves, the containment calls and the first counterexample are those
-    of the plain loop.
+    way stays claimed, so ``sleep`` needs no masking). Slept replies are
+    skipped only at nodes where no reply can end the game: the adversary
+    cannot complete a line there, and at least 3 points are unclaimed, so
+    no child board is full. Elsewhere a slept reply takes the memo probe
+    like any other. Then every skipped reply is a memo hit that one
+    ``step`` per reply would also make, so the memo, the leaves, the
+    containment calls and the first counterexample are those of the plain
+    loop.
     """
     full = game.full_mask
     n = game.n
@@ -418,11 +419,11 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                 if win:
                     return [q]  # adversary escaped with a draw
                 continue
-            x = -1 if t is None else t[q]
-            paired = x >= 0 and not (claimed >> x) & 1
-            if paired:
+            if t is not None and (x := t[q]) >= 0 and not (claimed >> x) & 1:
+                paired = True
                 after = state
             else:
+                paired = False
                 try:
                     x, after = step(state, mine, nt, q) if first else step(state, nt, mine, q)
                 except IllegalMoveError:
@@ -430,10 +431,6 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                 if not 0 <= x < n or ((mine | nt) >> x) & 1:
                     return [q, x]
             nm = mine | 1 << x
-            child_full = nm | nt == full
-            if paired and sleep & bit and not child_full:
-                done |= bit
-                continue
             # a memoized subtree passed, so its owner set holds no line and
             # its board is not full: the probe may skip both checks below
             memo_key = (nm, nt, after)
@@ -443,15 +440,15 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                 continue
             if owner_may_lose and loses_after(nm, x):
                 return [q, x]
-            if child_full:
+            if nm | nt == full:
                 leaves += 1
                 if win:
                     return [q, x]
                 continue
             if paired:
                 sub = replies(nm, nt, after, t, sleep | done)
-            else:
-                sub = replies(nm, nt, after, table_of(after), 0)
+            else:  # an unchanged state keeps its table
+                sub = replies(nm, nt, after, t if after is state else table_of(after), 0)
             if sub is not None:
                 return [q, x] + sub
             memo.add(memo_key)

@@ -92,6 +92,15 @@ def test_oversize_catalog_game_is_refused_before_it_is_built(spec):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("family,last", [("cycle", 10943), ("matching", 7570),
+                                         ("complete", 639)])
+def test_graph_boards_build_up_to_the_documented_size(family, last):
+    # the line masks are the real cost: cycle(50000) took 205 MiB unguarded
+    assert C.parse_game_spec(f"{family}({last})").lines.lines
+    with pytest.raises(GameError, match="work budget"):
+        C.parse_game_spec(f"{family}({last + 1})")
+
+
 def test_affine_user_bases_over_the_budget_are_refused():
     # the lines are every (n-1)/2-subset outside the allowed family
     with pytest.raises(GameError, match="work budget"):
