@@ -50,11 +50,14 @@ def _require_work(work: int, what: str, estimate: str) -> None:
              f"{what} is over the work budget: {estimate} > {CONSTRUCTION_WORK_BUDGET}")
 
 
-def _require_board(n: int, lines: int, generators: int, what: str) -> None:
-    """Refuse a board of n points with ``lines`` explicit lines whose words
-    are over the budget: per-point line tables (16 words a point), an image
-    per generator (4 words a point) and an n-bit mask per line."""
-    work = n * (16 + 4 * generators) + lines * (n // 64 + 1)
+def _require_board(n: int, lines: Optional[int], generators: int, what: str) -> None:
+    """Refuse a board of n points whose words are over the budget: an image
+    per generator (4 words a point) and, for ``lines`` explicit lines,
+    per-point line tables (16 words a point) and an n-bit mask per line.
+    An implicit store (``lines`` None) builds neither."""
+    work = 4 * generators * n
+    if lines is not None:
+        work += 16 * n + lines * (n // 64 + 1)
     _require_work(work, what, "the words of its board")
 
 
@@ -72,7 +75,7 @@ def odd_composite(p: int, q: int) -> Game:
     _require(p >= 3 and p % 2 == 1, f"p must be odd >= 3, got {p}")
     _require(q >= 3 and q % 2 == 1, f"q must be odd >= 3, got {q}")
     n = p * q
-    _require_board(n, 0, 2, f"odd_composite({p},{q})")
+    _require_board(n, None, 2, f"odd_composite({p},{q})")
     pp, qq = (p + 1) // 2, (q + 1) // 2
     k = pp * qq
     buckets = [((1 << p) - 1) << (j * p) for j in range(q)]
@@ -83,9 +86,6 @@ def odd_composite(p: int, q: int) -> Game:
             if (mask & bucket).bit_count() not in (0, pp):
                 return False
         return True
-
-    def is_line(s: frozenset) -> bool:
-        return len(s) == k and not profile_ok(mask_of(s))
 
     def contains(mask: int) -> bool:
         c = mask.bit_count()
@@ -107,7 +107,7 @@ def odd_composite(p: int, q: int) -> Game:
         return tuple(sorted([((mine & bk).bit_count(), (theirs & bk).bit_count())
                              for bk in buckets]))
 
-    store = ImplicitLines(n, k, is_line, contains,
+    store = ImplicitLines(n, k, contains,
                           spec=("odd_composite", {"p": p, "q": q}),
                           w_iter=w_iter,
                           w_member=lambda s: len(s) == k and profile_ok(mask_of(s)))
@@ -172,7 +172,7 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
     # with a doubled pair
     c = min(b, _PARAM_CAP)
     line_count = (1 << (c - 1)) + c * (c - 1) // 2 * (1 << (c - 2))
-    _require_board(n, line_count if store == "explicit" else 0, 2, f"pairs({b})")
+    _require_board(n, line_count if store == "explicit" else None, 2, f"pairs({b})")
     full = (1 << n) - 1
 
     if store == "explicit":
@@ -180,9 +180,6 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
         lines = [board - w for w in _pairs_w_sets(b)]
         line_store: object = ExplicitLines(n, lines)
     else:
-        def is_line(s: frozenset) -> bool:
-            return len(s) == b and _pairs_allowed(b, full & ~mask_of(s))
-
         def contains(mask: int) -> bool:
             c = mask.bit_count()
             if c < b:
@@ -191,7 +188,7 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
             return _pairs_allowed(b, rest) if c == b else _pairs_extendable(b, rest)
 
         line_store = ImplicitLines(
-            n, b, is_line, contains, spec=("pairs", {"b": b}),
+            n, b, contains, spec=("pairs", {"b": b}),
             w_iter=lambda: iter(_pairs_w_sets(b)),
             w_member=lambda s: _pairs_allowed(b, mask_of(s)))
 
@@ -283,11 +280,11 @@ def _even_allowed(b: int, m: int, w: int) -> bool:
 
 def _even_w_iter(b: int, m: int) -> Iterator[frozenset]:
     half, mp, bp = m // 2, m // 4, (b - 1) // 2
-    transversals = [frozenset(ps.members) for ps in _ps.all_full_pair_sets(m)]
-    maxima = {t: _ps.maximal_point(t, m=m) for t in transversals}
+    transversals = [(tuple(iter_bits(t)), _ps.maximal_point(m, t))
+                    for t in _ps.extension_masks(m, 0)]
     for combo in itertools.product(transversals, repeat=b):
-        if sum(maxima[t] for t in combo) % m < half:
-            yield frozenset(j * m + y for j, t in enumerate(combo) for y in t)
+        if sum(mx for _, mx in combo) % m < half:
+            yield frozenset(j * m + y for j, (t, _) in enumerate(combo) for y in t)
     pair_choices = [(pid, pid + half) for pid in range(half)]
     for j in range(b):
         for fpid in range(half):
@@ -317,8 +314,8 @@ def _even_extendable(b: int, m: int, t: int) -> bool:
         # transversal completion: per-bin achievable maxima, then a sum test
         reachable = {0}
         for j in range(b):
-            options = {_ps._unique_max_point(m, e)
-                       for e in _ps._extension_masks(m, (t >> (j * m)) & binmask)}
+            options = {_ps.maximal_point(m, e)
+                       for e in _ps.extension_masks(m, (t >> (j * m)) & binmask)}
             reachable = {(r + o) % m for r in reachable for o in options}
         if any(v < half for v in reachable):
             return True
@@ -345,14 +342,11 @@ def even_general(a: int, b: int) -> Game:
     """
     _require(a >= 2, f"a must be >= 2, got {a}")
     _require(b > 1 and b % 2 == 1, f"b must be odd > 1, got {b}")
-    _require_board(b << min(a, _PARAM_CAP), 0, 2, f"even_general({a},{b})")
+    _require_board(b << min(a, _PARAM_CAP), None, 2, f"even_general({a},{b})")
     m = 1 << a
     n = b * m
     k = n // 2
     full = (1 << n) - 1
-
-    def is_line(s: frozenset) -> bool:
-        return len(s) == k and _even_allowed(b, m, full & ~mask_of(s))
 
     def contains(mask: int) -> bool:
         c = mask.bit_count()
@@ -361,7 +355,7 @@ def even_general(a: int, b: int) -> Game:
         rest = full ^ mask
         return _even_allowed(b, m, rest) if c == k else _even_extendable(b, m, rest)
 
-    store = ImplicitLines(n, k, is_line, contains,
+    store = ImplicitLines(n, k, contains,
                           spec=("even_general", {"a": a, "b": b}),
                           w_iter=lambda: _even_w_iter(b, m),
                           w_member=lambda s: _even_allowed(b, m, mask_of(s)))
@@ -478,9 +472,6 @@ def superset_lines(g: Game, r: int) -> Game:
     _require(r >= max_line, f"r={r} smaller than a line of the base game")
     n = g.n
 
-    def is_line(s: frozenset) -> bool:
-        return len(s) == r and g.contains_line(s)
-
     def contains(mask: int) -> bool:
         return mask.bit_count() >= r and g.lines.contains_mask(mask)
 
@@ -490,7 +481,7 @@ def superset_lines(g: Game, r: int) -> Game:
         store: object = ExplicitLines(n, sorted(lines, key=sorted))
     else:
         # a permutation preserving g's lines preserves the r-sets holding one
-        store = ImplicitLines(n, r, is_line, contains,
+        store = ImplicitLines(n, r, contains,
                               spec=("superset", {"base": g.name, "r": r}),
                               check=g.lines.check_preserved)
     return Game(n, store, g.generators, f"superset({g.name},{r})",

@@ -273,14 +273,14 @@ class ImplicitLines(LineStore):
 
     ``contains_fn`` must answer containment for arbitrary point masks; it
     is cross-checked against k-subset enumeration at desk sizes by the test
-    suite before being trusted. Generators are validated by ``check``
-    when given (a derived family delegates to its base's check), else
-    through ``w_iter``/``w_member``, the complementary family of allowed
-    sets.
+    suite before being trusted. Every line has size k, so a set is a line
+    exactly when it has k points and contains one. Generators are validated
+    by ``check`` when given (a derived family delegates to its base's
+    check), else through ``w_iter``/``w_member``, the complementary family
+    of allowed sets.
     """
 
     def __init__(self, n: int, k: int,
-                 is_line_fn: Callable[[frozenset], bool],
                  contains_fn: Callable[[int], bool],
                  spec: tuple[str, dict],
                  w_iter: Optional[Callable[[], Iterator[frozenset]]] = None,
@@ -289,7 +289,6 @@ class ImplicitLines(LineStore):
         self.n = n
         self.min_line_size = k
         self.k = k
-        self._is_line = is_line_fn
         self._contains = contains_fn
         self.spec = spec
         self._w_iter = w_iter
@@ -303,7 +302,8 @@ class ImplicitLines(LineStore):
         return self._contains(mask)
 
     def is_line(self, s: Iterable[int]) -> bool:
-        return self._is_line(frozenset(s))
+        s = frozenset(s)
+        return len(s) == self.k and self._contains(mask_of(s))
 
     def check_preserved(self, perm: Permutation) -> None:
         if self._check is not None:
@@ -342,9 +342,6 @@ class Game:
 
     def contains_line(self, s: Iterable[int]) -> bool:
         return self.lines.contains(s)
-
-    def loses_after(self, mask: int, point: int) -> bool:
-        return self.lines.loses_after(mask, point)
 
     @property
     def full_mask(self) -> int:

@@ -1,14 +1,17 @@
 """Cyclic pair sets in Z_m (m a power of two) and their rotation extrema.
 
-A *pair set* holds at most one of each opposite pair {x, x + m/2}; a *full*
-pair set holds exactly one of each. A point is *free* when neither it nor
-its opposite is in the set.
+A point set of Z_m is a mask, bit x for point x. A *pair set* holds at
+most one of each opposite pair {x, x + m/2}; a *full* pair set holds
+exactly one of each. A point is *free* when neither it nor its opposite
+is in the set.
 
-Interval words: ``restrict(A, x, r)`` is the 0/1 indicator of A on the
-cyclic interval [x, x+r) = {x, x+1, ..., x+r-1}. Words of equal length are
-ordered lexicographically with "present beats absent": the word with a 1 at
-the earliest differing position is the greater one. An ``r``-maximal point
-is an x whose interval word is greatest over all m rotations.
+Windows: the word of a set on the cyclic interval [x, x+r) =
+{x, x+1, ..., x+r-1} is its 0/1 indicator there, packed into an int with
+point x as the most significant bit. Integer order is then lexicographic
+order with "present beats absent": the word with a 1 at the earliest
+differing position is the greater one. An ``r``-maximal point is an x
+whose window [x, x+r) is greatest over all m rotations; ``maximal_point``
+is the m-maximal point.
 
 All interval arithmetic is mod m. [lo, hi) is half-open of length
 (hi - lo) mod m; [lo, hi] additionally includes the endpoint.
@@ -24,8 +27,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
-from typing import Iterable, Iterator, Optional, Union
+from functools import lru_cache
+from typing import Iterator, Optional
 
 from .core import iter_bits
 
@@ -36,114 +39,6 @@ class PairSetError(ValueError):
 
 class MaximalityTieError(PairSetError):
     """Two rotations compared equal where a unique maximum was required."""
-
-
-def _is_power_of_two(v: int) -> bool:
-    return v > 0 and v & (v - 1) == 0
-
-
-@dataclass(frozen=True)
-class PairSet:
-    """A nonempty subset of Z_m with at most one point of each opposite pair."""
-
-    m: int
-    members: frozenset
-
-    def __post_init__(self):
-        if not _is_power_of_two(self.m) or self.m < 4:
-            raise PairSetError(f"m must be a power of two >= 4, got {self.m}")
-        if not self.members:
-            raise PairSetError("pair sets are nonempty")
-        if not all(isinstance(x, int) and 0 <= x < self.m for x in self.members):
-            raise PairSetError("members must lie in [0, m)")
-        half = self.m // 2
-        for x in self.members:
-            if (x + half) % self.m in self.members:
-                raise PairSetError(
-                    f"both {x} and {(x + half) % self.m} present (opposite pair)")
-
-    @staticmethod
-    def of(m: int, members: Iterable[int]) -> "PairSet":
-        return PairSet(m, frozenset(members))
-
-    @property
-    def half(self) -> int:
-        return self.m // 2
-
-    @property
-    def mask(self) -> int:
-        v = 0
-        for x in self.members:
-            v |= 1 << x
-        return v
-
-    def opposite(self, x: int) -> int:
-        return (x + self.m // 2) % self.m
-
-    def is_free(self, x: int) -> bool:
-        return x not in self.members and self.opposite(x) not in self.members
-
-    def free_points(self) -> frozenset:
-        return frozenset(x for x in range(self.m) if self.is_free(x))
-
-    def free_pairs(self) -> list[int]:
-        """Representatives (< m/2) of the untouched opposite pairs."""
-        return [x for x in range(self.m // 2) if self.is_free(x)]
-
-    def is_full(self) -> bool:
-        return len(self.members) == self.m // 2
-
-    def rotate(self, c: int) -> "PairSet":
-        return PairSet(self.m, frozenset((x + c) % self.m for x in self.members))
-
-
-@total_ordering
-@dataclass(frozen=True)
-class IntervalWord:
-    """A fixed-length 0/1 word; earlier positions dominate the order."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(b in (0, 1) for b in self.bits):
-            raise PairSetError("word bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def _packed(self) -> int:
-        v = 0
-        for b in self.bits:
-            v = (v << 1) | b
-        return v
-
-    def __lt__(self, other: "IntervalWord") -> bool:
-        return lex_compare(self, other) < 0
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def lex_compare(u: IntervalWord, v: IntervalWord) -> int:
-    """-1, 0 or 1; the word with a 1 at the first differing position wins."""
-    if len(u) != len(v):
-        raise PairSetError(f"word lengths differ: {len(u)} vs {len(v)}")
-    pu, pv = u._packed(), v._packed()
-    return (pu > pv) - (pu < pv)
-
-
-def _coerce(a: Union[PairSet, Iterable[int]], m: Optional[int]) -> tuple[int, int]:
-    """Accept a PairSet or a plain point set (with explicit m); return (m, mask)."""
-    if isinstance(a, PairSet):
-        return a.m, a.mask
-    if m is None:
-        raise PairSetError("plain point sets need an explicit m")
-    mask = 0
-    for x in a:
-        if not 0 <= x < m:
-            raise PairSetError(f"point {x} outside [0, {m})")
-        mask |= 1 << x
-    return m, mask
 
 
 # Both caches hold one entry per distinct mask; ``verify-lemma all --m 16``
@@ -161,7 +56,7 @@ def _base_word(m: int, mask: int) -> int:
 
 
 def _rotation_words(m: int, mask: int) -> list[int]:
-    """Packed words of the restrictions to [x, x+m), indexed by x, cut from
+    """Packed words of the windows [x, x+m), indexed by x, cut from
     one doubled word; integer order = lex order."""
     w = _base_word(m, mask)
     doubled = (w << m) | w
@@ -177,47 +72,12 @@ def _max_point_info(m: int, mask: int) -> tuple[int, bool]:
     return words.index(top), words.count(top) == 1
 
 
-def restrict(a: Union[PairSet, Iterable[int]], x: int, r: int,
-             m: Optional[int] = None) -> IntervalWord:
-    """Indicator word of ``a`` on the cyclic interval [x, x+r)."""
-    m, mask = _coerce(a, m)
-    if not 1 <= r <= m:
-        raise PairSetError(f"interval length {r} outside [1, {m}]")
-    return IntervalWord(tuple((mask >> ((x + i) % m)) & 1 for i in range(r)))
+def maximal_point(m: int, mask: int) -> int:
+    """The unique m-maximal point of ``mask``.
 
-
-def is_r_maximal(a: Union[PairSet, Iterable[int]], x: int, r: int,
-                 m: Optional[int] = None) -> bool:
-    """Is [x, x+r) a lexicographically greatest length-r window of ``a``?"""
-    m, mask = _coerce(a, m)
-    if not 1 <= r <= m:
-        raise PairSetError(f"interval length {r} outside [1, {m}]")
-    words = _windows(m, mask, r)
-    return words[x % m] == max(words)
-
-
-def is_r_minimal(a: Union[PairSet, Iterable[int]], x: int, r: int,
-                 m: Optional[int] = None) -> bool:
-    m, mask = _coerce(a, m)
-    if not 1 <= r <= m:
-        raise PairSetError(f"interval length {r} outside [1, {m}]")
-    words = _windows(m, mask, r)
-    return words[x % m] == min(words)
-
-
-def maximal_point(a: Union[PairSet, Iterable[int]], m: Optional[int] = None) -> int:
-    """The unique m-maximal point of ``a``.
-
-    Unique for every pair set (and for a pair set with its free points
-    added); a tie on other inputs raises MaximalityTieError.
+    Unique for every nonempty pair set (and for a pair set with its free
+    points added); a tie on other inputs raises MaximalityTieError.
     """
-    m, mask = _coerce(a, m)
-    if mask == 0:
-        raise PairSetError("empty set has no maximal point")
-    return _unique_max_point(m, mask)
-
-
-def _unique_max_point(m: int, mask: int) -> int:
     x, unique = _max_point_info(m, mask)
     if not unique:
         raise MaximalityTieError(
@@ -251,42 +111,26 @@ def _free_mask(m: int, mask: int) -> int:
 
 
 def _fill_mask(m: int, mask: int, interval: int) -> int:
-    """``fill_interval`` on masks: ``mask`` plus its free points in ``interval``."""
+    """``mask`` plus its free points in ``interval``. An interval of at
+    most m/2 points holds no opposite pair, so the result is a pair set."""
     return mask | (_free_mask(m, mask) & interval)
 
 
-def a_max(a: PairSet) -> frozenset:
-    """``a`` with all its free points added (generally not a pair set)."""
-    return a.members | a.free_points()
-
-
-def fill_interval(a: PairSet, x: int, r: int) -> PairSet:
-    """Add every free point of [x, x+r) to ``a``.
-
-    Points of the interval opposite to members are not free and are not
-    added. r is capped at m/2 so the result is again a pair set.
-    """
-    if not 1 <= r <= a.m // 2:
-        raise PairSetError(f"fill length {r} outside [1, m/2]")
-    added = {(x + i) % a.m for i in range(r)}
-    return PairSet(a.m, a.members | {p for p in added if a.is_free(p)})
-
-
-def full_extensions(a: PairSet) -> Iterator[PairSet]:
-    """All full pair sets containing ``a`` (one choice per free pair)."""
-    free = a.free_pairs()
-    half = a.m // 2
-    for picks in itertools.product(*(((p, p + half) for p in free))):
-        yield PairSet(a.m, a.members | frozenset(picks))
-
-
-def _extension_masks(m: int, mask: int) -> Iterator[int]:
-    """Masks of the full pair sets containing ``mask`` (one pick per free pair)."""
+def extension_masks(m: int, mask: int) -> Iterator[int]:
+    """Masks of the full pair sets containing ``mask`` (one pick per free
+    pair, pair 0's pick varying slowest, its low point first)."""
     half = m // 2
     free = _free_mask(m, mask)
     choices = [(1 << p, 1 << (p + half)) for p in range(half) if (free >> p) & 1]
     for picks in itertools.product(*choices):
         yield mask | sum(picks)
+
+
+def partial_masks(m: int) -> Iterator[int]:
+    """Masks of the nonempty pair sets, pair 0's choice varying slowest."""
+    half = m // 2
+    choices = [(0, 1 << p, 1 << (p + half)) for p in range(half)]
+    return filter(None, map(sum, itertools.product(*choices)))
 
 
 @dataclass(frozen=True)
@@ -313,8 +157,8 @@ def _lift(residue: int, lo_exclusive: int, m: int) -> int:
     return lo_exclusive + 1 + ((residue - lo_exclusive - 1) % m)
 
 
-def key_params(a: PairSet) -> KeyParams:
-    """Compute steering parameters for ``a`` by the constructive case chain.
+def key_params(m: int, mask: int) -> KeyParams:
+    """Steering parameters for the pair set ``mask`` by the constructive case chain.
 
     Rotate so 0 is the maximal point of the set-with-frees-added, examine
     the maxima x_k of the completions that fill two adjacent quarter
@@ -323,18 +167,13 @@ def key_params(a: PairSet) -> KeyParams:
     (maximum already pinned, or a fully periodic free zone) return zero
     width. Output is exhaustively validated by ``verify_key_lemma``.
     """
-    return _key_params(a.m, a.mask)
-
-
-def _key_params(m: int, mask: int) -> KeyParams:
-    """``key_params`` of the pair set with point mask ``mask``."""
     mp = m // 4
-    u_star = _unique_max_point(m, mask | _free_mask(m, mask))
+    u_star = maximal_point(m, mask | _free_mask(m, mask))
     base = ((mask >> u_star) | (mask << (m - u_star))) & ((1 << m) - 1)
 
     def max_of(k: int) -> int:
         # the two quarters span m/2 points, so no fill blocks the other
-        return _unique_max_point(m, _fill_mask(m, base, _interval_mask(m, k * mp, 2 * mp)))
+        return maximal_point(m, _fill_mask(m, base, _interval_mask(m, k * mp, 2 * mp)))
 
     def out(s: int, t: int, z1: int, z2: int) -> KeyParams:
         return KeyParams(s, (t + u_star) % m, (z1 + u_star) % m, (z2 + u_star) % m)
@@ -357,19 +196,15 @@ def _key_params(m: int, mask: int) -> KeyParams:
     return out(0, 0, 0, 0)
 
 
-def verify_key_params(a: PairSet, p: KeyParams) -> bool:
+def key_params_hold(m: int, mask: int, p: KeyParams) -> bool:
     """Brute-force check of both window guarantees over all completions."""
-    return _key_params_hold(a.m, a.mask, p)
-
-
-def _key_params_hold(m: int, mask: int, p: KeyParams) -> bool:
     mp = m // 4
     checks = (
         (p.z1, (p.t - p.s) % m, p.s + 1),
         (p.z2, p.t, 2 * mp - p.s),
     )
     for z, lo, width in checks:
-        for ext in _extension_masks(m, _fill_mask(m, mask, _interval_mask(m, z, mp))):
+        for ext in extension_masks(m, _fill_mask(m, mask, _interval_mask(m, z, mp))):
             mx, unique = _max_point_info(m, ext)
             if not unique:
                 raise MaximalityTieError("full pair set with a non-unique maximum")
@@ -379,22 +214,7 @@ def _key_params_hold(m: int, mask: int, p: KeyParams) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# enumeration + exhaustive verification suites (driven by the CLI)
-
-def all_partial_pair_sets(m: int) -> Iterator[PairSet]:
-    return (PairSet.of(m, iter_bits(v)) for v in _partial_masks(m))
-
-
-def all_full_pair_sets(m: int) -> Iterator[PairSet]:
-    return (PairSet.of(m, iter_bits(v)) for v in _extension_masks(m, 0))
-
-
-def _partial_masks(m: int) -> Iterator[int]:
-    """Masks of the nonempty pair sets, pair 0's choice varying slowest."""
-    half = m // 2
-    choices = [(0, 1 << p, 1 << (p + half)) for p in range(half)]
-    return filter(None, map(sum, itertools.product(*choices)))
-
+# exhaustive verification suites (driven by the CLI)
 
 @dataclass
 class SuiteReport:
@@ -423,19 +243,19 @@ class SuiteReport:
 def verify_unique_max(m: int) -> SuiteReport:
     """Every partial pair set has exactly one m-maximal point."""
     checked, failures = 0, []
-    for mask in _partial_masks(m):
+    for mask in partial_masks(m):
         checked += 1
         _, unique = _max_point_info(m, mask)
         if not unique:
-            failures.append(PairSet.of(m, iter_bits(mask)))
+            failures.append(sorted(iter_bits(mask)))
     return SuiteReport("unique-max", m, checked, failures, {})
 
 
 def verify_not_min(m: int) -> SuiteReport:
     """Full pair set with 0 maximal: no point of [0, r] is r-minimal, r < m/2."""
     checked, failures = 0, []
-    for mask in _extension_masks(m, 0):
-        if _unique_max_point(m, mask) != 0:
+    for mask in extension_masks(m, 0):
+        if maximal_point(m, mask) != 0:
             continue
         for r in range(1, m // 2):
             words = _windows(m, mask, r)
@@ -443,33 +263,33 @@ def verify_not_min(m: int) -> SuiteReport:
             for x in range(r + 1):
                 checked += 1
                 if words[x] == low:
-                    failures.append((PairSet.of(m, iter_bits(mask)), x, r))
+                    failures.append((sorted(iter_bits(mask)), x, r))
     return SuiteReport("not-min", m, checked, failures, {})
 
 
 def verify_not_top(m: int) -> SuiteReport:
     """Full pair set, x m/4-maximal: the maximal point lies in (x - m/2, x]."""
     checked, failures = 0, []
-    for mask in _extension_masks(m, 0):
-        mx = _unique_max_point(m, mask)
+    for mask in extension_masks(m, 0):
+        mx = maximal_point(m, mask)
         for x in _r_maximal_points(m, mask, m // 4):
             checked += 1
             if (x - mx) % m >= m // 2:
-                failures.append((PairSet.of(m, iter_bits(mask)), x))
+                failures.append((sorted(iter_bits(mask)), x))
     return SuiteReport("not-top", m, checked, failures, {})
 
 
 def verify_least_max(m: int) -> SuiteReport:
     """With 0 m/4-maximal, the maximum is the first m/4-maximal point in (m/2, m]."""
     checked, failures = 0, []
-    for mask in _extension_masks(m, 0):
+    for mask in extension_masks(m, 0):
         top = _r_maximal_points(m, mask, m // 4)
         if top[0] != 0:
             continue
         checked += 1
         first = next((x for x in top if x > m // 2), 0)
-        if _unique_max_point(m, mask) != first:
-            failures.append((PairSet.of(m, iter_bits(mask)), first))
+        if maximal_point(m, mask) != first:
+            failures.append((sorted(iter_bits(mask)), first))
     return SuiteReport("least-max", m, checked, failures, {})
 
 
@@ -489,13 +309,13 @@ def verify_earliest_latest(m: int) -> SuiteReport:
     quarter = [row[mp] for row in interval]
     ext_maxima: dict = {}  # upper fill mask -> maxima of its full completions
     checked, failures = 0, []
-    for mask in _partial_masks(m):
+    for mask in partial_masks(m):
         free = _free_mask(m, mask)
         maximal_in_amax = _r_maximal_points(m, mask | free, mp)
         for y in range(m):
             # [y - m/4, y + m/4) spans m/2 points: no fill there blocks another
             upper = mask | free & quarter[y]
-            xp = _unique_max_point(m, mask | free & interval[(y - mp) % m][2 * mp])
+            xp = maximal_point(m, mask | free & interval[(y - mp) % m][2 * mp])
             for x in maximal_in_amax:
                 if free & interval[x][(y - x) % m]:
                     continue  # a free point inside [x, y)
@@ -503,7 +323,7 @@ def verify_earliest_latest(m: int) -> SuiteReport:
                 maxima = ext_maxima.get(upper)
                 if maxima is None:
                     maxima = ext_maxima[upper] = {
-                        _max_point_info(m, ext)[0] for ext in _extension_masks(m, upper)}
+                        _max_point_info(m, ext)[0] for ext in extension_masks(m, upper)}
                 ok_a = (x - xp) % m < m // 2
                 ok_b = xp in maximal_in_amax
                 dv = (xp - (y - mp)) % m
@@ -512,24 +332,24 @@ def verify_earliest_latest(m: int) -> SuiteReport:
                 ok_c = in_yx or not free & interval[xp][(y - mp - xp) % m]
                 ok_d = all((mx - xp) % m < width for mx in maxima)
                 if not (ok_a and ok_b and ok_c and ok_d):
-                    failures.append((PairSet.of(m, iter_bits(mask)), x, y, xp,
+                    failures.append((sorted(iter_bits(mask)), x, y, xp,
                                      ok_a, ok_b, ok_c, ok_d))
     return SuiteReport("earliest-latest", m, checked, failures, {})
 
 
 def verify_key_lemma(m: int, max_free_pairs: Optional[int] = None) -> SuiteReport:
-    """key_params output passes verify_key_params for every partial pair set."""
+    """key_params output passes key_params_hold for every partial pair set."""
     checked, skipped, failures = 0, 0, []
     max_s = 0
-    for mask in _partial_masks(m):
+    for mask in partial_masks(m):
         if max_free_pairs is not None and _free_mask(m, mask).bit_count() // 2 > max_free_pairs:
             skipped += 1
             continue
         checked += 1
-        p = _key_params(m, mask)
+        p = key_params(m, mask)
         max_s = max(max_s, p.s)
-        if not _key_params_hold(m, mask, p):
-            failures.append((PairSet.of(m, iter_bits(mask)), p))
+        if not key_params_hold(m, mask, p):
+            failures.append((sorted(iter_bits(mask)), p))
     notes = {"max_s_observed": max_s}
     if max_free_pairs is not None:
         notes["restricted_to_free_pairs"] = max_free_pairs
@@ -550,6 +370,7 @@ SUITES = {
 def run_suite(name: str, m: int, **kwargs) -> SuiteReport:
     if name not in SUITES:
         raise PairSetError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if m > 16:  # the enumerations grow as 3^(m/2); 16 is the largest size tested
-        raise PairSetError(f"m = {m} is above the largest suite size 16")
+    if m not in (4, 8, 16):  # the enumerations grow as 3^(m/2)
+        raise PairSetError(f"m must be a power of two from 4 up to the largest suite "
+                           f"size 16, got {m}")
     return SUITES[name](m, **kwargs)

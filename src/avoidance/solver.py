@@ -457,22 +457,27 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
         return None
 
     state = strat.initial
-    if not first:
-        cx = replies(0, 0, state, table_of(state), 0)
-    else:  # the owner opens: the same checks as an answer in ``replies``
-        try:
-            x, state = step(state, 0, 0, None)
-        except IllegalMoveError:
-            x = -1
-        if not 0 <= x < n or (minline <= 1 and loses_after(1 << x, x)):
-            cx = [x]
-        elif 1 << x == full:
-            leaves += 1
-            cx = [x] if win else None
-        else:
-            cx = replies(1 << x, 0, state, table_of(state), 0)
-            if cx is not None:
-                cx = [x] + cx
+    try:
+        if not first:
+            cx = replies(0, 0, state, table_of(state), 0)
+        else:  # the owner opens: the same checks as an answer in ``replies``
+            try:
+                x, state = step(state, 0, 0, None)
+            except IllegalMoveError:
+                x = -1
+            if not 0 <= x < n or (minline <= 1 and loses_after(1 << x, x)):
+                cx = [x]
+            elif 1 << x == full:
+                leaves += 1
+                cx = [x] if win else None
+            else:
+                cx = replies(1 << x, 0, state, table_of(state), 0)
+                if cx is not None:
+                    cx = [x] + cx
+    finally:
+        # ``replies`` refers to itself; unbinding it frees the memo now, not
+        # at the next cycle collection
+        del replies
     if cx is not None:
         return VerifyReport("counterexample", tuple(cx), leaves, "exhaustive")
     return VerifyReport("pass", None, leaves, "exhaustive")

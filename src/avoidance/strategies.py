@@ -106,10 +106,6 @@ class OddBucketStrategy(Strategy):
         raise StrategyInvariantError("no rule applies (all buckets full?)")
 
 
-def odd_bucket_strategy(p: int, q: int) -> OddBucketStrategy:
-    return OddBucketStrategy(p, q)
-
-
 # ---------------------------------------------------------------------------
 # shared skeleton for the pair-board and bin-board strategies
 
@@ -228,10 +224,6 @@ class PairsStrategy(_MirrorCore):
         return point, (phase, point, state[2])
 
 
-def pairs_strategy(b: int) -> PairsStrategy:
-    return PairsStrategy(b)
-
-
 class EvenGeneralStrategy(_MirrorCore):
     """First-player strategy for the bin game on b * 2^a points.
 
@@ -258,9 +250,9 @@ class EvenGeneralStrategy(_MirrorCore):
         for j in range(self.b):
             mine = (a >> (j * self.m)) & self.binmask
             if j < upto:
-                total += _ps._unique_max_point(self.m, mine)
+                total += _ps.maximal_point(self.m, mine)
             elif j > upto:
-                total += _ps._key_params(self.m, mine).t
+                total += _ps.key_params(self.m, mine).t
         return total % self.m
 
     def _close_finished_bins(self, a, taken, cur_bin, fill_z, r_bin, guess, t_cur):
@@ -269,11 +261,11 @@ class EvenGeneralStrategy(_MirrorCore):
         while cur_bin is not None and cur_bin < self.b \
                 and ((taken >> (cur_bin * self.m)) & binmask) == binmask:
             mine = (a >> (cur_bin * self.m)) & binmask
-            u = _ps._unique_max_point(self.m, mine)
+            u = _ps.maximal_point(self.m, mine)
             if guess is not None:
                 t = t_cur
                 if t is None:
-                    t = _ps._key_params(self.m, mine).t
+                    t = _ps.key_params(self.m, mine).t
                 guess = (guess + u - t) % self.m
                 if guess >= self.half:
                     raise StrategyInvariantError(
@@ -321,7 +313,7 @@ class EvenGeneralStrategy(_MirrorCore):
             else:
                 raise StrategyInvariantError("no interval start fits the guess window")
         elif fill_z is None and guess is not None:
-            kp = _ps._key_params(self.m, (a >> (j * self.m)) & self.binmask)
+            kp = _ps.key_params(self.m, (a >> (j * self.m)) & self.binmask)
             t_cur = kp.t
             fill_z = kp.z1 if (guess - kp.s) % self.m < self.half else kp.z2
         free = ~(taken >> (j * self.m)) & self.binmask
@@ -335,10 +327,6 @@ class EvenGeneralStrategy(_MirrorCore):
                 y = (fill_z + (window & -window).bit_length() - 1) % self.m
         point = j * self.m + y
         return point, (phase, point, forbidden, cur_bin, fill_z, r_bin, guess, t_cur)
-
-
-def even_general_strategy(a: int, b: int) -> EvenGeneralStrategy:
-    return EvenGeneralStrategy(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +362,6 @@ class TorusPairingStrategy(Strategy):
 
     def pairing(self, state):
         return self._pairs
-
-
-def torus_pairing_strategy(d: int) -> TorusPairingStrategy:
-    return TorusPairingStrategy(d)
 
 
 class InvolutionPairingStrategy(Strategy):
@@ -450,10 +434,6 @@ class CopyMirrorStrategy(Strategy):
             self.f[i] * n0 + v for i in range(1, self.c) for v in range(n0))
 
 
-def copy_mirror_strategy(base: Strategy, c: int) -> CopyMirrorStrategy:
-    return CopyMirrorStrategy(base, c)
-
-
 class ProductStrategy(CopyMirrorStrategy):
     """Pair-game strategy in the zero torus layer, antipodal mirror elsewhere.
 
@@ -465,10 +445,6 @@ class ProductStrategy(CopyMirrorStrategy):
         self.name = f"product({d})"
         self.d = d
         self.f = _negation_table(d)
-
-
-def product_strategy(d: int) -> ProductStrategy:
-    return ProductStrategy(d)
 
 
 # ---------------------------------------------------------------------------

@@ -133,23 +133,42 @@ def ref_is_r_maximal(members, m: int, x: int, r: int) -> bool:
     return all(word_string(members, m, y, r) <= wx for y in range(m))
 
 
-def brute_key_params(a):
-    """``pairset.key_params`` on ``PairSet`` objects, one quarter fill at a time.
+def ref_free_points(members, m: int) -> frozenset:
+    """Points of Z_m neither in ``members`` nor opposite a member."""
+    half = m // 2
+    return frozenset(x for x in range(m)
+                     if x not in members and (x + half) % m not in members)
 
-    The set-based form the mask kernel replaced: rotate with
-    ``PairSet.rotate``, fill each quarter with ``fill_interval`` and take
-    every maximum with ``maximal_point``.
+
+def ref_fill(members, m: int, x: int, r: int) -> frozenset:
+    """``members`` plus the free points of the cyclic interval [x, x+r)."""
+    free = ref_free_points(members, m)
+    return frozenset(members) | {(x + i) % m for i in range(r) if (x + i) % m in free}
+
+
+def brute_key_params(members, m: int):
+    """``pairset.key_params`` on frozensets, one quarter fill at a time.
+
+    Rotates the set, fills each quarter with ``ref_fill`` and takes every
+    maximum from ``ref_maximal_points`` (which must be unique), so no
+    package kernel but the ``KeyParams`` record is involved.
     """
-    from avoidance.pairset import KeyParams, a_max, fill_interval, maximal_point
+    from avoidance.pairset import KeyParams
 
-    m = a.m
+    members = frozenset(members)
     mp = m // 4
-    u_star = maximal_point(a_max(a), m=m)
-    base = a.rotate(-u_star)
+
+    def maximum(s) -> int:
+        points = ref_maximal_points(s, m)
+        assert len(points) == 1, (sorted(s), points)
+        return points[0]
+
+    u_star = maximum(members | ref_free_points(members, m))
+    base = frozenset((x - u_star) % m for x in members)
 
     def max_of(k: int) -> int:
-        filled = fill_interval(base, (k * mp) % m, mp)
-        return maximal_point(fill_interval(filled, ((k + 1) * mp) % m, mp))
+        filled = ref_fill(base, m, (k * mp) % m, mp)
+        return maximum(ref_fill(filled, m, ((k + 1) * mp) % m, mp))
 
     def lift(residue: int, lo_exclusive: int) -> int:
         return lo_exclusive + 1 + ((residue - lo_exclusive - 1) % m)

@@ -135,6 +135,15 @@ def test_verify_lemma_oversize_m_is_refused_at_once(capsys):
     assert "largest suite size 16" in err
 
 
+@pytest.mark.parametrize("m", [0, -4, 2, 3, 6, 12, 32])
+def test_verify_lemma_m_outside_the_suite_sizes_is_refused(capsys, m):
+    # refused before anything is enumerated, with the same message for all
+    rc, out, err = run_cli(capsys, "verify-lemma", "all", "--m", str(m))
+    assert rc == 2 and out == ""
+    assert err == f"error: m must be a power of two from 4 up to the largest suite " \
+                  f"size 16, got {m}\n"
+
+
 def test_verify_lemma_counts(capsys):
     rc, out, _ = run_cli(capsys, "verify-lemma", "key-lemma", "--m", "8")
     assert rc == 0
@@ -257,12 +266,15 @@ def test_closed_output_pipes_never_exit_with_a_verdict():
     assert proc.returncode not in (0, 1)
 
 
-# the child prints its own peak resident set on stderr after the CLI returns
-_PEAK_RSS = ("import resource, sys\n"
+# the child prints its own peak resident set on stderr after the CLI returns;
+# ru_maxrss would not do: Linux carries the parent's peak into it across
+# fork and exec, so it would report the test runner's peak
+_PEAK_RSS = ("import sys\n"
              "from avoidance.cli import main\n"
              "rc = main(sys.argv[1:])\n"
-             "print('peak_kib', resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,"
-             " file=sys.stderr)\n"
+             "peak = [l.split()[1] for l in open('/proc/self/status')\n"
+             "        if l.startswith('VmHWM')]\n"
+             "print('peak_kib', peak[0], file=sys.stderr)\n"
              "sys.exit(rc)\n")
 
 

@@ -101,6 +101,17 @@ def test_graph_boards_build_up_to_the_documented_size(family, last):
         C.parse_game_spec(f"{family}({last + 1})")
 
 
+@pytest.mark.parametrize("last,refused", [("odd_composite(511,511)", "odd_composite(513,513)"),
+                                          ("even_general(16,3)", "even_general(17,3)"),
+                                          ("even_general(2,65535)", "even_general(2,65537)")])
+def test_implicit_boards_build_up_to_the_documented_size(last, refused):
+    # implicit stores build no line tables, so only the two generator
+    # images count: 8 words a point, at most 262144 points
+    assert C.parse_game_spec(last).n in (261121, 196608, 262140)
+    with pytest.raises(GameError, match="work budget"):
+        C.parse_game_spec(refused)
+
+
 def test_affine_user_bases_over_the_budget_are_refused():
     # the lines are every (n-1)/2-subset outside the allowed family
     with pytest.raises(GameError, match="work budget"):

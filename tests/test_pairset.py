@@ -2,163 +2,117 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidance import pairset as ps
+from avoidance.core import mask_of, set_of
 from avoidance.pairset import (
-    IntervalWord, KeyParams, MaximalityTieError, PairSet, a_max,
-    all_full_pair_sets, all_partial_pair_sets, fill_interval, full_extensions,
-    is_r_maximal, is_r_minimal, key_params, lex_compare, maximal_point,
-    restrict, run_suite, verify_key_params,
+    KeyParams, MaximalityTieError, extension_masks, key_params, key_params_hold,
+    maximal_point, partial_masks, run_suite,
 )
 
-from oracles import brute_key_params, ref_is_r_maximal, ref_maximal_points
-
-
-def w(bits: str) -> IntervalWord:
-    return IntervalWord(tuple(int(c) for c in bits))
-
-
-def test_pair_set_validation():
-    with pytest.raises(ps.PairSetError):
-        PairSet.of(6, [0])          # not a power of two
-    with pytest.raises(ps.PairSetError):
-        PairSet.of(4, [])           # empty
-    with pytest.raises(ps.PairSetError):
-        PairSet.of(4, [0, 2])       # both of an opposite pair
-    with pytest.raises(ps.PairSetError):
-        PairSet.of(4, [4])          # out of range
-    a = PairSet.of(8, [0, 1, 7])
-    assert a.free_pairs() == [2]
-    assert not a.is_full()
-    assert PairSet.of(4, [1, 2]).is_full()
-
-
-def test_lex_compare_examples():
-    assert lex_compare(w("1100"), w("1001")) > 0
-    assert lex_compare(w("0011"), w("0011")) == 0
-    assert lex_compare(w("0110"), w("1000")) < 0
-    with pytest.raises(ps.PairSetError):
-        lex_compare(w("10"), w("100"))
-    assert w("1100") > w("1011")        # rich comparisons agree
+from oracles import (brute_key_params, ref_fill, ref_free_points, ref_is_r_maximal,
+                     ref_maximal_points, word_string)
 
 
 def test_superset_word_compares_geq():
     # on a fixed interval, a superset's word never loses
     m = 8
-    for a in all_partial_pair_sets(m):
-        bigger = a_max(a)
+    for a in partial_masks(m):
+        bigger = a | ps._free_mask(m, a)
+        small, big = ps._windows(m, a, 4), ps._windows(m, bigger, 4)
         for x in (0, 3):
-            assert not restrict(a, x, 4) > restrict(bigger, x, 4, m=m)
-
-
-def test_restrict_examples():
-    a = PairSet.of(4, [0, 1])
-    assert str(restrict(a, 0, 4)) == "1100"
-    assert str(restrict(a, 2, 4)) == "0011"
-    assert str(restrict(a, 3, 2)) == "01"
-    with pytest.raises(ps.PairSetError):
-        restrict(a, 0, 5)
-    with pytest.raises(ps.PairSetError):
-        restrict({0, 1}, 0, 2)      # plain set without m
+            assert small[x] <= big[x]
 
 
 def test_opposite_shift_property_full_sets():
     # complement of a full pair set = the set shifted by m/2, so its word
     # at x is the bitwise NOT of the original's word at x
     m = 8
-    board = set(range(m))
-    for a in all_full_pair_sets(m):
-        comp = frozenset(board - a.members)
+    for a in extension_masks(m, 0):
+        comp = ((1 << m) - 1) ^ a
+        words, comp_words = ps._windows(m, a, m), ps._windows(m, comp, m)
         for x in range(m):
-            got = restrict(comp, x, m, m=m)
-            swapped = restrict(a.members, (x + m // 2) % m, m, m=m)
-            assert got == swapped
-            flipped = tuple(1 - b for b in restrict(a, x, m).bits)
-            assert got.bits == flipped
+            assert comp_words[x] == words[(x + m // 2) % m]
+            assert comp_words[x] == ((1 << m) - 1) ^ words[x]
+            assert comp_words[x] == int(word_string(set_of(comp), m, x, m), 2)
 
 
 def test_is_r_maximal_matches_oracle():
     m = 8
-    for a in all_partial_pair_sets(m):
-        for x in range(m):
-            for r in (1, 2, 4, 8):
-                assert is_r_maximal(a, x, r) == ref_is_r_maximal(a.members, m, x, r)
+    for a in partial_masks(m):
+        for r in (1, 2, 4, 8):
+            assert ps._r_maximal_points(m, a, r) == [
+                x for x in range(m) if ref_is_r_maximal(set_of(a), m, x, r)]
 
 
 def test_r_maximal_downward():
     # an r-maximal point is r'-maximal for every r' <= r
     m = 8
-    for a in all_partial_pair_sets(m):
-        for x in range(m):
-            if is_r_maximal(a, x, m):
-                assert all(is_r_maximal(a, x, r) for r in range(1, m))
+    for a in partial_masks(m):
+        for x in ps._r_maximal_points(m, a, m):
+            assert all(x in ps._r_maximal_points(m, a, r) for r in range(1, m))
 
 
 def test_composition_of_maximal_windows():
     # x r-maximal and x+r r'-maximal imply x (r+r')-maximal, any subset
     m = 8
-    for bits in range(1, 1 << m):
-        members = {i for i in range(m) if (bits >> i) & 1}
-        for x in range(m):
-            for r in range(1, m):
-                if not is_r_maximal(members, x, r, m=m):
-                    continue
+    for a in range(1, 1 << m):
+        tops = {r: set(ps._r_maximal_points(m, a, r)) for r in range(1, m + 1)}
+        for r in range(1, m):
+            for x in tops[r]:
                 for rp in range(1, m - r + 1):
-                    if is_r_maximal(members, (x + r) % m, rp, m=m):
-                        assert is_r_maximal(members, x, r + rp, m=m)
+                    if (x + r) % m in tops[rp]:
+                        assert x in tops[r + rp]
 
 
 def test_maximal_point_examples():
-    assert maximal_point(PairSet.of(4, [0, 1])) == 0
-    assert maximal_point(PairSet.of(4, [0, 3])) == 3
+    assert maximal_point(4, 0b0011) == 0
+    assert maximal_point(4, 0b1001) == 3
     for m in (4, 8):
-        for a in all_partial_pair_sets(m):
-            assert [maximal_point(a)] == ref_maximal_points(a.members, m)
+        for a in partial_masks(m):
+            assert [maximal_point(m, a)] == ref_maximal_points(set_of(a), m)
     with pytest.raises(MaximalityTieError):
-        maximal_point({0, 2}, m=4)   # periodic set, not a pair set
+        maximal_point(4, 0b0101)    # periodic set, not a pair set
 
 
 def test_complement_shifts_maximal_point():
     for m in (4, 8, 16):
-        board = set(range(m))
-        for a in all_full_pair_sets(m):
-            comp = board - a.members
-            assert maximal_point(comp, m=m) == (maximal_point(a) + m // 2) % m
+        for a in extension_masks(m, 0):
+            comp = ((1 << m) - 1) ^ a
+            assert maximal_point(m, comp) == (maximal_point(m, a) + m // 2) % m
 
 
 def test_a_max_examples():
-    assert a_max(PairSet.of(4, [0])) == {0, 1, 3}
-    full = PairSet.of(8, [0, 1, 2, 3])
-    assert a_max(full) == full.members
-    for a in all_partial_pair_sets(8):
-        maximal_point(a_max(a), m=8)   # unique, or this raises
+    assert 0b0001 | ps._free_mask(4, 0b0001) == 0b1011
+    assert ps._free_mask(8, 0b1111) == 0
+    for a in partial_masks(8):
+        maximal_point(8, a | ps._free_mask(8, a))   # unique, or this raises
 
 
 def test_fill_interval_examples():
-    a = PairSet.of(4, [0])
-    assert fill_interval(a, 1, 1).members == {0, 1}
-    assert fill_interval(a, 2, 1).members == {0}   # 2 is opposite to 0
-    for b in all_partial_pair_sets(8):
-        filled = fill_interval(fill_interval(b, 0, 4), 4, 4)
-        assert filled.is_full()
-    with pytest.raises(ps.PairSetError):
-        fill_interval(a, 0, 3)      # longer than m/2
+    assert ps._fill_mask(4, 0b0001, ps._interval_mask(4, 1, 1)) == 0b0011
+    assert ps._fill_mask(4, 0b0001, ps._interval_mask(4, 2, 1)) == 0b0001  # 2 is opposite 0
+    for b in partial_masks(8):
+        filled = ps._fill_mask(8, b, ps._interval_mask(8, 0, 4))
+        filled = ps._fill_mask(8, filled, ps._interval_mask(8, 4, 4))
+        assert filled.bit_count() == 4 and ps._free_mask(8, filled) == 0
 
 
 def test_mask_fills_and_window_maxima_match_the_set_versions():
     # the earliest-latest suite works on masks; hold its helpers to the
-    # PairSet operations it replaced
+    # frozenset oracles
     m, mp = 8, 2
-    for a in all_partial_pair_sets(m):
+    for a in partial_masks(m):
+        members = set_of(a)
         for y in range(m):
-            upper = fill_interval(a, y, mp)
-            lower = fill_interval(upper, (y - mp) % m, mp)
-            got_upper = ps._fill_mask(m, a.mask, ps._interval_mask(m, y, mp))
+            upper = ref_fill(members, m, y, mp)
+            lower = ref_fill(upper, m, (y - mp) % m, mp)
+            got_upper = ps._fill_mask(m, a, ps._interval_mask(m, y, mp))
             got_lower = ps._fill_mask(m, got_upper, ps._interval_mask(m, y - mp, mp))
-            assert (got_upper, got_lower) == (upper.mask, lower.mask)
-        amax = a_max(a)
-        amax_mask = sum(1 << x for x in amax)
-        assert amax_mask == a.mask | ps._free_mask(m, a.mask)
+            assert (got_upper, got_lower) == (mask_of(upper), mask_of(lower))
+        amax = members | ref_free_points(members, m)
+        amax_mask = mask_of(amax)
+        assert amax_mask == a | ps._free_mask(m, a)
         assert ps._r_maximal_points(m, amax_mask, mp) == \
-            [x for x in range(m) if is_r_maximal(amax, x, mp, m=m)]
+            [x for x in range(m) if ref_is_r_maximal(amax, m, x, mp)]
 
 
 def test_earliest_latest_keeps_the_tie_check(monkeypatch):
@@ -168,14 +122,17 @@ def test_earliest_latest_keeps_the_tie_check(monkeypatch):
 
 
 def test_full_extensions_count():
-    a = PairSet.of(8, [0])
-    assert len(list(full_extensions(a))) == 2 ** 3
+    assert len(set(extension_masks(8, 0b0001))) == 2 ** 3
+    # pair 0's pick varies slowest, its low point first
+    assert list(extension_masks(4, 0)) == [0b0011, 0b1001, 0b0110, 0b1100]
+    for ext in extension_masks(8, 0b0011):
+        assert ext & 0b0011 == 0b0011 and ps._free_mask(8, ext) == 0
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
 def test_key_params_kernel_matches_the_pair_set_construction(m):
-    for a in all_partial_pair_sets(m):
-        assert ps._key_params(m, a.mask) == brute_key_params(a), sorted(a.members)
+    for a in partial_masks(m):
+        assert key_params(m, a) == brute_key_params(set_of(a), m), sorted(set_of(a))
 
 
 def test_kernel_caches_are_bounded():
@@ -185,35 +142,33 @@ def test_kernel_caches_are_bounded():
 
 
 def test_key_params_spec_case():
-    a = PairSet.of(4, [0])
-    kp = key_params(a)
-    assert verify_key_params(a, kp)
+    kp = key_params(4, 0b0001)
+    assert key_params_hold(4, 0b0001, kp)
     # the documented alternative parameters are also valid
-    assert verify_key_params(a, KeyParams(0, 3, 3, 1))
+    assert key_params_hold(4, 0b0001, KeyParams(0, 3, 3, 1))
 
 
 def test_key_params_full_set_is_pinned():
-    a = PairSet.of(8, [1, 2, 4, 7])
-    kp = key_params(a)
-    assert kp.s == 0 and kp.t == maximal_point(a)
-    assert verify_key_params(a, kp)
+    a = mask_of([1, 2, 4, 7])
+    kp = key_params(8, a)
+    assert kp.s == 0 and kp.t == maximal_point(8, a)
+    assert key_params_hold(8, a, kp)
 
 
 def test_verify_key_params_degenerate_s():
-    a = PairSet.of(8, [0, 1])
     # s = m makes the first window the whole circle: vacuously fine;
     # the second window has negative width and must fail
-    assert not verify_key_params(a, KeyParams(8, 0, 0, 0))
+    assert not key_params_hold(8, 0b0011, KeyParams(8, 0, 0, 0))
 
 
 def test_verify_key_params_rejects_corrupted_t():
     found = False
-    for a in all_partial_pair_sets(8):
-        if len(a.free_pairs()) < 2:
+    for a in partial_masks(8):
+        if ps._free_mask(8, a).bit_count() < 4:   # fewer than 2 free pairs
             continue
-        good = key_params(a)
+        good = key_params(8, a)
         bad = KeyParams(good.s, (good.t + 1) % 8, good.z1, good.z2)
-        if not verify_key_params(a, bad):
+        if not key_params_hold(8, a, bad):
             found = True
             break
     assert found
@@ -222,10 +177,12 @@ def test_verify_key_params_rejects_corrupted_t():
 def test_opposite_flip_full_sets():
     # x r-maximal iff x + m/2 r-minimal, for full pair sets
     m = 8
-    for a in all_full_pair_sets(m):
-        for x in range(m):
-            for r in (1, 2, 3, 4, 8):
-                assert is_r_maximal(a, x, r) == is_r_minimal(a, (x + m // 2) % m, r)
+    for a in extension_masks(m, 0):
+        for r in (1, 2, 3, 4, 8):
+            words = ps._windows(m, a, r)
+            top, low = max(words), min(words)
+            for x in range(m):
+                assert (words[x] == top) == (words[(x + m // 2) % m] == low)
 
 
 @pytest.mark.parametrize("m", [4, 8])
@@ -242,13 +199,14 @@ def test_run_suite_rejects_unknown():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255),
-       st.integers(min_value=1, max_value=8))
-def test_lex_order_matches_string_order(x, y, r):
-    u = IntervalWord(tuple((x >> i) & 1 for i in range(r)))
-    v = IntervalWord(tuple((y >> i) & 1 for i in range(r)))
-    assert (u < v) == (str(u) < str(v))
-    assert (u == v) == (str(u) == str(v))
+@given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=7),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=8))
+def test_lex_order_matches_string_order(a, x, y, r):
+    # packed window words compare as their indicator strings
+    words, members = ps._windows(8, a, r), set_of(a)
+    u, v = word_string(members, 8, x, r), word_string(members, 8, y, r)
+    assert (words[x] < words[y]) == (u < v)
+    assert (words[x] == words[y]) == (u == v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,12 +214,10 @@ def test_lex_order_matches_string_order(x, y, r):
        st.data())
 def test_key_params_random_cases_verify(m, data):
     half = m // 2
-    members = set()
+    a = 0
     for p in range(half):
         side = data.draw(st.sampled_from((None, 0, 1)))
         if side is not None:
-            members.add(p + side * half)
-    if not members:
-        members = {0}
-    a = PairSet.of(m, members)
-    assert verify_key_params(a, key_params(a))
+            a |= 1 << (p + side * half)
+    a = a or 1
+    assert key_params_hold(m, a, key_params(m, a))

@@ -29,19 +29,19 @@ def run_history(strategy, moves):
 
 
 def test_odd_bucket_opening_and_rule1():
-    s = S.odd_bucket_strategy(3, 3)
+    s = S.OddBucketStrategy(3, 3)
     x, st = s.step(s.initial, 0, 0, None)
     assert x == 0                       # open bucket 0
     # adversary answers inside bucket 0 -> rule 1 keeps us there
     assert s.step(st, 0b1, 0b10, 1)[0] == 2
     # now bucket 0 is full for us; adversary plays bucket 1 -> rule 2 opens
-    s2 = S.odd_bucket_strategy(3, 3)
+    s2 = S.OddBucketStrategy(3, 3)
     _, st2 = s2.step(s2.initial, 0, 0, None)
     assert s2.step(st2, 0b1, 0b1000, 3)[0] == 6  # bucket 1 not active (we have 0 there)
 
 
 def test_pairs_strategy_first_move_and_mirror():
-    s = S.pairs_strategy(3)
+    s = S.PairsStrategy(3)
     x, st = s.step(s.initial, 0, 0, None)
     assert x == 0                       # (0, 0)
     # adversary plays (2,0): not a trigger; we mirror to (2,1)
@@ -51,7 +51,7 @@ def test_pairs_strategy_first_move_and_mirror():
 def test_pairs_strategy_direct_win_branch_shapes():
     # adversary stray lands one pair after our unmatched point: we double it
     g = C.pairs_game(3)
-    s = S.pairs_strategy(3)
+    s = S.PairsStrategy(3)
     x, st = s.step(s.initial, 0, 0, None)
     assert x == 0
     x, st = s.step(st, 0b1, 0b100, 2)   # (1,0): pair distance 1 -> direct
@@ -59,12 +59,12 @@ def test_pairs_strategy_direct_win_branch_shapes():
     phase, _, forbidden = st
     assert phase == "direct" and forbidden == 3
     # finish all play-outs from here and check the final shape
-    r = verify_strategy(g, S.pairs_strategy(3), Player.ONE, Goal.WIN)
+    r = verify_strategy(g, S.PairsStrategy(3), Player.ONE, Goal.WIN)
     assert r.passed
 
 
 def test_pairs_strategy_determinism():
-    s = S.pairs_strategy(5)
+    s = S.PairsStrategy(5)
     moves = [0, 9, 8, 1, 2, 7, 6, 3, 4, 5]
     first = run_history(s, moves)
     second = run_history(s, moves)
@@ -75,7 +75,7 @@ def test_pairs_direct_win_final_shape():
     # drive the direct branch to the end: our final set must hold both of
     # the doubled pair and neither of the adversary's stray pair
     g = C.pairs_game(5)
-    s = S.pairs_strategy(5)
+    s = S.PairsStrategy(5)
     a = b = 0
     x, st = s.step(s.initial, a, b, None)   # (0,0)
     a |= 1 << x
@@ -100,10 +100,10 @@ def test_pairs_direct_win_final_shape():
 
 
 def test_even_strategy_first_move_and_guess_invariant():
-    s = S.even_general_strategy(2, 3)
+    s = S.EvenGeneralStrategy(2, 3)
     assert s.step(s.initial, 0, 0, None)[0] == 0
     # a full exhaustive run exercises the guess bookkeeping and its asserts
-    r = verify_strategy(C.even_general(2, 3), S.even_general_strategy(2, 3),
+    r = verify_strategy(C.even_general(2, 3), S.EvenGeneralStrategy(2, 3),
                         Player.ONE, Goal.WIN)
     assert r.passed
 
@@ -112,7 +112,7 @@ def test_even_strategy_m8_sampled():
     # m = 8 exercises nonzero direct-win windows and the interval claims;
     # the full exhaustive run (n = 24) also passes but takes ~2 minutes,
     # so the regular suite samples
-    r = verify_strategy(C.even_general(3, 3), S.even_general_strategy(3, 3),
+    r = verify_strategy(C.even_general(3, 3), S.EvenGeneralStrategy(3, 3),
                         Player.ONE, Goal.WIN, mode="sampled",
                         samples=3000, seed=99)
     assert r.passed
@@ -144,7 +144,7 @@ def _owner_final_masks(game, strat, samples, seed):
 def test_even_strategy_m8_owner_moves_are_pinned():
     # computed before the strategy read its bins as masks; a sampled pass
     # cannot see a changed move that still wins
-    got = _owner_final_masks(C.even_general(3, 3), S.even_general_strategy(3, 3), 20, 33)
+    got = _owner_final_masks(C.even_general(3, 3), S.EvenGeneralStrategy(3, 3), 20, 33)
     assert got == [
         0xc30b1f, 0x3c3497, 0x3c34d3, 0x5ac22f, 0x2d1af1, 0xd2c395, 0x2d431f,
         0xe11e95, 0x87073d, 0xc30d3d, 0x87851f, 0xa51e59, 0x87941f, 0x3ca13d,
@@ -152,7 +152,7 @@ def test_even_strategy_m8_owner_moves_are_pinned():
 
 
 def test_even_strategy_type2_trigger():
-    s = S.even_general_strategy(3, 3)   # m = 8, windows are nonempty
+    s = S.EvenGeneralStrategy(3, 3)   # m = 8, windows are nonempty
     x, st = s.step(s.initial, 0, 0, None)
     assert x == 0                       # extra = (0,0)
     # same bin, displacement 1 in (0, m/4)
@@ -166,8 +166,8 @@ def test_even_strategy_type2_trigger():
 def _steered_bin_masks(m: int) -> list:
     # the partial pair sets whose two key-lemma windows differ; for m <= 8
     # there are none, so only m = 16 exercises the steering
-    return [v for v in pairset._partial_masks(m)
-            if pairset._key_params(m, v).z1 != pairset._key_params(m, v).z2]
+    return [v for v in pairset.partial_masks(m)
+            if pairset.key_params(m, v).z1 != pairset.key_params(m, v).z2]
 
 
 def _in_bin_2(v: int, m: int = 16) -> tuple:
@@ -179,11 +179,11 @@ def test_even_strategy_steers_a_later_bin_into_the_z1_window():
     # endgame state (phase, extra, forbidden, cur_bin, fill_z, r_bin, guess,
     # t_cur): bin 2 is current and the guess is set; the adversary holds
     # the opposite of each of our points there
-    m, s = 16, S.even_general_strategy(4, 3)
+    m, s = 16, S.EvenGeneralStrategy(4, 3)
     masks = _steered_bin_masks(m)
     assert len(masks) == 48
     for v in masks:
-        kp = pairset._key_params(m, v)
+        kp = pairset.key_params(m, v)
         a, b = _in_bin_2(v)
         window = [(kp.z1 + i) % m for i in range(m // 4)]
         want = 2 * m + next(y for y in window if not ((a | b) >> (2 * m + y)) & 1)
@@ -202,9 +202,9 @@ def test_even_strategy_places_the_r_bin_window_from_later_bins_t():
     # partial pair set whose t (6) is not its z1 (8): the guess terms are
     # 0 + 6, so the window start u is the first with (6 + u) % 16 in [4, 8),
     # which is 0 (z1 in place of t would give 12)
-    m, s = 16, S.even_general_strategy(4, 3)
+    m, s = 16, S.EvenGeneralStrategy(4, 3)
     v = _steered_bin_masks(m)[0]
-    kp = pairset._key_params(m, v)
+    kp = pairset.key_params(m, v)
     assert (kp.s, kp.t, kp.z1) == (0, 6, 8)
     a, b = _in_bin_2(v)
     a, b = a | 0xFF, b | 0xFF00
@@ -212,7 +212,7 @@ def test_even_strategy_places_the_r_bin_window_from_later_bins_t():
     assert (x, state[4]) == (m, 0)
 
 
-@pytest.mark.parametrize("strat,m", [(S.pairs_strategy(5), 2), (S.even_general_strategy(3, 3), 8)],
+@pytest.mark.parametrize("strat,m", [(S.PairsStrategy(5), 2), (S.EvenGeneralStrategy(3, 3), 8)],
                          ids=["pairs", "even-general"])
 def test_direct_mode_matches_the_point_scan(strat, m):
     # answer q with its opposite if admissible, else take the lowest
@@ -248,7 +248,7 @@ def test_direct_mode_matches_the_point_scan(strat, m):
 
 
 def test_torus_pairing_negation_table():
-    s = S.torus_pairing_strategy(2)
+    s = S.TorusPairingStrategy(2)
     x, st = s.step(s.initial, 0, 0, None)
     assert x == 0
     # (1,2) -> negation (2,1) = index 7
@@ -258,8 +258,8 @@ def test_torus_pairing_negation_table():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_negation_table_is_the_torus_negation(d):
     neg = tuple(C.torus(3, d).generators[-1].image)  # pointwise negation
-    assert S.torus_pairing_strategy(d).neg == neg
-    assert S.product_strategy(d).f == neg
+    assert S.TorusPairingStrategy(d).neg == neg
+    assert S.ProductStrategy(d).f == neg
 
 
 def test_involution_pairing_requires_fpf():
@@ -291,14 +291,14 @@ def test_pairs_group_has_no_pairing_involution():
 def test_copy_mirror_single_copy_equals_base():
     base_game = C.pairs_game(3)
     solo = C.disjoint_copies(base_game, 1)
-    r = verify_strategy(solo, S.copy_mirror_strategy(S.pairs_strategy(3), 1),
+    r = verify_strategy(solo, S.CopyMirrorStrategy(S.PairsStrategy(3), 1),
                         Player.ONE, Goal.WIN)
     assert r.passed
 
 
 def test_copy_mirror_never_emits_claimed_points():
     game = C.disjoint_copies(C.pairs_game(3), 3)
-    strat = S.copy_mirror_strategy(S.pairs_strategy(3), 3)
+    strat = S.CopyMirrorStrategy(S.PairsStrategy(3), 3)
     rng = random.Random(2)
     for _ in range(200):
         st, q = strat.initial, None
@@ -440,9 +440,9 @@ class _NextPointStrategy(S.Strategy):
 SAMPLED_REPORTS = [
     ("pairs(5)", lambda g: S.strategy_for(g, "lowest"), Goal.WIN, 50, 3,
      1, [0, 4, 1, 7, 2, 9, 3, 5, 6, 8]),
-    ("matching(3)", lambda g: S.pairs_strategy(3), Goal.WIN, 200, 1,
+    ("matching(3)", lambda g: S.PairsStrategy(3), Goal.WIN, 200, 1,
      4, [0, 4, 5, 2, 1, 3]),
-    ("cycle(18)", lambda g: S.copy_mirror_strategy(S.pairs_strategy(3), 3), Goal.WIN, 200, 1,
+    ("cycle(18)", lambda g: S.CopyMirrorStrategy(S.PairsStrategy(3), 3), Goal.WIN, 200, 1,
      1, [0, 5, 4, 12, 6, 17, 11, 2, 1]),
     ("even_general(2,3)", lambda g: S.strategy_for(g, "even-general"), Goal.WIN, 300, 5,
      300, None),
