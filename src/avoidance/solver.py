@@ -10,7 +10,8 @@ winning move, and ``earliest_forced_loss`` gives it a table of loss values.
 
 ``verify_strategy`` plays a scripted strategy against every adversary
 reply (or a seeded random sample), memoizing on (position, strategy
-state); only passing subtrees are cached so a failure always carries a
+state) packed into one integer, with the state as a small id interned by
+equality; only passing subtrees are cached so a failure always carries a
 replayable history. Exhaustive mode answers paired replies from the
 strategy's pairing table and skips, by sleep sets, those whose child it
 has already verified.
@@ -23,6 +24,7 @@ and deterministic.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -76,17 +78,16 @@ def solve(game: Game, cap: int = 16, use_table: bool = True,
     if root_symmetry and not is_transitive(game):
         raise GameError("root_symmetry requires a transitive game")
     descending = move_order == "descending"
-    search, table, stats = _negamax(game, use_table, descending)
     moves = _point_moves(game, descending)
-
-    if root_symmetry and game.n > 0:
-        stats["visited"] += 1
-        ((_, lost),) = moves(0, 1)  # the opening at point 0
-        root_val = LOSS if lost else -search(0, 1)
-        pv = [1] + ([] if lost else _principal_variation(game, search, moves, 0, 1))
-    else:
-        root_val = search(0, 0)
-        pv = _principal_variation(game, search, moves)
+    with _negamax(game, use_table, descending) as (search, table, stats):
+        if root_symmetry and game.n > 0:
+            stats["visited"] += 1
+            ((_, lost),) = moves(0, 1)  # the opening at point 0
+            root_val = LOSS if lost else -search(0, 1)
+            pv = [1] + ([] if lost else _principal_variation(game, search, moves, 0, 1))
+        else:
+            root_val = search(0, 0)
+            pv = _principal_variation(game, search, moves)
     return _report(game, root_val, pv, _point, stats, table)
 
 
@@ -94,8 +95,8 @@ def best_move(game: Game, mine: int, theirs: int, cap: int = 16) -> int:
     """The solver's move for the side holding ``mine``, to move: the
     first point, ascending, of highest value. The game must not be over."""
     _check_cap(game, cap, "solve")
-    search, _, _ = _negamax(game)
-    return _point(_principal_variation(game, search, _point_moves(game), mine, theirs)[0])
+    with _negamax(game) as (search, _, _):
+        return _point(_principal_variation(game, search, _point_moves(game), mine, theirs)[0])
 
 
 def _check_cap(game: Game, cap: int, what: str) -> None:
@@ -108,9 +109,11 @@ def _point(move: int) -> int:
     return move.bit_length() - 1
 
 
+@contextmanager
 def _negamax(game: Game, use_table: bool = True, descending: bool = False,
              loss=None, draw=DRAW):
-    """The search behind every single-point solver: ``(search, table, stats)``.
+    """The search behind every single-point solver, as a context that
+    yields ``(search, table, stats)``.
 
     ``search(mine, theirs)`` is the value for the side holding ``mine``,
     to move. ``loss[d]`` is what completing a line on move d is worth to
@@ -118,7 +121,9 @@ def _negamax(game: Game, use_table: bool = True, descending: bool = False,
     board is worth to the side to move; a node stops at the first move
     worth ``-min(loss)``. The table is keyed by ``game.canonical`` when
     the game has one, else by the masks themselves, so the values must
-    depend on the move number only.
+    depend on the move number only. On exit ``search``, which refers to
+    itself, is unbound, so the table is freed with the last reference to
+    it, not at the next cycle collection.
     """
     full = game.full_mask
     n = game.n
@@ -167,7 +172,10 @@ def _negamax(game: Game, use_table: bool = True, descending: bool = False,
             table[key] = best
         return best
 
-    return search, table, stats
+    try:
+        yield search, table, stats
+    finally:
+        del search
 
 
 def _point_moves(game: Game, descending: bool = False):
@@ -233,18 +241,16 @@ def earliest_forced_loss(game: Game, cap: int = 16) -> int:
     escapes entirely (a draw, or Player I containing a line) count as
     infinitely late. Requires the game to be a first-player win.
     """
-    base = solve(game, cap=cap)
-    if base.outcome.winner is not Winner.PI_WIN:
-        raise GameError("earliest_forced_loss needs a first-player-win game")
+    _check_cap(game, cap, "solve")
     # Player I scores -index and Player II +index, so Player II losing on
     # (even) move d is worth d to it, and an escape +inf to Player II and
     # -inf to Player I; automorphisms keep the index, so canonical keys hold
     inf = float("inf")
     loss = [-inf if d % 2 else d for d in range(game.n + 1)]
-    search, _, _ = _negamax(game, loss=loss, draw=inf if game.n % 2 else -inf)
-    value = -search(0, 0)
-    if value == inf:
-        raise GameError("delay search disagrees with the solver (bug)")
+    with _negamax(game, loss=loss, draw=inf if game.n % 2 else -inf) as (search, _, _):
+        value = -search(0, 0)
+    if value == inf:  # Player II escapes: Player I cannot force its line
+        raise GameError("earliest_forced_loss needs a first-player-win game")
     return int(value)
 
 
@@ -311,6 +317,7 @@ class VerifyReport:
     mode: str
     seed: Optional[int] = None
     samples: Optional[int] = None
+    memo: Optional[int] = None         # exhaustive mode: memo entries, not in to_json
 
     @property
     def passed(self) -> bool:
@@ -359,6 +366,15 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
     partner ``t[q]`` that is unclaimed: the answer is ``t[q]`` and the
     state stays, with no ``step`` call; every other reply calls ``step``.
 
+    The memo holds each passing node (owner's set, adversary's set, state)
+    as one int, ``nm | nt << n | sid << 2n``, where ``sid`` numbers the
+    distinct states in order of first sight, interned by equality in
+    ``ids``. The key is injective, since ``nm, nt < 2**n``, so the memo
+    merges exactly what a memo of tuples would, in about a third less
+    memory. A paired reply keeps its parent's state and so its id; a
+    stepped reply looks its id up only when ``step`` returned a new state
+    object.
+
     Sleep sets (Godefroid's partial-order reduction) skip paired replies
     whose child is already in the memo. Two paired replies commute, since
     the state and so the table stay, and ``t`` is an involution: from a
@@ -382,22 +398,24 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
     first = owner is Player.ONE
     win = goal is Goal.WIN
     step = strat.step
+    n2 = 2 * n
     memo: set = set()
-    tables: dict = {}
+    ids: dict = {}     # state -> its id, by equality
+    tables: dict = {}  # state id -> checked pairing table
     leaves = 0
 
-    def table_of(state):
+    def table_of(state, sid: int):
         """The pairing table of ``state``, fetched and checked once."""
         try:
-            return tables[state]
+            return tables[sid]
         except KeyError:
-            t = tables[state] = _checked_pairing(strat.pairing(state), n)
+            t = tables[sid] = _checked_pairing(strat.pairing(state), n)
             return t
 
-    def replies(mine: int, theirs: int, state, t, sleep: int) -> Optional[list]:
-        """Adversary to move against strategy ``state`` with pairing table
-        ``t``, game not over; ``sleep`` holds paired replies whose child is
-        in the memo. None = subtree passes."""
+    def replies(mine: int, theirs: int, state, sid: int, t, sleep: int) -> Optional[list]:
+        """Adversary to move against strategy ``state`` (id ``sid``) with
+        pairing table ``t``, game not over; ``sleep`` holds paired replies
+        whose child is in the memo. None = subtree passes."""
         nonlocal leaves
         claimed = mine | theirs
         unclaimed = full & ~claimed
@@ -421,7 +439,7 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                 continue
             if t is not None and (x := t[q]) >= 0 and not (claimed >> x) & 1:
                 paired = True
-                after = state
+                after, asid = state, sid
             else:
                 paired = False
                 try:
@@ -430,10 +448,11 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                     return [q, -1]
                 if not 0 <= x < n or ((mine | nt) >> x) & 1:
                     return [q, x]
+                asid = sid if after is state else ids.setdefault(after, len(ids))
             nm = mine | 1 << x
             # a memoized subtree passed, so its owner set holds no line and
             # its board is not full: the probe may skip both checks below
-            memo_key = (nm, nt, after)
+            memo_key = nm | nt << n | asid << n2
             if memo_key in memo:
                 if paired:
                     done |= bit
@@ -446,9 +465,10 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                     return [q, x]
                 continue
             if paired:
-                sub = replies(nm, nt, after, t, sleep | done)
+                sub = replies(nm, nt, after, asid, t, sleep | done)
             else:  # an unchanged state keeps its table
-                sub = replies(nm, nt, after, t if after is state else table_of(after), 0)
+                sub = replies(nm, nt, after, asid,
+                              t if after is state else table_of(after, asid), 0)
             if sub is not None:
                 return [q, x] + sub
             memo.add(memo_key)
@@ -459,7 +479,8 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
     state = strat.initial
     try:
         if not first:
-            cx = replies(0, 0, state, table_of(state), 0)
+            ids[state] = 0
+            cx = replies(0, 0, state, 0, table_of(state, 0), 0)
         else:  # the owner opens: the same checks as an answer in ``replies``
             try:
                 x, state = step(state, 0, 0, None)
@@ -471,7 +492,8 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                 leaves += 1
                 cx = [x] if win else None
             else:
-                cx = replies(1 << x, 0, state, table_of(state), 0)
+                ids[state] = 0
+                cx = replies(1 << x, 0, state, 0, table_of(state, 0), 0)
                 if cx is not None:
                     cx = [x] + cx
     finally:
@@ -479,8 +501,8 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
         # at the next cycle collection
         del replies
     if cx is not None:
-        return VerifyReport("counterexample", tuple(cx), leaves, "exhaustive")
-    return VerifyReport("pass", None, leaves, "exhaustive")
+        return VerifyReport("counterexample", tuple(cx), leaves, "exhaustive", memo=len(memo))
+    return VerifyReport("pass", None, leaves, "exhaustive", memo=len(memo))
 
 
 def _checked_pairing(t: Optional[tuple], n: int) -> Optional[tuple]:

@@ -118,8 +118,8 @@ def _owner_lists(n: int, most: int):
                                   C.odd_composite(3, 3), C.odd_composite(3, 5)],
                          ids=_ids)
 def test_plain_key_table_entries_with_one_key_share_one_value(game):
-    search, table, _ = _negamax(dataclasses.replace(game, canonical=None))
-    search(0, 0)
+    with _negamax(dataclasses.replace(game, canonical=None)) as (search, table, _):
+        search(0, 0)
     full, n = game.full_mask, game.n
     values: dict = {}
     for key, value in table.items():

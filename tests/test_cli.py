@@ -172,6 +172,16 @@ def test_earliest_loss(capsys):
     assert json.loads(out)["earliest_forced_loss"] == 6
 
 
+def test_memory_exhaustion_exits_2_not_1(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("avoidance.cli.verify_strategy", exhausted)
+    rc, out, err = run_cli(capsys, "verify-strategy", "--game", "pairs(3)",
+                           "--strategy", "pairs", "--goal", "win")
+    assert (rc, out) == (2, "")
+    assert "unexpected MemoryError" in err
+
+
 def test_catalog_lists_everything(capsys):
     rc, out, _ = run_cli(capsys, "catalog")
     assert rc == 0

@@ -147,6 +147,38 @@ def test_pairing_tables_say_what_step_does(spec, name):
     assert paired > 0
 
 
+class _FreshStates(S.Strategy):
+    """Passes ``step`` and ``pairing`` through, but answers every tuple
+    state with a fresh copy: equal to the state ``step`` gave, never the
+    same object."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name, self.role, self.n = inner.name, inner.role, inner.n
+        self.initial = inner.initial
+
+    def step(self, state, a, b, q):
+        x, after = self.inner.step(state, a, b, q)
+        return x, (tuple([*after]) if isinstance(after, tuple) else after)
+
+    def pairing(self, state):
+        return self.inner.pairing(state)
+
+
+@pytest.mark.parametrize("spec,name", [
+    ("pairs(7)", "pairs"), ("even_general(2,3)", "even-general"),
+    ("copies(pairs(3),3)", "copy-mirror"), ("product_torus(1)", "product")])
+def test_states_are_merged_by_equality_not_identity(spec, name):
+    game = C.parse_game_spec(spec)
+    strat = S.strategy_for(game, name)
+    assert isinstance(strat.initial, tuple) and strat.initial
+    for goal in Goal:
+        want = verify_strategy(game, strat, strat.role, goal)
+        got = verify_strategy(game, _FreshStates(strat), strat.role, goal)
+        assert (got.to_json(), got.memo) == (want.to_json(), want.memo), goal
+        assert got.memo > 0
+
+
 @pytest.mark.parametrize("spec,name,plain_calls,calls", [
     ("pairs(7)", "pairs", 13012, 3392), ("even_general(2,3)", "even-general", 2655, 897)])
 def test_paired_replies_call_no_step(spec, name, plain_calls, calls):

@@ -135,6 +135,33 @@ def test_earliest_forced_loss_values():
         earliest_forced_loss(C.torus(3, 1))
 
 
+@pytest.mark.parametrize("spec", ["torus(3,1)", "matching(2)", "matching(3)",
+                                  "cycle(4)", "cycle(5)", "complete(4)", "torus(2,2)"])
+def test_earliest_forced_loss_refuses_a_game_that_is_no_first_player_win(spec):
+    g = C.parse_game_spec(spec)
+    assert solve(g).outcome.winner is not Winner.PI_WIN
+    with pytest.raises(GameError, match="needs a first-player-win game"):
+        earliest_forced_loss(g)
+
+
+def test_earliest_forced_loss_refuses_exactly_the_boards_that_are_no_first_player_win():
+    # 45 seeded 3-uniform boards: 8 first-player wins, 7 second-player wins, 30 draws
+    rng = random.Random(11)
+    refused = 0
+    for n in (6, 7, 8):
+        triples = list(itertools.combinations(range(n), 3))
+        for _ in range(15):
+            game = Game(n, ExplicitLines(n, rng.sample(triples, rng.randrange(4, 12))),
+                        (), f"rand{n}")
+            if solve(game).outcome.winner is Winner.PI_WIN:
+                assert earliest_forced_loss(game) == ref_earliest_loss(game)
+            else:
+                refused += 1
+                with pytest.raises(GameError, match="needs a first-player-win game"):
+                    earliest_forced_loss(game)
+    assert refused == 37
+
+
 def test_earliest_forced_loss_affine_11():
     # lines have size 5 and the board has 11 points, so the second player's
     # fifth move (move 10) is both the earliest possible and his last
@@ -236,6 +263,23 @@ def test_exhaustive_verify_frees_its_memo_on_return(spec, strat, goal):
     gc.disable()
     try:
         verify_strategy(game, s, s.role, goal)
+        assert gc.collect() < 10
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: solve(g), lambda g: solve(g, root_symmetry=True),
+    lambda g: best_move(g, 1, 0), lambda g: earliest_forced_loss(g)],
+    ids=["solve", "solve-root-symmetry", "best-move", "earliest-forced-loss"])
+def test_negamax_solvers_free_their_table_on_return(call):
+    # the search is a closure that refers to itself; left bound, it keeps
+    # the table alive until a cycle collection
+    game = C.odd_composite(5, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        call(game)
         assert gc.collect() < 10
     finally:
         gc.enable()

@@ -423,6 +423,30 @@ def test_exhaustive_reports_are_pinned(spec, name, goal, leaves, cx):
     assert report.to_json() == want
 
 
+# memo entries of exhaustive passes, counted when the memo was keyed by
+# (owner's set, adversary's set, state) tuples: a change of key must merge
+# exactly the same nodes
+MEMO_COUNTS = [
+    ("pairs(5)", "pairs", Goal.WIN, 289),
+    ("pairs(7)", "pairs", Goal.WIN, 4106),
+    ("pairs(9)", "pairs", Goal.WIN, 50881),
+    ("odd_composite(3,5)", "odd-bucket", Goal.WIN, 3990),
+    ("even_general(2,3)", "even-general", Goal.WIN, 1131),
+    ("torus(3,2)", "torus-pairing", Goal.NEVER_LOSE, 56),
+    ("copies(pairs(3),3)", "copy-mirror", Goal.WIN, 7190),
+    ("even_general(2,5)", "even-general", Goal.WIN, 186243),
+]
+
+
+@pytest.mark.parametrize("spec,name,goal,memo", MEMO_COUNTS)
+def test_exhaustive_memo_counts_are_pinned(spec, name, goal, memo):
+    game = C.parse_game_spec(spec)
+    strat = S.strategy_for(game, name)
+    report = verify_strategy(game, strat, strat.role, goal)
+    assert report.passed and report.memo == memo
+    assert "memo" not in report.to_json()
+
+
 class _NextPointStrategy(S.Strategy):
     """Opens at 0, then answers q with q + 1, claimed or not."""
 
