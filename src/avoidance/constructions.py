@@ -25,7 +25,7 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (ExplicitLines, Game, GameError, ImplicitLines, Permutation,
-                   iter_bits, mask_of)
+                   iter_bits, mask_of, set_of)
 from . import pairset as _ps
 
 
@@ -36,7 +36,7 @@ def _require(cond: bool, msg: str) -> None:
 
 # Work a construction may do, checked on a size estimate before anything is
 # built. A unit is about a microsecond or a machine word: a digit operation
-# of ``torus_lines`` (torus(16,2) is at the budget, about 2 s), a word of a
+# of ``torus_lines`` (torus(16,2) is at the budget, about 0.3 s), a word of a
 # board and its line store (``_require_board``), or a candidate line.
 CONSTRUCTION_WORK_BUDGET = 1 << 21
 
@@ -122,20 +122,19 @@ def odd_composite(p: int, q: int) -> Game:
 # ---------------------------------------------------------------------------
 # pair boards: b opposite pairs, n = 2b
 
-def _pairs_w_sets(b: int) -> list[frozenset]:
+def _pairs_w_masks(b: int) -> list[int]:
+    """The allowed sets of ``pairs_game(b)`` as point masks."""
     bp = (b - 1) // 2
-    out = []
-    for picks in itertools.product((0, 1), repeat=b):
-        if sum(picks) % 2 == 1:
-            out.append(frozenset(2 * i + y for i, y in enumerate(picks)))
+    choices = [(1 << 2 * i, 2 << 2 * i) for i in range(b)]
+    high = ((1 << 2 * b) - 1) // 3 << 1  # the second point of every pair
+    out = [w for w in map(sum, itertools.product(*choices))
+           if (w & high).bit_count() % 2 == 1]
     for full in range(b):
         for d in range(1, bp + 1):
             empty = (full + d) % b
-            rest = [i for i in range(b) if i not in (full, empty)]
-            for picks in itertools.product((0, 1), repeat=len(rest)):
-                s = {2 * full, 2 * full + 1}
-                s.update(2 * i + y for i, y in zip(rest, picks))
-                out.append(frozenset(s))
+            rest = [choices[i] for i in range(b) if i not in (full, empty)]
+            doubled = 3 << 2 * full
+            out += [doubled | sum(t) for t in itertools.product(*rest)]
     return out
 
 
@@ -176,9 +175,7 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
     full = (1 << n) - 1
 
     if store == "explicit":
-        board = frozenset(range(n))
-        lines = [board - w for w in _pairs_w_sets(b)]
-        line_store: object = ExplicitLines(n, lines)
+        line_store: object = ExplicitLines(n, [full ^ w for w in _pairs_w_masks(b)])
     else:
         def contains(mask: int) -> bool:
             c = mask.bit_count()
@@ -189,7 +186,7 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
 
         line_store = ImplicitLines(
             n, b, contains, spec=("pairs", {"b": b}),
-            w_iter=lambda: iter(_pairs_w_sets(b)),
+            w_iter=lambda: map(set_of, _pairs_w_masks(b)),
             w_member=lambda s: _pairs_allowed(b, mask_of(s)))
 
     pair_cycle = Permutation(tuple((2 * ((i // 2 + 1) % b)) + i % 2 for i in range(n)))
@@ -389,18 +386,21 @@ def _torus_coords(idx: int, q: int, d: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def torus_lines(q: int, d: int) -> list[frozenset]:
+def torus_lines(q: int, d: int) -> list[int]:
+    """The line masks of ``torus(q, d)``, deduplicated, by point list."""
     n = q ** d
+    coords = [_torus_coords(i, q, d) for i in range(n)]
     seen = set()
-    for x in range(n):
-        xc = _torus_coords(x, q, d)
-        for y in range(1, n):
-            yc = _torus_coords(y, q, d)
-            line = frozenset(
-                _torus_index(tuple((a + t * b) % q for a, b in zip(xc, yc)), q)
-                for t in range(q))
+    for yc in coords[1:]:
+        # step[i] is the index of point i + y
+        step = [_torus_index([(a + b) % q for a, b in zip(xc, yc)], q) for xc in coords]
+        for x in range(n):
+            line, p = 0, x
+            for _ in range(q):
+                line |= 1 << p
+                p = step[p]
             seen.add(line)
-    return sorted(seen, key=lambda l: sorted(l))
+    return sorted(seen, key=lambda m: list(iter_bits(m)))
 
 
 def torus(q: int, d: int) -> Game:
@@ -413,7 +413,7 @@ def torus(q: int, d: int) -> Game:
     """
     _require(q >= 2, f"q must be >= 2, got {q}")
     _require(d >= 1, f"d must be >= 1, got {d}")
-    # torus_lines makes n^2 * q = q^(2d+1) point images of d digits each
+    # torus_lines makes n^2 * q point steps and n^2 * d digit operations
     d_c = min(d, _PARAM_CAP)
     _require_work(q ** (2 * d_c + 1) * d_c, f"torus({q},{d})", "n^2 * q * d")
     n = q ** d
@@ -447,10 +447,9 @@ def disjoint_copies(g: Game, c: int) -> Game:
     _require(isinstance(g.lines, ExplicitLines),
              "disjoint copies need an explicit base line store")
     n = c * g.n
-    _require_board(n, c * len(g.lines.lines), len(g.generators) + 1,
+    _require_board(n, c * len(g.lines.masks), len(g.generators) + 1,
                    f"copies({g.name},{c})")
-    lines = [frozenset(i * g.n + x for x in l)
-             for i in range(c) for l in g.lines.lines]
+    lines = [m << i * g.n for i in range(c) for m in g.lines.masks]
     gens = []
     for base_gen in g.generators:
         gens.append(Permutation(tuple(
@@ -465,10 +464,8 @@ def disjoint_copies(g: Game, c: int) -> Game:
 
 def superset_lines(g: Game, r: int) -> Game:
     """Same board as ``g``; lines are the r-sets containing a line of ``g``."""
-    if isinstance(g.lines, ExplicitLines):
-        max_line = max(len(l) for l in g.lines.lines)
-    else:
-        max_line = g.lines.k  # uniform implicit families
+    max_line = (max(m.bit_count() for m in g.lines.masks)
+                if isinstance(g.lines, ExplicitLines) else g.lines.k)  # implicit: uniform
     _require(r >= max_line, f"r={r} smaller than a line of the base game")
     n = g.n
 
@@ -476,9 +473,21 @@ def superset_lines(g: Game, r: int) -> Game:
         return mask.bit_count() >= r and g.lines.contains_mask(mask)
 
     if isinstance(g.lines, ExplicitLines) and comb(n, r) <= 100_000:
-        lines = {frozenset(c) for c in itertools.combinations(range(n), r)
-                 if g.contains_line(c)}
-        store: object = ExplicitLines(n, sorted(lines, key=sorted))
+        masks = g.lines.masks
+        # Fill each base line up to r points, about r - |l| + 1 a filled set,
+        # where that is in the budget and under a scan of the lines for every
+        # r-set (a dense base fills each r-set many times). Both sort alike.
+        fill = sum(comb(n - k, r - k) * (r - k + 1) for k in map(int.bit_count, masks))
+        if fill <= min(CONSTRUCTION_WORK_BUDGET, comb(n, r) * len(masks)):
+            filled = set()
+            for m in masks:
+                rest = [1 << x for x in iter_bits(g.full_mask ^ m)]
+                filled.update(m | sum(t) for t in itertools.combinations(rest, r - m.bit_count()))
+            lines = sorted(filled, key=lambda m: list(iter_bits(m)))
+        else:
+            lines = [m for m in map(sum, itertools.combinations([1 << x for x in range(n)], r))
+                     if g.lines.contains_mask(m)]
+        store: object = ExplicitLines(n, lines)
     else:
         # a permutation preserving g's lines preserves the r-sets holding one
         store = ImplicitLines(n, r, contains,
@@ -499,11 +508,10 @@ def product_torus(d: int) -> Game:
     h1 = pairs_game(3)
     t3 = torus(3, d)
     n = t3.n * 6
-    _require_board(n, t3.n * len(h1.lines.lines) + 6 * len(t3.lines.lines),
+    _require_board(n, t3.n * len(h1.lines.masks) + 6 * len(t3.lines.masks),
                    d + len(h1.generators), f"product_torus({d})")
-    lines = [frozenset(t * 6 + x for x in l)
-             for t in range(t3.n) for l in h1.lines.lines]
-    lines += [frozenset(t * 6 + y for t in l) for l in t3.lines.lines
+    lines = [m << t * 6 for t in range(t3.n) for m in h1.lines.masks]
+    lines += [mask_of(t * 6 for t in iter_bits(m)) << y for m in t3.lines.masks
               for y in range(6)]
     gens = []
     for tg in t3.generators[:d]:   # the translations
@@ -576,20 +584,17 @@ def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game
         _require(len(b) == k, f"base set {sorted(b)} is not of size {(n - 1) // 2}")
         _require(all(0 <= x < n for x in b), "base set point off the board")
 
-    w: set = set()
-    for b in base_sets:
-        for a in range(1, n):
-            for c in range(n):
-                w.add(frozenset((a * x + c) % n for x in b))
-    w_sorted = sorted(w, key=sorted)
-    for i, w1 in enumerate(w_sorted):
-        for w2 in w_sorted[i + 1:]:
-            if not w1 & w2:
-                raise GameError(
-                    f"allowed family not intersecting: {sorted(w1)} and {sorted(w2)} "
-                    f"are disjoint")
-    lines = [frozenset(c) for c in itertools.combinations(range(n), k)
-             if frozenset(c) not in w]
+    w = {mask_of((a * x + c) % n for x in b)
+         for b in base_sets for a in range(1, n) for c in range(n)}
+    # n = 2k + 1: the k-sets disjoint from an allowed set are its complement less a point
+    full = (1 << n) - 1
+    disjoint = [(list(iter_bits(w1)), list(iter_bits(w2))) for w1 in w
+                for w2 in (full ^ w1 ^ 1 << x for x in iter_bits(full ^ w1)) if w2 in w]
+    if disjoint:
+        raise GameError("allowed family not intersecting: {} and {} are disjoint"
+                        .format(*min(disjoint)))
+    lines = [m for m in map(sum, itertools.combinations([1 << x for x in range(n)], k))
+             if m not in w]
     g = _primitive_root(n)
     shift = Permutation(tuple((x + 1) % n for x in range(n)))
     scale = Permutation(tuple((g * x) % n for x in range(n)))
@@ -605,7 +610,7 @@ def cycle_game(k: int) -> Game:
     """Edges of the k-cycle as size-2 lines."""
     _require(k >= 3, f"cycle needs k >= 3, got {k}")
     _require_board(k, k, 1, f"cycle({k})")
-    lines = [frozenset({i, (i + 1) % k}) for i in range(k)]
+    lines = [1 << i | 1 << (i + 1) % k for i in range(k)]
     return Game(k, ExplicitLines(k, lines), (Permutation.cycle(k),),
                 f"cycle({k})", meta={"construction": "cycle", "params": {"n": k}})
 
@@ -614,7 +619,7 @@ def complete_graph_game(k: int) -> Game:
     """All pairs as size-2 lines."""
     _require(k >= 3, f"complete graph needs k >= 3, got {k}")
     _require_board(k, k * (k - 1) // 2, 1, f"complete({k})")
-    lines = [frozenset(e) for e in itertools.combinations(range(k), 2)]
+    lines = [1 << i | 1 << j for i, j in itertools.combinations(range(k), 2)]
     return Game(k, ExplicitLines(k, lines), (Permutation.cycle(k),),
                 f"complete({k})", meta={"construction": "complete", "params": {"n": k}})
 
@@ -623,7 +628,7 @@ def matching_game(k: int) -> Game:
     """A perfect matching on 2k points: lines {i, i+k}."""
     _require(k >= 2, f"matching needs k >= 2, got {k}")
     _require_board(2 * k, k, 1, f"matching({k})")
-    lines = [frozenset({i, i + k}) for i in range(k)]
+    lines = [1 << i | 1 << i + k for i in range(k)]
     return Game(2 * k, ExplicitLines(2 * k, lines), (Permutation.cycle(2 * k),),
                 f"matching({k})", meta={"construction": "matching", "params": {"k": k}})
 
@@ -721,7 +726,7 @@ def _catalog_game(head: str, args: list, **options) -> Game:
 def game_to_json(game: Game) -> dict:
     lines: dict
     if isinstance(game.lines, ExplicitLines):
-        lines = {"explicit": [sorted(l) for l in game.lines.lines]}
+        lines = {"explicit": [list(iter_bits(m)) for m in game.lines.masks]}
     elif isinstance(game.lines, ImplicitLines):
         name, params = game.lines.spec
         lines = {"implicit": {"construction": name, "params": params}}
@@ -735,10 +740,16 @@ def game_to_json(game: Game) -> dict:
     }
 
 
+def _line_masks(n: int, lines: list) -> list[int]:
+    """A document's explicit point lists as masks; a line with a point off the
+    board is not built but becomes -1, which no store or rebuilt family takes."""
+    return [mask_of(l) if all(0 <= x < n for x in l) else -1 for l in lines]
+
+
 def _family_key(doc: dict) -> tuple:
     lines = doc["lines"]
     if "explicit" in lines:
-        lines = frozenset(frozenset(l) for l in lines["explicit"])
+        lines = frozenset(_line_masks(doc["n"], lines["explicit"]))
     return lines, frozenset(tuple(g) for g in doc["generators"])
 
 
@@ -771,7 +782,7 @@ def game_from_json(doc: dict) -> Game:
             _require_board(n, len(lines["explicit"]), len(doc["generators"]),
                            f"a document on {n} points")
             gens = tuple(Permutation(tuple(img)) for img in doc["generators"])
-            return Game(n, ExplicitLines(n, lines["explicit"]), gens, name)
+            return Game(n, ExplicitLines(n, _line_masks(n, lines["explicit"])), gens, name)
     else:
         impl = lines.get("implicit")
         if not (isinstance(impl, dict) and isinstance(impl.get("params"), dict)):

@@ -1,13 +1,13 @@
 """Game model for avoidance positional games.
 
-The board is the integer range 0..n-1. Positions, containment tests and
-the search and strategy code hold point sets as masks, bit i for point i;
-line enumerations and reports list them as frozensets. A game designates
+The board is the integer range 0..n-1. Positions, line stores, the
+search and the strategy code hold point sets as masks, bit i for point i;
+documents and reports list them as points. A game designates
 certain point sets as *lines*; two players alternate claiming unclaimed
 points and the first player whose claimed set contains a line loses
 immediately. A full board with no contained line is a draw.
 
-Line families are held either explicitly (a list of sets) or implicitly
+Line families are held either explicitly (a tuple of line masks) or implicitly
 (an analytic membership predicate, used where the family is too large to
 enumerate). Automorphisms are permutations of the board that map lines to
 lines; a game is transitive when the group generated by its shipped
@@ -191,7 +191,7 @@ class LineStore:
 
 
 class ExplicitLines(LineStore):
-    """Lines held as a list of sets.
+    """Lines held as a tuple of point masks, in the order given.
 
     ``loses_after`` picks its method from the popcount c of the mask and
     the per-point line count. In a family of uniform line size k, c == k is
@@ -199,33 +199,30 @@ class ExplicitLines(LineStore):
     of the mask through the new point while there are few enough of them
     (``comb(c-1, k-1)`` at most an eighth of the smallest per-point line
     count). Otherwise, and always for mixed sizes, it scans the lines
-    through the point.
+    through the point. ``check_preserved`` maps each line through 8-bit
+    chunk tables of the permutation and looks the image up in the same set.
     """
 
-    def __init__(self, n: int, lines: Iterable[Iterable[int]]):
+    def __init__(self, n: int, masks: Iterable[int]):
         self.n = n
-        line_sets = [frozenset(l) for l in lines]
-        seen = set()
-        for l in line_sets:
-            if not l:
-                raise ValueError("empty line")
-            if not all(0 <= x < n for x in l):
-                raise ValueError("line point off the board")
-            if l in seen:
-                raise ValueError(f"duplicate line {sorted(l)}")
-            seen.add(l)
-        self.lines = tuple(line_sets)
-        self._line_set = seen
-        self.masks = tuple(mask_of(l) for l in line_sets)
-        self.min_line_size = min((len(l) for l in line_sets), default=n + 1)
+        self.masks = masks = tuple(masks)
         # lines through each point, for the incremental loss check
         per_point: list[list[int]] = [[] for _ in range(n)]
-        for lm, l in zip(self.masks, line_sets):
-            for x in l:
+        seen = set()
+        for lm in masks:
+            if lm == 0:
+                raise ValueError("empty line")
+            if lm < 0 or lm >> n:
+                raise ValueError("line point off the board")
+            if lm in seen:
+                raise ValueError(f"duplicate line {list(iter_bits(lm))}")
+            seen.add(lm)
+            for x in iter_bits(lm):
                 per_point[x].append(lm)
+        self._mask_set = frozenset(seen)
         self._by_point = [tuple(v) for v in per_point]
-        self._mask_set = frozenset(self.masks)
-        sizes = {len(l) for l in line_sets}
+        sizes = set(map(int.bit_count, masks))
+        self.min_line_size = min(sizes, default=n + 1)
         self._k = k = sizes.pop() if len(sizes) == 1 else 0
         # largest popcount c with 8 * comb(c-1, k-1) <= the fewest lines
         # through a point; subset lookups answer popcounts in (k, c]
@@ -258,14 +255,26 @@ class ExplicitLines(LineStore):
         return False
 
     def is_line(self, s: Iterable[int]) -> bool:
-        return frozenset(s) in self._line_set
+        return mask_of(s) in self._mask_set
 
     def check_preserved(self, perm: Permutation) -> None:
-        for l in self.lines:
-            if perm.apply_set(l) not in self._line_set:
+        # tables[j][v] is the image of the points 8j + i for the bits i of v
+        tables = []
+        for lo in range(0, self.n, 8):
+            table = [0]
+            for y in perm.image[lo:lo + 8]:
+                table += [v | 1 << y for v in table]
+            tables.append(table)
+        lines = self._mask_set
+        for m in self.masks:
+            image, rest = 0, m
+            for table in tables:
+                image |= table[rest & 255]
+                rest >>= 8
+            if image not in lines:
                 raise LinePreservationError(
-                    f"generator maps line {sorted(l)} to non-line "
-                    f"{sorted(perm.apply_set(l))}", perm, l)
+                    f"generator maps line {list(iter_bits(m))} to non-line "
+                    f"{list(iter_bits(image))}", perm, set_of(m))
 
 
 class ImplicitLines(LineStore):

@@ -64,8 +64,7 @@ class SolveReport:
         }
 
 
-def solve(game: Game, cap: int = 16, use_table: bool = True,
-          move_order: str = "ascending", root_symmetry: bool = False) -> SolveReport:
+def solve(game: Game, cap: int = 16, root_symmetry: bool = False) -> SolveReport:
     """Exact outcome of the single-point avoidance game under optimal play.
 
     ``root_symmetry`` restricts the first move to point 0; this is exact
@@ -77,9 +76,8 @@ def solve(game: Game, cap: int = 16, use_table: bool = True,
     _check_cap(game, cap, "solve")
     if root_symmetry and not is_transitive(game):
         raise GameError("root_symmetry requires a transitive game")
-    descending = move_order == "descending"
-    moves = _point_moves(game, descending)
-    with _negamax(game, use_table, descending) as (search, table, stats):
+    moves = _point_moves(game)
+    with _negamax(game) as (search, table, stats):
         if root_symmetry and game.n > 0:
             stats["visited"] += 1
             ((_, lost),) = moves(0, 1)  # the opening at point 0
@@ -110,8 +108,7 @@ def _point(move: int) -> int:
 
 
 @contextmanager
-def _negamax(game: Game, use_table: bool = True, descending: bool = False,
-             loss=None, draw=DRAW):
+def _negamax(game: Game, loss=None, draw=DRAW):
     """The search behind every single-point solver, as a context that
     yields ``(search, table, stats)``.
 
@@ -139,10 +136,9 @@ def _negamax(game: Game, use_table: bool = True, descending: bool = False,
 
     def search(mine: int, theirs: int):
         key = mine | (theirs << n) if canonical is None else canonical(mine, theirs)
-        if use_table:
-            hit = table.get(key)
-            if hit is not None:
-                return hit
+        hit = table.get(key)
+        if hit is not None:
+            return hit
         stats["visited"] += 1
         claimed = mine | theirs
         if claimed == full:
@@ -152,12 +148,8 @@ def _negamax(game: Game, use_table: bool = True, descending: bool = False,
         best = worst
         may_lose = mine.bit_count() + 1 >= minline
         while unclaimed:
-            if descending:
-                x = unclaimed.bit_length() - 1
-                bit = 1 << x
-            else:
-                bit = unclaimed & -unclaimed
-                x = bit.bit_length() - 1
+            bit = unclaimed & -unclaimed
+            x = bit.bit_length() - 1
             unclaimed ^= bit
             nm = mine | bit
             if may_lose and loses_after(nm, x):
@@ -168,8 +160,7 @@ def _negamax(game: Game, use_table: bool = True, descending: bool = False,
                 best = val
                 if best == best_possible:
                     break
-        if use_table:
-            table[key] = best
+        table[key] = best
         return best
 
     try:
@@ -178,14 +169,14 @@ def _negamax(game: Game, use_table: bool = True, descending: bool = False,
         del search
 
 
-def _point_moves(game: Game, descending: bool = False):
+def _point_moves(game: Game):
     """Single-point moves for ``_principal_variation``, in search order."""
     loses_after = game.lines.loses_after
     minline = game.lines.min_line_size
 
     def moves(mine: int, unclaimed: int):
         may_lose = mine.bit_count() + 1 >= minline
-        for x in sorted(iter_bits(unclaimed), reverse=descending):
+        for x in iter_bits(unclaimed):
             nm = mine | 1 << x
             yield nm, may_lose and loses_after(nm, x)
 

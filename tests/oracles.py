@@ -1,14 +1,23 @@
 """Independent brute-force reference implementations.
 
 These deliberately avoid the package's fast paths: containment is subset
-enumeration, game values come from plain recursion with no table and no
-pruning, and rotation orders are compared through explicit bit strings.
-They exist so the package's answers are checked against a second route.
+enumeration, game values come from plain recursion with no pruning and
+at most a memo of positions, and rotation orders are compared through
+explicit bit strings. They exist so the package's answers are checked against a second route.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+
+from avoidance.core import Game, ImplicitLines, mask_of, set_of
+
+
+@functools.lru_cache(maxsize=None)
+def _line_sets(store) -> tuple:
+    """The lines of an explicit store as frozensets, in store order."""
+    return tuple(map(set_of, store.masks))
 
 
 def brute_contains_line(store, members) -> bool:
@@ -20,7 +29,7 @@ def brute_contains_line(store, members) -> bool:
             return False
         return any(store.is_line(frozenset(c))
                    for c in itertools.combinations(sorted(members), k))
-    return any(l <= members for l in store.lines)
+    return any(l <= members for l in _line_sets(store))
 
 
 def brute_loses_after(store, members, x) -> bool:
@@ -31,7 +40,28 @@ def brute_loses_after(store, members, x) -> bool:
         rest = sorted(members - {x})
         return any(store.is_line(frozenset(c) | {x})
                    for c in itertools.combinations(rest, k - 1))
-    return any(x in l and l <= members for l in store.lines)
+    return any(x in l and l <= members for l in _line_sets(store))
+
+
+def ref_unpreserved_line(store, perm):
+    """The first line of an explicit store, in store order, that ``perm``
+    maps off the family, as a frozenset; None if there is none. Each line
+    is mapped point by point with ``Permutation.apply_set``."""
+    lines = _line_sets(store)
+    family = set(lines)
+    return next((l for l in lines if perm.apply_set(l) not in family), None)
+
+
+def ref_affine_disjoint_pair(n: int, bases):
+    """The first two disjoint sets, by sorted point list, of the affine
+    closure {a*B + c} of ``bases`` in Z_n, by testing every pair; None when
+    the closure is intersecting. Returns (closure, pair)."""
+    closure = {frozenset((a * x + c) % n for x in b)
+               for b in bases for a in range(1, n) for c in range(n)}
+    ordered = sorted(closure, key=sorted)
+    pair = next(((sorted(w1), sorted(w2)) for i, w1 in enumerate(ordered)
+                 for w2 in ordered[i + 1:] if not w1 & w2), None)
+    return closure, pair
 
 
 def brute_downset(masks) -> set:
@@ -46,26 +76,43 @@ def brute_downset(masks) -> set:
     return out
 
 
-def ref_solve(game, a=frozenset(), b=frozenset()) -> int:
-    """Plain negamax, no table, no pruning shortcuts. 1/0/-1 for the mover."""
-    claimed = a | b
-    if len(claimed) == game.n:
-        return 0
-    mine, theirs = (a, b) if len(a) == len(b) else (b, a)
-    best = -1
-    for x in range(game.n):
-        if x in claimed:
-            continue
-        nm = mine | {x}
-        if game.contains_line(nm):
-            val = -1
-        else:
-            if len(a) == len(b):
-                val = -ref_solve(game, nm, b)
-            else:
-                val = -ref_solve(game, a, nm)
-        best = max(best, val)
-    return best
+def ref_solve(game, a=frozenset(), b=frozenset(), order=None, key=None) -> int:
+    """Plain negamax, no pruning shortcuts: 1/0/-1 for the side to move
+    when Player I holds ``a`` and Player II ``b``. Every move is tried, in
+    ``order`` (ascending by default), and values are memoized under
+    ``key(mover's mask, other's mask)`` (the two masks by default)."""
+    order = range(game.n) if order is None else order
+    key = key or (lambda mine, theirs: (mine, theirs))
+    memo: dict = {}
+
+    def value(mine: int, theirs: int) -> int:
+        k = key(mine, theirs)
+        if k not in memo:
+            values = [-1 if game.lines.contains_mask(mine | 1 << x)
+                      else -value(theirs, mine | 1 << x)
+                      for x in order if not (mine | theirs) >> x & 1]
+            memo[k] = max(values) if values else 0
+        return memo[k]
+
+    mover, other = (a, b) if len(a) == len(b) else (b, a)
+    return value(mask_of(mover), mask_of(other))
+
+
+def reversed_points(game) -> Game:
+    """``game`` with point x relabelled n-1-x, so that the solver's
+    ascending search of it is a descending search of ``game``; a canonical
+    form is carried over. Its lines are a containment test only."""
+    n = game.n
+
+    def rev(mask: int) -> int:
+        return int(format(mask, f"0{n}b")[::-1], 2)
+
+    contains = game.lines.contains_mask
+    lines = ImplicitLines(n, game.lines.min_line_size, lambda m: contains(rev(m)),
+                          spec=("reversed", {}))
+    canonical = game.canonical
+    return Game(n, lines, (), f"reversed {game.name}", canonical=None if canonical is None
+                else lambda mine, theirs: canonical(rev(mine), rev(theirs)))
 
 
 def ref_solve_plus(game, cur=frozenset(), other=frozenset()) -> int:

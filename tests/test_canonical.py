@@ -19,6 +19,8 @@ from avoidance import constructions as C
 from avoidance.core import ExplicitLines, Game, Permutation, iter_bits, mask_of
 from avoidance.solver import _negamax, earliest_forced_loss, solve
 
+from oracles import ref_solve, reversed_points
+
 CANONICAL_GAMES = [C.pairs_game(3), C.pairs_game(5), C.pairs_game(7),
                    C.pairs_game(5, "implicit"), C.odd_composite(3, 3),
                    C.odd_composite(3, 5), C.odd_composite(5, 3)]
@@ -136,14 +138,16 @@ def test_plain_key_table_entries_with_one_key_share_one_value(game):
                                   C.pairs_game(7, "implicit"), C.odd_composite(3, 3),
                                   C.odd_composite(3, 5)], ids=_ids)
 def test_canonical_solve_equals_the_plain_key_solve(game):
-    plain_game = dataclasses.replace(game, canonical=None)
-    orders = ("ascending", "descending") if game.n <= 10 else ("ascending",)
-    for order in orders:
-        report = solve(game, move_order=order)
-        plain = solve(plain_game, move_order=order)
+    # on n <= 10 also in descending point order, as the reversed board, and
+    # by plain recursion with a memo under either key
+    for board in [game, reversed_points(game)] if game.n <= 10 else [game]:
+        report = solve(board)
+        plain = solve(dataclasses.replace(board, canonical=None))
         assert report.outcome == plain.outcome
         assert report.principal_variation == plain.principal_variation
         assert report.states_visited <= plain.states_visited
+    if game.n <= 10:
+        assert ref_solve(game, key=game.canonical) == ref_solve(game)
 
 
 @pytest.mark.parametrize("game", [C.pairs_game(3), C.pairs_game(5),
@@ -176,7 +180,7 @@ def test_json_round_trip_keeps_the_canonical_form(game):
     C.parse_game_spec("copies(pairs(3),1)"),
     C.parse_game_spec("superset(pairs(3),4)"),
     C.parse_game_spec("superset(pairs(5),6)"),
-    Game(4, ExplicitLines(4, [[0, 1], [2, 3]]), (), "hand-built"),
+    Game(4, ExplicitLines(4, [0b11, 0b1100]), (), "hand-built"),
 ], ids=lambda g: g.name)
 def test_derived_and_hand_built_games_carry_no_canonical_form(game):
     assert game.canonical is None

@@ -100,6 +100,25 @@ def test_malformed_game_file_is_refused(tmp_path, capsys, doc):
     assert err.startswith("error:") and "unexpected" not in err
 
 
+@pytest.mark.parametrize("name,lines,message", [
+    ("hand", [[0, 1], [-1, 2]], "line point off the board"),
+    ("hand", [[0, 1], [2, 9]], "line point off the board"),
+    ("hand", [[0, 1], []], "empty line"),
+    ("hand", [[0, 1], [2, 3], [1, 0]], "duplicate line [0, 1]"),
+    # a named document is compared with the rebuilt game instead
+    ("pairs(3)", [[-1, 2, 3]], "the lines or generators of the document differ"),
+])
+def test_game_file_with_a_bad_line_is_refused(tmp_path, capsys, name, lines, message):
+    # the points are checked before any line mask is built: 1 << -1 raises
+    # "negative shift count", and a huge point would build a huge mask
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"n": 6, "name": name, "lines": {"explicit": lines},
+                                "generators": []}))
+    rc, out, err = run_cli(capsys, "solve", "--game-file", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_verify_strategy_exit_codes(capsys):
     rc, out, _ = run_cli(capsys, "verify-strategy", "--game", "pairs(3)",
                          "--strategy", "pairs", "--goal", "win")

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import json
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avoidance.core import (ExplicitLines, Game, GameError, ImplicitLines,
                             LinePreservationError, Permutation,
@@ -11,7 +14,8 @@ from avoidance.core import (ExplicitLines, Game, GameError, ImplicitLines,
 from avoidance import constructions as C
 from avoidance import pairset as ps
 
-from oracles import brute_contains_line, brute_downset, word_string
+from oracles import (brute_contains_line, brute_downset, ref_affine_disjoint_pair,
+                     ref_unpreserved_line, word_string)
 
 
 def all_catalog_games():
@@ -96,7 +100,7 @@ def test_oversize_catalog_game_is_refused_before_it_is_built(spec):
                                          ("complete", 639)])
 def test_graph_boards_build_up_to_the_documented_size(family, last):
     # the line masks are the real cost: cycle(50000) took 205 MiB unguarded
-    assert C.parse_game_spec(f"{family}({last})").lines.lines
+    assert C.parse_game_spec(f"{family}({last})").lines.masks
     with pytest.raises(GameError, match="work budget"):
         C.parse_game_spec(f"{family}({last + 1})")
 
@@ -158,14 +162,14 @@ def test_odd_composite_35_contains_random_sets():
 
 @pytest.mark.parametrize("b,count", [(3, 10), (5, 96), (7, 736)])
 def test_pairs_allowed_count(b, count):
-    assert len(C._pairs_w_sets(b)) == count
+    assert len(C._pairs_w_masks(b)) == count
     assert count == 2 ** (b - 1) + b * ((b - 1) // 2) * 2 ** (b - 2)
 
 
 def test_pairs_b3_is_a_half_family():
     # every 3-subset or its complement is allowed, never both
     g = C.pairs_game(3)
-    w = set(C._pairs_w_sets(3))
+    w = set(map(set_of, C._pairs_w_masks(3)))
     board = frozenset(range(6))
     for c in itertools.combinations(range(6), 3):
         s = frozenset(c)
@@ -181,7 +185,7 @@ def test_pairs_explicit_implicit_agree():
         if len(s) == 3:
             assert ge.lines.is_line(s) == gi.lines.is_line(s)
     # the implicit store's mask predicates against the enumerated family
-    allowed = {mask_of(w) for w in C._pairs_w_sets(5)}
+    allowed = set(C._pairs_w_masks(5))
     below = brute_downset(allowed)
     for t in range(1 << 10):
         assert C._pairs_allowed(5, t) == (t in allowed), sorted(set_of(t))
@@ -198,14 +202,14 @@ def test_pairs_implicit_contains_matches_bruteforce():
 def test_pairs_lines_size_b():
     for b in (3, 5):
         g = C.pairs_game(b)
-        assert all(len(l) == b for l in g.lines.lines)
+        assert all(m.bit_count() == b for m in g.lines.masks)
 
 
 def test_pairs_allowed_family_intersecting():
     for b in (3, 5):
-        w = C._pairs_w_sets(b)
+        w = C._pairs_w_masks(b)
         for w1, w2 in itertools.combinations(w, 2):
-            assert w1 & w2, (sorted(w1), sorted(w2))
+            assert w1 & w2, (sorted(set_of(w1)), sorted(set_of(w2)))
 
 
 # --- even general ------------------------------------------------------------
@@ -273,9 +277,9 @@ def test_even_general_extendability_brute_cross_check():
 
 def test_torus_counts_and_negation_closure():
     g = C.torus(3, 2)
-    assert len(g.lines.lines) == 12
-    assert all(len(l) == 3 for l in g.lines.lines)
-    lines = set(g.lines.lines)
+    assert len(g.lines.masks) == 12
+    assert all(m.bit_count() == 3 for m in g.lines.masks)
+    lines = set(map(set_of, g.lines.masks))
     for l in lines:
         neg = frozenset(C._torus_index(tuple((-c) % 3 for c in C._torus_coords(x, 3, 2)), 3)
                         for x in l)
@@ -284,12 +288,13 @@ def test_torus_counts_and_negation_closure():
 
 def test_torus_31_single_line():
     g = C.torus(3, 1)
-    assert g.lines.lines == (frozenset({0, 1, 2}),)
+    assert tuple(map(set_of, g.lines.masks)) == (frozenset({0, 1, 2}),)
 
 
 def test_torus_q2_is_complete_graph():
     g = C.torus(2, 2)
-    assert set(g.lines.lines) == {frozenset(e) for e in itertools.combinations(range(4), 2)}
+    assert set(map(set_of, g.lines.masks)) == \
+        {frozenset(e) for e in itertools.combinations(range(4), 2)}
 
 
 # --- derived games -----------------------------------------------------------
@@ -297,20 +302,20 @@ def test_torus_q2_is_complete_graph():
 def test_disjoint_copies_structure():
     base = C.pairs_game(3)
     one = C.disjoint_copies(base, 1)
-    assert len(one.lines.lines) == len(base.lines.lines)
+    assert len(one.lines.masks) == len(base.lines.masks)
     three = C.disjoint_copies(base, 3)
     assert three.n == 18
-    assert len(three.lines.lines) == 3 * len(base.lines.lines)
-    assert all(len(l) == 3 for l in three.lines.lines)
+    assert len(three.lines.masks) == 3 * len(base.lines.masks)
+    assert all(m.bit_count() == 3 for m in three.lines.masks)
 
 
 def test_superset_lines_small_example():
     g = C.parse_game_spec("torus(3,1)")   # single line {0,1,2} on 3 points
     base = C.disjoint_copies(g, 1)
     from avoidance.core import Game
-    host = Game(5, ExplicitLines(5, [[0, 1, 2]]), (), "host")
+    host = Game(5, ExplicitLines(5, [0b111]), (), "host")
     sup = C.superset_lines(host, 4)
-    lines = set(sup.lines.lines)
+    lines = set(map(set_of, sup.lines.masks))
     assert lines == {frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 4})}
 
 
@@ -337,8 +342,8 @@ def test_superset_lines_containment_equivalence():
 def test_product_torus_counts():
     g = C.product_torus(1)
     assert g.n == 18
-    assert len(g.lines.lines) == 36
-    assert all(len(l) == 3 for l in g.lines.lines)
+    assert len(g.lines.masks) == 36
+    assert all(m.bit_count() == 3 for m in g.lines.masks)
 
 
 def test_product_torus_antipodal_map_preserves_lines():
@@ -352,7 +357,7 @@ def test_product_torus_antipodal_map_preserves_lines():
 def test_affine_11_structure():
     g = C.affine_game(11)
     assert g.meta["allowed_count"] == 110
-    assert len(g.lines.lines) == 462 - 110
+    assert len(g.lines.masks) == 462 - 110
     assert is_transitive(g)
 
 
@@ -364,6 +369,143 @@ def test_affine_rejects_non_intersecting_bases():
 def test_affine_13_intersecting():
     g = C.affine_game(13)   # construction itself verifies the family
     assert g.meta["allowed_count"] == 390
+
+
+def test_affine_refuses_a_base_with_disjoint_images():
+    # the translate by 6 of {0..5} is {6..11}
+    with pytest.raises(GameError, match=r"\[0, 1, 2, 3, 4, 5\] and "
+                                        r"\[6, 7, 8, 9, 10, 11\] are disjoint"):
+        C.affine_game(13, bases=[set(range(6))])
+
+
+def test_affine_intersecting_test_agrees_with_the_pairwise_oracle():
+    # 200 random bases on 7, 11 and 13 points: the builder's complement
+    # lookups refuse exactly the closures in which pairwise tests find two
+    # disjoint sets, and name the same first pair
+    rng = random.Random(12)
+    built = refused = 0
+    for _ in range(200):
+        n = rng.choice((7, 11, 13))
+        k = (n - 1) // 2
+        base = rng.sample(range(n), k)
+        closure, pair = ref_affine_disjoint_pair(n, [base])
+        if pair is None:
+            g = C.affine_game(n, bases=[base])
+            assert g.meta["allowed_count"] == len(closure)
+            assert set(map(set_of, g.lines.masks)) == \
+                {frozenset(c) for c in itertools.combinations(range(n), k)} - closure
+            built += 1
+        else:
+            with pytest.raises(GameError) as exc:
+                C.affine_game(n, bases=[base])
+            assert str(exc.value) == \
+                f"allowed family not intersecting: {pair[0]} and {pair[1]} are disjoint"
+            refused += 1
+    assert built == 56 and refused == 144
+
+
+# --- explicit line masks -----------------------------------------------------
+
+# sha256 of json.dumps(game_to_json(game), sort_keys=True), first 16 hex
+# digits, as the frozenset builders emitted them before the mask builders
+JSON_DIGESTS = {
+    "pairs(3)": "3f11bf3e5aa5e5ea",
+    "pairs(5)": "6decce6b5844013f",
+    "pairs(7)": "dd33bd75cdce0ee0",
+    "affine(11)": "577af27165a17ffd",
+    "affine(13)": "49bb126a5525cc83",
+    "torus(3,2)": "111cad62c53d8db2",
+    "torus(3,3)": "c22caace1370cbe6",
+    "cycle(5)": "4a0e9b4bbe2046ea",
+    "complete(5)": "01c3ea4e9e3ea8bb",
+    "matching(3)": "8101a8775349e52d",
+    "copies(pairs(3),3)": "f20cb2da8841ca9d",
+    "superset(pairs(5),6)": "eb30502693f44d00",
+    "product_torus(1)": "55a0eeba0d18d37c",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(JSON_DIGESTS))
+def test_explicit_game_documents_are_pinned_and_round_trip(spec):
+    g = C.parse_game_spec(spec)
+    doc = C.game_to_json(g)
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == JSON_DIGESTS[spec]
+    # rebuilt from the name, and read as written under a name that does not parse
+    for name in (spec, "unnamed"):
+        loaded = C.game_from_json(dict(json.loads(text), name=name))
+        assert loaded.lines.masks == g.lines.masks
+        assert C.game_to_json(loaded) == dict(doc, name=name)
+
+
+def _mixed_board() -> Game:
+    lines = [{0, 1}, {1, 2, 3}, {0, 2, 4, 5}, {3, 4, 5, 6}, {6, 2}]
+    return Game(7, ExplicitLines(7, map(mask_of, lines)), (), "mixed")
+
+
+@pytest.mark.parametrize("base,r", [(C.pairs_game(5), 6), (C.pairs_game(5), 8),
+                                    (C.torus(3, 2), 4), (C.torus(3, 2), 6),
+                                    (_mixed_board(), 4), (_mixed_board(), 5)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_superset_lines_equal_the_enumeration_of_all_r_sets(base, r):
+    assert [set_of(m) for m in C.superset_lines(base, r).lines.masks] == \
+        _brute_superset(base, r)
+
+
+def _brute_superset(base: Game, r: int) -> list:
+    lines = [set_of(m) for m in base.lines.masks]
+    return sorted({frozenset(c) for c in itertools.combinations(range(base.n), r)
+                   if any(l <= set(c) for l in lines)}, key=sorted)
+
+
+@pytest.mark.parametrize("k,r", [(40, 38), (100, 98)])
+def test_superset_of_a_dense_base_draws_each_r_set_at_most_once(monkeypatch, k, r):
+    # filling each of complete(100)'s 4950 edges up to 98 points would draw
+    # 23.5M sets for its C(100, 98) = 4950 lines; the r-sets are scanned
+    base = C.complete_graph_game(k)
+    combinations, drawn = itertools.combinations, 0
+
+    def counted(pool, size):
+        nonlocal drawn
+        for c in combinations(pool, size):
+            drawn += 1
+            assert drawn <= comb(k, r), "superset drew more sets than there are r-sets"
+            yield c
+
+    monkeypatch.setattr(itertools, "combinations", counted)
+    got = C.superset_lines(base, r).lines.masks
+    monkeypatch.undo()
+    assert [set_of(m) for m in got] == _brute_superset(base, r)
+
+
+EXPLICIT_BOARDS = [C.parse_game_spec(spec) for spec in sorted(JSON_DIGESTS)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mask_check_preserved_agrees_with_the_set_oracle(data):
+    # a word in the generators (which preserves the lines), then perhaps a
+    # transposition or an arbitrary permutation (which mostly does not)
+    game = data.draw(st.sampled_from(EXPLICIT_BOARDS), label="game")
+    n = game.n
+    perm = Permutation.identity(n)
+    for g in data.draw(st.lists(st.sampled_from(game.generators), max_size=4)):
+        perm = g.compose(perm)
+    kind = data.draw(st.sampled_from(["word", "swap", "any"]))
+    if kind == "swap":
+        x, y = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        perm = Permutation.from_mapping(n, {x: y, y: x}).compose(perm)
+    elif kind == "any":
+        perm = Permutation(tuple(data.draw(st.permutations(range(n)))))
+    want = ref_unpreserved_line(game.lines, perm)
+    if want is None:
+        game.lines.check_preserved(perm)
+        return
+    with pytest.raises(LinePreservationError) as exc:
+        game.lines.check_preserved(perm)
+    assert exc.value.witness == want
+    assert str(exc.value) == (f"generator maps line {sorted(want)} to non-line "
+                              f"{sorted(perm.apply_set(want))}")
 
 
 # --- serialization & specs ---------------------------------------------------
@@ -416,4 +558,4 @@ def test_json_load_refuses_a_document_that_differs_from_its_name():
     assert C.game_from_json(doc).name == "pairs(3)"
     # an unnamed document is used as written
     plain = {"n": 3, "name": "tri", "lines": {"explicit": [[0, 1]]}, "generators": []}
-    assert C.game_from_json(plain).lines.lines == (frozenset({0, 1}),)
+    assert tuple(map(set_of, C.game_from_json(plain).lines.masks)) == (frozenset({0, 1}),)

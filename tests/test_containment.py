@@ -24,7 +24,7 @@ from avoidance import constructions as C
 from avoidance.core import ExplicitLines, ImplicitLines, iter_bits, mask_of, set_of
 from avoidance.solver import solve
 
-from oracles import brute_contains_line, brute_loses_after
+from oracles import brute_contains_line, brute_loses_after, reversed_points
 
 SMALL = ["pairs(3)", "pairs(5)", "affine(11)", "cycle(5)", "complete(4)",
          "matching(3)", "odd_composite(3,3)", "copies(cycle(3),3)",
@@ -56,7 +56,8 @@ def _check_mask(store, mask):
 def _small_games():
     games = [C.parse_game_spec(spec) for spec in SMALL]
     games += [C.pairs_game(3, store="implicit"), C.pairs_game(5, store="implicit")]
-    mixed = ExplicitLines(7, [{0, 1}, {1, 2, 3}, {0, 2, 4, 5}, {3, 4, 5, 6}, {6, 2}])
+    mixed = ExplicitLines(7, map(mask_of, [{0, 1}, {1, 2, 3}, {0, 2, 4, 5}, {3, 4, 5, 6},
+                                           {6, 2}]))
     return games + [C.Game(7, mixed, (), "mixed")]
 
 
@@ -162,7 +163,9 @@ def test_bench_solves_keep_reference_work_counts(cmd_id):
     ("odd_composite(3,3)", "descending", 548, 548, [8, 7, 6, 5, 2, 4, 1, 3]),
 ])
 def test_move_order_work_counts(spec, order, states, table, pv):
-    # (states, table) above are the plain-key search's; these the canonical one's
+    # (states, table) above are the plain-key search's; these the canonical
+    # one's. The descending search is the ascending one of the reversed
+    # board, whose PV is mapped back to the game's points.
     canonical_counts = {
         ("affine(11)", "descending"): (4458, 4458),
         ("pairs(5)", "ascending"): (386, 368),
@@ -170,10 +173,13 @@ def test_move_order_work_counts(spec, order, states, table, pv):
         ("odd_composite(3,3)", "descending"): (34, 34),
     }
     game = C.parse_game_spec(spec)
-    plain = solve(dataclasses.replace(game, canonical=None), move_order=order)
+    if order == "descending":
+        game = reversed_points(game)
+        pv = [game.n - 1 - x for x in pv]
+    plain = solve(dataclasses.replace(game, canonical=None))
     assert (plain.states_visited, plain.table_size) == (states, table)
     assert list(plain.principal_variation) == pv
-    report = solve(game, move_order=order)
+    report = solve(game)
     assert (report.states_visited, report.table_size) == canonical_counts[spec, order]
     assert list(report.principal_variation) == pv
 

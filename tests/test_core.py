@@ -62,7 +62,7 @@ def test_apply_move_flow():
 
 
 def test_apply_move_detects_loss():
-    g = Game(3, ExplicitLines(3, [[0, 1]]), (), "tiny")
+    g = Game(3, ExplicitLines(3, [0b11]), (), "tiny")
     pos = Position.initial()
     pos, _ = apply_move(g, pos, 0)
     pos, _ = apply_move(g, pos, 2)
@@ -96,14 +96,14 @@ def test_is_transitive_flags_bad_generator():
 
 
 def test_is_transitive_identity_only():
-    g = Game(7, ExplicitLines(7, [[0, 1, 2]]), (Permutation.identity(7),), "static")
+    g = Game(7, ExplicitLines(7, [0b111]), (Permutation.identity(7),), "static")
     # identity preserves everything but moves nothing
     assert not is_transitive(g)
 
 
 def test_find_fpf_involution_cycles():
     def cyc_game(n):
-        lines = [[i, (i + 1) % n] for i in range(n)]
+        lines = [1 << i | 1 << (i + 1) % n for i in range(n)]
         return Game(n, ExplicitLines(n, lines), (Permutation.cycle(n),), f"c{n}")
 
     g4 = find_fpf_involution(cyc_game(4))
@@ -111,7 +111,7 @@ def test_find_fpf_involution_cycles():
     g6 = find_fpf_involution(cyc_game(6))
     assert g6 is not None and all(g6(x) == (x + 3) % 6 for x in range(6))
     # odd cyclic group: no element of order 2
-    g9 = Game(9, ExplicitLines(9, [[0, 1, 2]]), (Permutation.cycle(9, 3),), "c9")
+    g9 = Game(9, ExplicitLines(9, [0b111]), (Permutation.cycle(9, 3),), "c9")
     assert find_fpf_involution(g9) is None
 
 

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from avoidance.core import (ExplicitLines, Game, GameError, Permutation,
-                            Player, SearchCapExceeded, Winner)
+                            Player, SearchCapExceeded, Winner, mask_of, set_of)
 from avoidance import constructions as C
 from avoidance.solver import (Goal, best_move, earliest_forced_loss, solve,
                               solve_plus, verify_strategy)
 from avoidance.strategies import LowestFreeStrategy, PairsStrategy, strategy_for
 
-from oracles import ref_earliest_loss, ref_solve, ref_solve_plus
+from oracles import ref_earliest_loss, ref_solve, ref_solve_plus, reversed_points
 
 VAL = {Winner.PI_WIN: 1, Winner.DRAW: 0, Winner.PII_WIN: -1}
 
@@ -59,12 +59,15 @@ def test_solve_pv_replays_to_outcome():
 
 
 def test_solve_table_on_off_and_order_invariance():
+    # the plain recursion keeps no solver table and prunes nothing; the
+    # solver searches the reversed board in descending point order
     for spec in ["pairs(3)", "cycle(5)", "torus(3,2)", "odd_composite(3,3)",
                  "complete(4)", "matching(2)"]:
         g = C.parse_game_spec(spec)
         base = solve(g).outcome.winner
-        assert solve(g, use_table=False).outcome.winner is base
-        assert solve(g, move_order="descending").outcome.winner is base
+        descending = list(range(g.n))[::-1]
+        assert ref_solve(g) == ref_solve(g, order=descending) == VAL[base]
+        assert solve(reversed_points(g)).outcome.winner is base
 
 
 def test_solve_generator_relabelling_invariance():
@@ -78,7 +81,8 @@ def test_solve_generator_relabelling_invariance():
             for _ in range(rng.randrange(1, 4)):
                 perm = perm.compose(rng.choice(g.generators))
             relabelled = Game(g.n, ExplicitLines(
-                g.n, [perm.apply_set(l) for l in g.lines.lines]), (), "relabel")
+                g.n, [mask_of(perm.apply_set(set_of(m))) for m in g.lines.masks]), (),
+                "relabel")
             assert solve(relabelled).outcome.winner is base
 
 
@@ -86,7 +90,7 @@ def test_solve_root_symmetry_agrees():
     for spec in ["pairs(3)", "torus(3,2)", "cycle(6)"]:
         g = C.parse_game_spec(spec)
         assert solve(g, root_symmetry=True).outcome.winner is solve(g).outcome.winner
-    nontransitive = Game(4, ExplicitLines(4, [[0, 1]]), (), "lopsided")
+    nontransitive = Game(4, ExplicitLines(4, [0b11]), (), "lopsided")
     with pytest.raises(GameError):
         solve(nontransitive, root_symmetry=True)
 
@@ -151,8 +155,8 @@ def test_earliest_forced_loss_refuses_exactly_the_boards_that_are_no_first_playe
     for n in (6, 7, 8):
         triples = list(itertools.combinations(range(n), 3))
         for _ in range(15):
-            game = Game(n, ExplicitLines(n, rng.sample(triples, rng.randrange(4, 12))),
-                        (), f"rand{n}")
+            lines = rng.sample(triples, rng.randrange(4, 12))
+            game = Game(n, ExplicitLines(n, map(mask_of, lines)), (), f"rand{n}")
             if solve(game).outcome.winner is Winner.PI_WIN:
                 assert earliest_forced_loss(game) == ref_earliest_loss(game)
             else:
@@ -182,13 +186,13 @@ def _hand_built_boards():
     boards = [[[0, 1, 5], [0, 2, 3], [0, 3, 5], [1, 2, 3], [1, 2, 5]],
               [[1, 2, 4], [1, 2, 5], [1, 3, 4], [2, 3, 5], [3, 4, 5]],
               [[0, 2, 5], [0, 4, 5], [2, 3, 4], [2, 3, 5], [2, 4, 5]]]
-    games = [Game(6, ExplicitLines(6, lines), (), "hand6") for lines in boards]
+    games = [Game(6, ExplicitLines(6, map(mask_of, lines)), (), "hand6") for lines in boards]
     rng = random.Random(8)
     for n in (6, 8):
         triples = list(itertools.combinations(range(n), 3))
         for _ in range(30):
-            game = Game(n, ExplicitLines(n, rng.sample(triples, rng.randrange(4, 12))),
-                        (), f"hand{n}")
+            lines = rng.sample(triples, rng.randrange(4, 12))
+            game = Game(n, ExplicitLines(n, map(mask_of, lines)), (), f"hand{n}")
             if solve(game).outcome.winner is Winner.PI_WIN:
                 games.append(game)
     return games
@@ -204,7 +208,7 @@ def test_solver_agrees_with_bin_strategy_at_n12():
 
 
 def test_solve_plus_examples():
-    tri = Game(3, ExplicitLines(3, [[0, 1, 2]]), (Permutation.cycle(3),), "tri3")
+    tri = Game(3, ExplicitLines(3, [0b111]), (Permutation.cycle(3),), "tri3")
     assert solve_plus(tri).outcome.winner is Winner.DRAW
     assert VAL[solve_plus(tri).outcome.winner] == ref_solve_plus(tri)
     r = solve_plus(C.pairs_game(3))
