@@ -16,17 +16,24 @@ from typing import Optional
 from . import pairset
 from .core import (Game, GameError, IllegalMoveError, Player, Position,
                    apply_move, is_transitive, iter_bits, orbit)
-from .constructions import CATALOG, game_from_json, game_to_json, parse_game_spec
-from .solver import (Goal, best_move, earliest_forced_loss, solve, solve_plus,
+from .constructions import (CATALOG, game_from_json, game_to_json, parse_game_spec,
+                            spec_size)
+from .solver import (Goal, best_move, check_cap, earliest_forced_loss, solve, solve_plus,
                      verify_strategy)
 from .strategies import STRATEGY_NAMES, strategy_for
 
 
-def _load_game(args) -> Game:
+def _load_game(args, search: Optional[str] = None) -> Game:
+    """The game of ``--game-file`` or ``--game``. A ``--game`` spec for a
+    ``search`` (its name in the cap message) is refused over ``--cap``
+    before it is built."""
     if getattr(args, "game_file", None):
         with open(args.game_file, "r", encoding="utf-8") as fh:
             return game_from_json(json.load(fh))
     if getattr(args, "game", None):
+        n = spec_size(args.game) if search is not None else None
+        if n is not None:
+            check_cap(n, args.cap, search)
         return parse_game_spec(args.game)
     raise GameError("provide --game or --game-file")
 
@@ -80,14 +87,14 @@ def cmd_check_transitive(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    game = _load_game(args)
+    game = _load_game(args, "solve")
     report = solve(game, cap=args.cap, root_symmetry=args.root_symmetry)
     _emit({"game": game.name, **report.to_json()})
     return 0
 
 
 def cmd_solve_plus(args) -> int:
-    game = _load_game(args)
+    game = _load_game(args, "plus-solve")
     report = solve_plus(game, cap=args.cap)
     _emit({"game": game.name, **report.to_json()})
     return 0
@@ -118,7 +125,7 @@ def cmd_verify_lemma(args) -> int:
 
 
 def cmd_earliest_loss(args) -> int:
-    game = _load_game(args)
+    game = _load_game(args, "solve")
     value = earliest_forced_loss(game, cap=args.cap)
     _emit({"game": game.name, "earliest_forced_loss": value})
     return 0
@@ -137,9 +144,10 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_play(args) -> int:
-    game = _load_game(args)
+    by_solver = not args.strategy or args.strategy == "solver"
+    game = _load_game(args, "solve" if by_solver else None)
     opponent = None
-    if args.strategy and args.strategy != "solver":
+    if not by_solver:
         opponent = strategy_for(game, args.strategy)
         state = opponent.initial
     last = None  # the human's last move, which a strategy opponent answers

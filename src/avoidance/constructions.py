@@ -25,7 +25,7 @@ from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (ExplicitLines, Game, GameError, ImplicitLines, Permutation,
-                   iter_bits, mask_of, set_of)
+                   iter_bits, mask_of)
 from . import pairset as _ps
 
 
@@ -64,6 +64,13 @@ def _require_board(n: int, lines: Optional[int], generators: int, what: str) -> 
 # ---------------------------------------------------------------------------
 # odd composite boards: q buckets of p points
 
+def _odd_composite_size(p: int, q: int) -> int:
+    _require(p >= 3 and p % 2 == 1, f"p must be odd >= 3, got {p}")
+    _require(q >= 3 and q % 2 == 1, f"q must be odd >= 3, got {q}")
+    _require_board(p * q, None, 2, f"odd_composite({p},{q})")
+    return p * q
+
+
 def odd_composite(p: int, q: int) -> Game:
     """Bucket game on p*q points, p and q odd and at least 3.
 
@@ -72,10 +79,7 @@ def odd_composite(p: int, q: int) -> Game:
     set always contains a line, so containment reduces to a size test plus
     one profile test at size k (cross-checked against subset enumeration).
     """
-    _require(p >= 3 and p % 2 == 1, f"p must be odd >= 3, got {p}")
-    _require(q >= 3 and q % 2 == 1, f"q must be odd >= 3, got {q}")
-    n = p * q
-    _require_board(n, None, 2, f"odd_composite({p},{q})")
+    n = _odd_composite_size(p, q)
     pp, qq = (p + 1) // 2, (q + 1) // 2
     k = pp * qq
     buckets = [((1 << p) - 1) << (j * p) for j in range(q)]
@@ -93,12 +97,11 @@ def odd_composite(p: int, q: int) -> Game:
             return c > k
         return not profile_ok(mask)
 
-    def w_iter() -> Iterator[frozenset]:
+    def w_iter() -> Iterator[int]:
         for buckets in itertools.combinations(range(q), qq):
-            choices = [itertools.combinations(range(b * p, b * p + p), pp)
+            choices = [map(mask_of, itertools.combinations(range(b * p, b * p + p), pp))
                        for b in buckets]
-            for parts in itertools.product(*choices):
-                yield frozenset(itertools.chain.from_iterable(parts))
+            yield from map(sum, itertools.product(*choices))
 
     def canonical(mine: int, theirs: int) -> tuple:
         # lines depend only on per-bucket counts, so every bucket-preserving
@@ -110,7 +113,7 @@ def odd_composite(p: int, q: int) -> Game:
     store = ImplicitLines(n, k, contains,
                           spec=("odd_composite", {"p": p, "q": q}),
                           w_iter=w_iter,
-                          w_member=lambda s: len(s) == k and profile_ok(mask_of(s)))
+                          w_member=lambda w: w.bit_count() == k and profile_ok(w))
     bucket_cycle = Permutation(tuple(((i // p + 1) % q) * p + i % p for i in range(n)))
     in_bucket = Permutation(tuple((i + 1) % p if i < p else i for i in range(n)))
     return Game(n, store, (bucket_cycle, in_bucket), f"odd_composite({p},{q})",
@@ -156,6 +159,17 @@ def _pairs_allowed(b: int, w: int) -> bool:
     return 1 <= ((empty.bit_length() - doubled.bit_length()) // 2) % b <= (b - 1) // 2
 
 
+def _pairs_size(b: int, store: str = "explicit") -> int:
+    _require(b >= 3 and b % 2 == 1, f"b must be odd >= 3, got {b}")
+    _require(store in ("explicit", "implicit"), f"unknown store {store!r}")
+    # explicit lines: 2^(b-1) odd transversals and b(b-1)/2 * 2^(b-2) sets
+    # with a doubled pair
+    c = min(b, _PARAM_CAP)
+    line_count = (1 << (c - 1)) + c * (c - 1) // 2 * (1 << (c - 2))
+    _require_board(2 * b, line_count if store == "explicit" else None, 2, f"pairs({b})")
+    return 2 * b
+
+
 def pairs_game(b: int, store: str = "explicit") -> Game:
     """Game on b opposite pairs (n = 2b), b odd and at least 3.
 
@@ -164,14 +178,7 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
     set, or both of one pair and none of a pair at distance 1..(b-1)/2
     after it. Lines are the complements of the allowed sets.
     """
-    _require(b >= 3 and b % 2 == 1, f"b must be odd >= 3, got {b}")
-    _require(store in ("explicit", "implicit"), f"unknown store {store!r}")
-    n = 2 * b
-    # explicit lines: 2^(b-1) odd transversals and b(b-1)/2 * 2^(b-2) sets
-    # with a doubled pair
-    c = min(b, _PARAM_CAP)
-    line_count = (1 << (c - 1)) + c * (c - 1) // 2 * (1 << (c - 2))
-    _require_board(n, line_count if store == "explicit" else None, 2, f"pairs({b})")
+    n = _pairs_size(b, store)
     full = (1 << n) - 1
 
     if store == "explicit":
@@ -186,8 +193,8 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
 
         line_store = ImplicitLines(
             n, b, contains, spec=("pairs", {"b": b}),
-            w_iter=lambda: map(set_of, _pairs_w_masks(b)),
-            w_member=lambda s: _pairs_allowed(b, mask_of(s)))
+            w_iter=lambda: _pairs_w_masks(b),
+            w_member=lambda w: _pairs_allowed(b, w))
 
     pair_cycle = Permutation(tuple((2 * ((i // 2 + 1) % b)) + i % 2 for i in range(n)))
     double_swap = Permutation(tuple(
@@ -275,27 +282,26 @@ def _even_allowed(b: int, m: int, w: int) -> bool:
     return 1 <= (e - f) % half <= mp - 1
 
 
-def _even_w_iter(b: int, m: int) -> Iterator[frozenset]:
+def _even_w_iter(b: int, m: int) -> Iterator[int]:
+    """The allowed sets of ``even_general`` as point masks, enumerated."""
     half, mp, bp = m // 2, m // 4, (b - 1) // 2
-    transversals = [(tuple(iter_bits(t)), _ps.maximal_point(m, t))
-                    for t in _ps.extension_masks(m, 0)]
+    transversals = [(t, _ps.maximal_point(m, t)) for t in _ps.extension_masks(m, 0)]
     for combo in itertools.product(transversals, repeat=b):
         if sum(mx for _, mx in combo) % m < half:
-            yield frozenset(j * m + y for j, (t, _) in enumerate(combo) for y in t)
-    pair_choices = [(pid, pid + half) for pid in range(half)]
+            yield sum(t << j * m for j, (t, _) in enumerate(combo))
     for j in range(b):
         for fpid in range(half):
             placements = [(j, (fpid + d) % half) for d in range(1, mp)]
             placements += [((j + d) % b, pid)
                            for d in range(1, bp + 1) for pid in range(half)]
             for (je, epid) in placements:
-                rest = [(jj, pid) for jj in range(b) for pid in range(half)
-                        if (jj, pid) not in ((j, fpid), (je, epid))]
-                for picks in itertools.product((0, 1), repeat=len(rest)):
-                    s = {j * m + fpid, j * m + (fpid + half) % m}
-                    s.update(jj * m + pair_choices[pid][side]
-                             for (jj, pid), side in zip(rest, picks))
-                    yield frozenset(s)
+                # either point of every other opposite pair
+                choices = [(1 << jj * m + pid, 1 << jj * m + pid + half)
+                           for jj in range(b) for pid in range(half)
+                           if (jj, pid) not in ((j, fpid), (je, epid))]
+                doubled = 1 << j * m + fpid | 1 << j * m + fpid + half
+                for picks in itertools.product(*choices):
+                    yield doubled | sum(picks)
 
 
 def _even_extendable(b: int, m: int, t: int) -> bool:
@@ -327,6 +333,13 @@ def _even_extendable(b: int, m: int, t: int) -> bool:
     return False
 
 
+def _even_general_size(a: int, b: int) -> int:
+    _require(a >= 2, f"a must be >= 2, got {a}")
+    _require(b > 1 and b % 2 == 1, f"b must be odd > 1, got {b}")
+    _require_board(b << min(a, _PARAM_CAP), None, 2, f"even_general({a},{b})")
+    return b << a
+
+
 def even_general(a: int, b: int) -> Game:
     """Bin game on b * 2^a points, a >= 2 and b odd > 1.
 
@@ -337,11 +350,8 @@ def even_general(a: int, b: int) -> Game:
     or in the same bin displaced by 1..m/4-1 after the doubled pair.
     Lines are the complements of the allowed sets.
     """
-    _require(a >= 2, f"a must be >= 2, got {a}")
-    _require(b > 1 and b % 2 == 1, f"b must be odd > 1, got {b}")
-    _require_board(b << min(a, _PARAM_CAP), None, 2, f"even_general({a},{b})")
+    n = _even_general_size(a, b)
     m = 1 << a
-    n = b * m
     k = n // 2
     full = (1 << n) - 1
 
@@ -355,7 +365,7 @@ def even_general(a: int, b: int) -> Game:
     store = ImplicitLines(n, k, contains,
                           spec=("even_general", {"a": a, "b": b}),
                           w_iter=lambda: _even_w_iter(b, m),
-                          w_member=lambda s: _even_allowed(b, m, mask_of(s)))
+                          w_member=lambda w: _even_allowed(b, m, w))
     bin_cycle = Permutation(tuple(((i // m + 1) % b) * m + i % m for i in range(n)))
     # rotate bin 0 by +1 and bin 1 by -1: rotation amounts sum to zero
     img = list(range(n))
@@ -403,6 +413,15 @@ def torus_lines(q: int, d: int) -> list[int]:
     return sorted(seen, key=lambda m: list(iter_bits(m)))
 
 
+def _torus_size(q: int, d: int) -> int:
+    _require(q >= 2, f"q must be >= 2, got {q}")
+    _require(d >= 1, f"d must be >= 1, got {d}")
+    # torus_lines makes n^2 * q point steps and n^2 * d digit operations
+    d_c = min(d, _PARAM_CAP)
+    _require_work(q ** (2 * d_c + 1) * d_c, f"torus({q},{d})", "n^2 * q * d")
+    return q ** d
+
+
 def torus(q: int, d: int) -> Game:
     """Arithmetic-progression game on Z_q^d.
 
@@ -411,12 +430,7 @@ def torus(q: int, d: int) -> Game:
     coordinate rotation and pointwise negation for the stronger symmetry
     checks.
     """
-    _require(q >= 2, f"q must be >= 2, got {q}")
-    _require(d >= 1, f"d must be >= 1, got {d}")
-    # torus_lines makes n^2 * q point steps and n^2 * d digit operations
-    d_c = min(d, _PARAM_CAP)
-    _require_work(q ** (2 * d_c + 1) * d_c, f"torus({q},{d})", "n^2 * q * d")
-    n = q ** d
+    n = _torus_size(q, d)
     store = ExplicitLines(n, torus_lines(q, d))
     gens = []
     for axis in range(d):
@@ -563,6 +577,13 @@ def _primitive_root(n: int) -> int:
     raise GameError(f"no primitive root mod {n}")
 
 
+def _affine_size(n: int) -> int:
+    c = max(0, min(n, _PARAM_CAP))
+    _require_work(comb(c, c // 2), f"affine({n})", "C(n, (n-1)/2) candidate lines")
+    _require(_is_prime(n), f"n must be prime, got {n}")
+    return n
+
+
 def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game:
     """Game on a prime board whose allowed family is affine-closed.
 
@@ -570,10 +591,11 @@ def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game
     group of Z_n. Lines are the remaining (n-1)/2-subsets, stored
     explicitly. Rejects base families whose affine closure is not
     intersecting (two disjoint allowed sets make the construction vacuous).
+    The generators x + 1 and g*x, g a primitive root, make the whole affine
+    group, which preserves the lines for any bases, so the ``canonical``
+    form keys a position by its orbit under that group.
     """
-    c = max(0, min(n, _PARAM_CAP))
-    _require_work(comb(c, c // 2), f"affine({n})", "C(n, (n-1)/2) candidate lines")
-    _require(_is_prime(n), f"n must be prime, got {n}")
+    _affine_size(n)
     if bases is None:
         _require(n in AFFINE_BASES, f"no default base sets for n={n}")
         base_sets = AFFINE_BASES[n]
@@ -600,34 +622,75 @@ def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game
     scale = Permutation(tuple((g * x) % n for x in range(n)))
     return Game(n, ExplicitLines(n, lines), (shift, scale), f"affine({n})",
                 meta={"construction": "affine", "params": {"n": n},
-                      "allowed_count": len(w)})
+                      "allowed_count": len(w)},
+                canonical=_affine_canonical(n))
+
+
+def _affine_canonical(p: int):
+    """Key of a position's orbit under x -> ax + c of Z_p, the group that
+    ``affine_game(p)``'s generators make: the least ``mine | theirs << p``
+    over the p - 1 scalings, each followed by the p rotations. The scaling
+    maps are built on the first call."""
+    wrap = 1 | 1 << p      # point 0 of each half, where a rotation wraps in
+    keep = ((1 << 2 * p) - 1) & ~wrap
+    scalings: list = []
+
+    def canonical(mine: int, theirs: int) -> int:
+        if not scalings:
+            scalings.extend(Permutation(tuple(a * x % p for x in range(p))).mask_map()
+                            for a in range(1, p))
+        best = 1 << 2 * p
+        for scale in scalings:
+            v = scale(mine) | scale(theirs) << p
+            for _ in range(p):
+                if v < best:
+                    best = v
+                v = (v << 1) & keep | (v >> (p - 1)) & wrap
+        return best
+
+    return canonical
 
 
 # ---------------------------------------------------------------------------
 # small graph-style games (size-2 lines and friends)
 
-def cycle_game(k: int) -> Game:
-    """Edges of the k-cycle as size-2 lines."""
+def _cycle_size(k: int) -> int:
     _require(k >= 3, f"cycle needs k >= 3, got {k}")
     _require_board(k, k, 1, f"cycle({k})")
+    return k
+
+
+def cycle_game(k: int) -> Game:
+    """Edges of the k-cycle as size-2 lines."""
+    _cycle_size(k)
     lines = [1 << i | 1 << (i + 1) % k for i in range(k)]
     return Game(k, ExplicitLines(k, lines), (Permutation.cycle(k),),
                 f"cycle({k})", meta={"construction": "cycle", "params": {"n": k}})
 
 
-def complete_graph_game(k: int) -> Game:
-    """All pairs as size-2 lines."""
+def _complete_size(k: int) -> int:
     _require(k >= 3, f"complete graph needs k >= 3, got {k}")
     _require_board(k, k * (k - 1) // 2, 1, f"complete({k})")
+    return k
+
+
+def complete_graph_game(k: int) -> Game:
+    """All pairs as size-2 lines."""
+    _complete_size(k)
     lines = [1 << i | 1 << j for i, j in itertools.combinations(range(k), 2)]
     return Game(k, ExplicitLines(k, lines), (Permutation.cycle(k),),
                 f"complete({k})", meta={"construction": "complete", "params": {"n": k}})
 
 
-def matching_game(k: int) -> Game:
-    """A perfect matching on 2k points: lines {i, i+k}."""
+def _matching_size(k: int) -> int:
     _require(k >= 2, f"matching needs k >= 2, got {k}")
     _require_board(2 * k, k, 1, f"matching({k})")
+    return 2 * k
+
+
+def matching_game(k: int) -> Game:
+    """A perfect matching on 2k points: lines {i, i+k}."""
+    _matching_size(k)
     lines = [1 << i | 1 << i + k for i in range(k)]
     return Game(2 * k, ExplicitLines(2 * k, lines), (Permutation.cycle(2 * k),),
                 f"matching({k})", meta={"construction": "matching", "params": {"k": k}})
@@ -636,22 +699,33 @@ def matching_game(k: int) -> Game:
 # ---------------------------------------------------------------------------
 # registry, game-spec strings, JSON round trip
 
+# "size" checks a spec's parameters and work budget as the factory does
+# first, and gives its board size without building it (a base taken as its
+# size). Copies and product_torus have none: their budgets count the lines
+# of the games they are built from.
 CATALOG = {
     "odd_composite": {"factory": odd_composite, "params": ["p", "q"],
-                      "ranges": "p, q odd >= 3"},
-    "pairs": {"factory": pairs_game, "params": ["b"], "ranges": "b odd >= 3"},
+                      "ranges": "p, q odd >= 3", "size": _odd_composite_size},
+    "pairs": {"factory": pairs_game, "params": ["b"], "ranges": "b odd >= 3",
+              "size": _pairs_size},
     "even_general": {"factory": even_general, "params": ["a", "b"],
-                     "ranges": "a >= 2, b odd > 1"},
+                     "ranges": "a >= 2, b odd > 1", "size": _even_general_size},
     "torus": {"factory": torus, "params": ["q", "d"],
-              "ranges": "q >= 2, d >= 1, q^(2d+1) * d <= 2^21"},
-    "product_torus": {"factory": product_torus, "params": ["d"], "ranges": "d >= 1"},
-    "affine": {"factory": affine_game, "params": ["n"], "ranges": "n in {11, 13}"},
-    "cycle": {"factory": cycle_game, "params": ["n"], "ranges": "n >= 3"},
-    "complete": {"factory": complete_graph_game, "params": ["n"], "ranges": "n >= 3"},
-    "matching": {"factory": matching_game, "params": ["k"], "ranges": "k >= 2"},
-    "copies": {"factory": disjoint_copies, "params": ["base", "c"], "ranges": "c odd >= 1"},
+              "ranges": "q >= 2, d >= 1, q^(2d+1) * d <= 2^21", "size": _torus_size},
+    "product_torus": {"factory": product_torus, "params": ["d"], "ranges": "d >= 1",
+                      "size": None},
+    "affine": {"factory": affine_game, "params": ["n"], "ranges": "n in {11, 13}",
+               "size": _affine_size},
+    "cycle": {"factory": cycle_game, "params": ["n"], "ranges": "n >= 3",
+              "size": _cycle_size},
+    "complete": {"factory": complete_graph_game, "params": ["n"], "ranges": "n >= 3",
+                 "size": _complete_size},
+    "matching": {"factory": matching_game, "params": ["k"], "ranges": "k >= 2",
+                 "size": _matching_size},
+    "copies": {"factory": disjoint_copies, "params": ["base", "c"], "ranges": "c odd >= 1",
+               "size": None},
     "superset": {"factory": superset_lines, "params": ["base", "r"],
-                 "ranges": "r >= max base line size"},
+                 "ranges": "r >= max base line size", "size": lambda base, r: base},
 }
 
 
@@ -665,6 +739,18 @@ MAX_SPEC_DEPTH = 16  # parentheses a game spec may nest
 
 def parse_game_spec(spec: str) -> Game:
     """Build a game from a compact string like ``pairs(3)`` or ``copies(pairs(3),3)``."""
+    return _from_spec(spec, "factory")
+
+
+def spec_size(spec: str) -> Optional[int]:
+    """The board size of the game a spec names, without building it; None
+    when a construction in it has no ``size`` in the catalog. Raises the
+    errors ``parse_game_spec`` raises before it builds anything."""
+    return _from_spec(spec, "size")
+
+
+def _from_spec(spec: str, role: str):
+    """``CATALOG[head][role]`` on the spec's arguments."""
     spec = spec.strip()
     depth, head = 0, None
     for i, ch in enumerate(spec):
@@ -690,7 +776,7 @@ def parse_game_spec(spec: str) -> Game:
     args = [a.strip() for a in args] if inner.strip() else []
     if "" in args:
         raise GameError(f"empty argument in game spec {spec!r}")
-    return _catalog_game(head, [_int_token(a) for a in args])
+    return _catalog_game(head, [_int_token(a) for a in args], role)
 
 
 def _int_token(token: str):
@@ -701,9 +787,10 @@ def _int_token(token: str):
         return token
 
 
-def _catalog_game(head: str, args: list, **options) -> Game:
-    """``CATALOG[head]``'s factory on ``args``, after checking their count
-    and kinds: a base is a game spec string, every other argument an int."""
+def _catalog_game(head: str, args: list, role: str = "factory", **options):
+    """``CATALOG[head][role]`` (the factory, or the size check) on ``args``,
+    after checking their count and kinds: a base is a game spec string,
+    taken in the same role, and every other argument an int."""
     entry = CATALOG.get(head)
     if entry is None:
         raise GameError(f"unknown construction {head!r}")
@@ -714,13 +801,15 @@ def _catalog_game(head: str, args: list, **options) -> Game:
     values: list = []
     for name, arg in zip(params, args):
         if name == "base" and isinstance(arg, str) and "(" in arg:
-            values.append(parse_game_spec(arg))
+            values.append(_from_spec(arg, role))
         elif name != "base" and type(arg) is int:
             values.append(arg)
         else:
             kind = "a game spec" if name == "base" else "an integer"
             raise GameError(f"{head} argument {name} must be {kind}, got {arg!r}")
-    return entry["factory"](*values, **options)
+    if entry[role] is None or None in values:
+        return None
+    return entry[role](*values, **options)
 
 
 def game_to_json(game: Game) -> dict:

@@ -124,6 +124,26 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
+    def mask_map(self) -> Callable[[int], int]:
+        """The image of a point mask under this permutation, as a function
+        that looks up 8-bit chunks of the mask in precomputed tables."""
+        # tables[j][v] is the image of the points 8j + i for the bits i of v
+        tables = []
+        for lo in range(0, len(self.image), 8):
+            table = [0]
+            for y in self.image[lo:lo + 8]:
+                table += [v | 1 << y for v in table]
+            tables.append(table)
+
+        def image(mask: int) -> int:
+            out = 0
+            for table in tables:
+                out |= table[mask & 255]
+                mask >>= 8
+            return out
+
+        return image
+
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.image))
 
@@ -199,8 +219,8 @@ class ExplicitLines(LineStore):
     of the mask through the new point while there are few enough of them
     (``comb(c-1, k-1)`` at most an eighth of the smallest per-point line
     count). Otherwise, and always for mixed sizes, it scans the lines
-    through the point. ``check_preserved`` maps each line through 8-bit
-    chunk tables of the permutation and looks the image up in the same set.
+    through the point. ``check_preserved`` maps each line through the
+    permutation's ``mask_map`` and looks the image up in the same set.
     """
 
     def __init__(self, n: int, masks: Iterable[int]):
@@ -258,23 +278,12 @@ class ExplicitLines(LineStore):
         return mask_of(s) in self._mask_set
 
     def check_preserved(self, perm: Permutation) -> None:
-        # tables[j][v] is the image of the points 8j + i for the bits i of v
-        tables = []
-        for lo in range(0, self.n, 8):
-            table = [0]
-            for y in perm.image[lo:lo + 8]:
-                table += [v | 1 << y for v in table]
-            tables.append(table)
-        lines = self._mask_set
+        image, lines = perm.mask_map(), self._mask_set
         for m in self.masks:
-            image, rest = 0, m
-            for table in tables:
-                image |= table[rest & 255]
-                rest >>= 8
-            if image not in lines:
+            if image(m) not in lines:
                 raise LinePreservationError(
                     f"generator maps line {list(iter_bits(m))} to non-line "
-                    f"{list(iter_bits(image))}", perm, set_of(m))
+                    f"{list(iter_bits(image(m)))}", perm, set_of(m))
 
 
 class ImplicitLines(LineStore):
@@ -286,14 +295,15 @@ class ImplicitLines(LineStore):
     exactly when it has k points and contains one. Generators are validated
     by ``check`` when given (a derived family delegates to its base's
     check), else through ``w_iter``/``w_member``, the complementary family
-    of allowed sets.
+    of allowed sets as point masks, each mapped by the generator's
+    ``mask_map``.
     """
 
     def __init__(self, n: int, k: int,
                  contains_fn: Callable[[int], bool],
                  spec: tuple[str, dict],
-                 w_iter: Optional[Callable[[], Iterator[frozenset]]] = None,
-                 w_member: Optional[Callable[[frozenset], bool]] = None,
+                 w_iter: Optional[Callable[[], Iterable[int]]] = None,
+                 w_member: Optional[Callable[[int], bool]] = None,
                  check: Optional[Callable[[Permutation], None]] = None):
         self.n = n
         self.min_line_size = k
@@ -323,11 +333,12 @@ class ImplicitLines(LineStore):
         # The line family is determined by the allowed family inside the
         # size-k level, and perm permutes that level; preserving one is
         # preserving the other.
+        image, member = perm.mask_map(), self._w_member
         for w in self._w_iter():
-            if not self._w_member(perm.apply_set(w)):
+            if not member(image(w)):
                 raise LinePreservationError(
-                    f"generator maps allowed set {sorted(w)} out of the family",
-                    perm, w)
+                    f"generator maps allowed set {list(iter_bits(w))} out of the family",
+                    perm, set_of(w))
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def solve(game: Game, cap: int = 16, root_symmetry: bool = False) -> SolveReport
     ``canonical`` form, states and table size count its equivalence
     classes of positions.
     """
-    _check_cap(game, cap, "solve")
+    check_cap(game.n, cap, "solve")
     if root_symmetry and not is_transitive(game):
         raise GameError("root_symmetry requires a transitive game")
     moves = _point_moves(game)
@@ -92,15 +92,16 @@ def solve(game: Game, cap: int = 16, root_symmetry: bool = False) -> SolveReport
 def best_move(game: Game, mine: int, theirs: int, cap: int = 16) -> int:
     """The solver's move for the side holding ``mine``, to move: the
     first point, ascending, of highest value. The game must not be over."""
-    _check_cap(game, cap, "solve")
+    check_cap(game.n, cap, "solve")
     with _negamax(game) as (search, _, _):
         return _point(_principal_variation(game, search, _point_moves(game), mine, theirs)[0])
 
 
-def _check_cap(game: Game, cap: int, what: str) -> None:
-    if game.n > cap:
+def check_cap(n: int, cap: int, what: str) -> None:
+    """Refuse a search named ``what`` on a board of n points over ``cap``."""
+    if n > cap:
         raise SearchCapExceeded(
-            f"board size {game.n} exceeds {what} cap {cap}; raise cap explicitly")
+            f"board size {n} exceeds {what} cap {cap}; raise cap explicitly")
 
 
 def _point(move: int) -> int:
@@ -232,7 +233,7 @@ def earliest_forced_loss(game: Game, cap: int = 16) -> int:
     escapes entirely (a draw, or Player I containing a line) count as
     infinitely late. Requires the game to be a first-player win.
     """
-    _check_cap(game, cap, "solve")
+    check_cap(game.n, cap, "solve")
     # Player I scores -index and Player II +index, so Player II losing on
     # (even) move d is worth d to it, and an escape +inf to Player II and
     # -inf to Player I; automorphisms keep the index, so canonical keys hold
@@ -252,7 +253,7 @@ def solve_plus(game: Game, cap: int = 8) -> SolveReport:
     same table entry serves both seats. Moves are enumerated smallest set
     first.
     """
-    _check_cap(game, cap, "plus-solve")
+    check_cap(game.n, cap, "plus-solve")
     full = game.full_mask
     contains = game.lines.contains_mask
     table: dict = {}

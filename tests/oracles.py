@@ -43,13 +43,30 @@ def brute_loses_after(store, members, x) -> bool:
     return any(x in l and l <= members for l in _line_sets(store))
 
 
+@functools.lru_cache(maxsize=None)
+def _allowed_sets(store) -> tuple:
+    """The allowed sets of an implicit store as frozensets, in enumeration order."""
+    return tuple(map(set_of, store._w_iter()))
+
+
 def ref_unpreserved_line(store, perm):
     """The first line of an explicit store, in store order, that ``perm``
-    maps off the family, as a frozenset; None if there is none. Each line
-    is mapped point by point with ``Permutation.apply_set``."""
-    lines = _line_sets(store)
-    family = set(lines)
-    return next((l for l in lines if perm.apply_set(l) not in family), None)
+    maps off the family, as a frozenset; None if there is none."""
+    return _first_unpreserved(_line_sets(store), perm)
+
+
+def ref_unpreserved_allowed(store, perm):
+    """The first allowed set of an implicit store, in enumeration order,
+    that ``perm`` maps off the allowed family, as a frozenset; None if
+    there is none."""
+    return _first_unpreserved(_allowed_sets(store), perm)
+
+
+def _first_unpreserved(sets: tuple, perm):
+    """The first of ``sets`` whose image is not among them; each set is
+    mapped point by point with ``Permutation.apply_set``."""
+    family = set(sets)
+    return next((s for s in sets if perm.apply_set(s) not in family), None)
 
 
 def ref_affine_disjoint_pair(n: int, bases):

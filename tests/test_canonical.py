@@ -4,8 +4,8 @@
 key only if an automorphism maps one onto the other. The properties below
 check that against the shipped generators (and, for ``odd_composite``,
 every bucket-preserving permutation), against the orbits of the shipped
-group, against the values of the plain-key tables, and against the
-plain-key solve itself.
+group (for ``pairs`` and ``affine``), against the values of the
+plain-key tables, and against the plain-key solve itself.
 """
 
 import dataclasses
@@ -23,7 +23,8 @@ from oracles import ref_solve, reversed_points
 
 CANONICAL_GAMES = [C.pairs_game(3), C.pairs_game(5), C.pairs_game(7),
                    C.pairs_game(5, "implicit"), C.odd_composite(3, 3),
-                   C.odd_composite(3, 5), C.odd_composite(5, 3)]
+                   C.odd_composite(3, 5), C.odd_composite(5, 3),
+                   C.affine_game(11), C.affine_game(13)]
 
 
 def _ids(game):
@@ -91,9 +92,17 @@ def test_odd_composite_key_is_invariant_under_bucket_preserving_permutations(p, 
 def test_pairs_keys_are_exactly_the_orbits_of_the_shipped_group(b, most):
     # every position with at most ``most`` claimed points: equal keys
     # exactly when some element of rotations x even flips relates them
-    game = C.pairs_game(b)
+    _assert_keys_are_the_orbits(C.pairs_game(b), b * 2 ** (b - 1), most)
+
+
+def test_affine_keys_are_exactly_the_orbits_of_the_shipped_group():
+    # the group is all of x -> ax + c on Z_11; about 6800 positions
+    _assert_keys_are_the_orbits(C.affine_game(11), 11 * 10, 4)
+
+
+def _assert_keys_are_the_orbits(game, order: int, most: int) -> None:
     group = _group(game)
-    assert len(group) == b * 2 ** (b - 1)
+    assert len(group) == order
     orbits, keys = {}, {}
     for owners in _owner_lists(game.n, most):
         mine, theirs = _position(owners)
@@ -117,7 +126,8 @@ def _owner_lists(n: int, most: int):
 
 
 @pytest.mark.parametrize("game", [C.pairs_game(5), C.pairs_game(5, "implicit"),
-                                  C.odd_composite(3, 3), C.odd_composite(3, 5)],
+                                  C.odd_composite(3, 3), C.odd_composite(3, 5),
+                                  C.affine_game(11)],
                          ids=_ids)
 def test_plain_key_table_entries_with_one_key_share_one_value(game):
     with _negamax(dataclasses.replace(game, canonical=None)) as (search, table, _):
@@ -130,28 +140,28 @@ def test_plain_key_table_entries_with_one_key_share_one_value(game):
     assert len(values) < len(table)
 
 
-# with pairs(7) and odd_composite(5,3), whose two solves
+# with pairs(7), odd_composite(5,3) and affine(13), whose three solves
 # test_bench_solves_keep_reference_work_counts pins, this is every board
 # with n <= 16 that has a canonical form
 @pytest.mark.parametrize("game", [C.pairs_game(3), C.pairs_game(3, "implicit"),
                                   C.pairs_game(5), C.pairs_game(5, "implicit"),
                                   C.pairs_game(7, "implicit"), C.odd_composite(3, 3),
-                                  C.odd_composite(3, 5)], ids=_ids)
+                                  C.odd_composite(3, 5), C.affine_game(11)], ids=_ids)
 def test_canonical_solve_equals_the_plain_key_solve(game):
-    # on n <= 10 also in descending point order, as the reversed board, and
+    # on n <= 11 also in descending point order, as the reversed board, and
     # by plain recursion with a memo under either key
-    for board in [game, reversed_points(game)] if game.n <= 10 else [game]:
+    for board in [game, reversed_points(game)] if game.n <= 11 else [game]:
         report = solve(board)
         plain = solve(dataclasses.replace(board, canonical=None))
         assert report.outcome == plain.outcome
         assert report.principal_variation == plain.principal_variation
         assert report.states_visited <= plain.states_visited
-    if game.n <= 10:
+    if game.n <= 11:
         assert ref_solve(game, key=game.canonical) == ref_solve(game)
 
 
 @pytest.mark.parametrize("game", [C.pairs_game(3), C.pairs_game(5),
-                                  C.odd_composite(3, 3)], ids=_ids)
+                                  C.odd_composite(3, 3), C.affine_game(11)], ids=_ids)
 def test_canonical_earliest_forced_loss_equals_the_plain_key_one(game):
     assert earliest_forced_loss(game) == \
         earliest_forced_loss(dataclasses.replace(game, canonical=None))
@@ -164,7 +174,7 @@ def test_canonical_earliest_forced_loss_past_the_plain_key_budget():
 
 
 @pytest.mark.parametrize("game", [C.pairs_game(5), C.pairs_game(5, "implicit"),
-                                  C.odd_composite(3, 5)], ids=_ids)
+                                  C.odd_composite(3, 5), C.affine_game(13)], ids=_ids)
 def test_json_round_trip_keeps_the_canonical_form(game):
     doc = C.game_to_json(game)
     loaded = C.game_from_json(json.loads(json.dumps(doc)))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from avoidance.cli import main
+from avoidance.core import ExplicitLines
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +252,33 @@ def test_play_against_the_solver_opponent(monkeypatch, capsys):
     assert [l for l in out.splitlines() if l.startswith("opponent plays")] == [
         f"opponent plays {x}" for x in (0, 1, 2, 6, 8)]
     assert out.splitlines()[-1] == "Player II completed a line and loses on move 10"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--game", "pairs(9)"], "board size 18 exceeds solve cap 16"),
+    (["solve", "--game", "superset(pairs(9),12)"], "board size 18 exceeds solve cap 16"),
+    (["earliest-loss", "--game", "affine(13)", "--cap", "12"],
+     "board size 13 exceeds solve cap 12"),
+    (["solve-plus", "--game", "pairs(5)"], "board size 10 exceeds plus-solve cap 8"),
+    (["play", "--game", "pairs(9)"], "board size 18 exceeds solve cap 16"),
+])
+def test_over_cap_specs_are_refused_before_they_are_built(monkeypatch, capsys, argv,
+                                                          message):
+    # the spec gives the board size; building a line store would fail loudly
+    def unbuildable(self, *args):
+        raise AssertionError("a line store was built")
+
+    monkeypatch.setattr(ExplicitLines, "__init__", unbuildable)
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}; raise cap explicitly\n"
+
+
+def test_play_against_a_strategy_has_no_solver_cap(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("q\n"))
+    rc = main(["play", "--game", "pairs(9)", "--strategy", "pairs", "--side", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "bye"
 
 
 def test_oversize_torus_is_refused(capsys):

@@ -15,7 +15,7 @@ from avoidance import constructions as C
 from avoidance import pairset as ps
 
 from oracles import (brute_contains_line, brute_downset, ref_affine_disjoint_pair,
-                     ref_unpreserved_line, word_string)
+                     ref_unpreserved_allowed, ref_unpreserved_line, word_string)
 
 
 def all_catalog_games():
@@ -127,7 +127,7 @@ def test_affine_user_bases_over_the_budget_are_refused():
 
 def test_odd_composite_counts():
     g = C.odd_composite(3, 3)
-    w = {s for s in g.lines._w_iter()}
+    w = set(map(set_of, g.lines._w_iter()))
     assert len(w) == 27
     lines = [frozenset(c) for c in itertools.combinations(range(9), 4)
              if g.lines.is_line(frozenset(c))]
@@ -218,11 +218,10 @@ def test_even_general_allowed_count_and_complement_free():
     g = C.even_general(2, 3)
     w = list(g.lines._w_iter())
     assert len(w) == 224
-    board = frozenset(range(12))
     member = g.lines._w_member
     for s in w:
         assert member(s)
-        assert not member(board - s)
+        assert not member(g.full_mask ^ s)
 
 
 def test_even_general_transversal_membership_is_three_max_calls():
@@ -242,13 +241,13 @@ def test_even_general_transversal_membership_is_three_max_calls():
             starts = [v for v, wd in words.items() if wd == best]
             assert len(starts) == 1
             total += starts[0]
-        assert member(frozenset(pts)) == (total % 4 < 2)
+        assert member(mask_of(pts)) == (total % 4 < 2)
 
 
 def test_even_general_contains_matches_bruteforce_random():
     g = C.even_general(2, 3)
     rng = random.Random(3)
-    w = list(g.lines._w_iter())
+    w = list(map(set_of, g.lines._w_iter()))
     board = frozenset(range(12))
     lines = [board - s for s in w]
     for _ in range(1000):
@@ -258,12 +257,12 @@ def test_even_general_contains_matches_bruteforce_random():
 
 
 def test_even_general_extendability_brute_cross_check():
-    below = brute_downset(mask_of(w) for w in C._even_w_iter(3, 4))
+    below = brute_downset(C._even_w_iter(3, 4))
     for t in range(1 << 12):
         assert C._even_extendable(3, 4, t) == (t in below), sorted(set_of(t))
     # only m = 8 reaches the same-bin window (1..m/4-1 is empty at m = 4):
     # subsets of allowed sets, half of them with one point added
-    allowed = [mask_of(w) for w in C._even_w_iter(3, 8)]
+    allowed = list(C._even_w_iter(3, 8))
     rng = random.Random(9)
     for _ in range(200):
         t = mask_of(rng.sample(list(iter_bits(rng.choice(allowed))), rng.randrange(13)))
@@ -481,12 +480,9 @@ def test_superset_of_a_dense_base_draws_each_r_set_at_most_once(monkeypatch, k, 
 EXPLICIT_BOARDS = [C.parse_game_spec(spec) for spec in sorted(JSON_DIGESTS)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_mask_check_preserved_agrees_with_the_set_oracle(data):
-    # a word in the generators (which preserves the lines), then perhaps a
-    # transposition or an arbitrary permutation (which mostly does not)
-    game = data.draw(st.sampled_from(EXPLICIT_BOARDS), label="game")
+def _draw_permutation(data, game) -> Permutation:
+    """A word in the generators (which preserves the lines), then perhaps a
+    transposition or an arbitrary permutation (which mostly does not)."""
     n = game.n
     perm = Permutation.identity(n)
     for g in data.draw(st.lists(st.sampled_from(game.generators), max_size=4)):
@@ -497,6 +493,14 @@ def test_mask_check_preserved_agrees_with_the_set_oracle(data):
         perm = Permutation.from_mapping(n, {x: y, y: x}).compose(perm)
     elif kind == "any":
         perm = Permutation(tuple(data.draw(st.permutations(range(n)))))
+    return perm
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mask_check_preserved_agrees_with_the_set_oracle(data):
+    game = data.draw(st.sampled_from(EXPLICIT_BOARDS), label="game")
+    perm = _draw_permutation(data, game)
     want = ref_unpreserved_line(game.lines, perm)
     if want is None:
         game.lines.check_preserved(perm)
@@ -508,12 +512,61 @@ def test_mask_check_preserved_agrees_with_the_set_oracle(data):
                               f"{sorted(perm.apply_set(want))}")
 
 
+IMPLICIT_BOARDS = [C.pairs_game(5, "implicit"), C.odd_composite(3, 3), C.even_general(2, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_implicit_mask_check_preserved_agrees_with_the_set_oracle(data):
+    # the allowed sets go through the permutation's mask map and the
+    # membership predicate; the oracle maps each set with apply_set and
+    # looks it up among the enumerated sets
+    game = data.draw(st.sampled_from(IMPLICIT_BOARDS), label="game")
+    perm = _draw_permutation(data, game)
+    want = ref_unpreserved_allowed(game.lines, perm)
+    if want is None:
+        game.lines.check_preserved(perm)
+        return
+    with pytest.raises(LinePreservationError) as exc:
+        game.lines.check_preserved(perm)
+    assert exc.value.witness == want
+    assert str(exc.value) == f"generator maps allowed set {sorted(want)} out of the family"
+
+
 # --- serialization & specs ---------------------------------------------------
 
 def test_game_spec_parser_errors():
     for bad in ["nope(3)", "pairs", "pairs(3", "torus(3,2,9)"]:
         with pytest.raises(GameError):
             C.parse_game_spec(bad)
+
+
+@pytest.mark.parametrize("spec", ["odd_composite(3,5)", "pairs(7)", "even_general(2,3)",
+                                  "torus(3,2)", "affine(13)", "cycle(5)", "complete(4)",
+                                  "matching(3)", "superset(pairs(5),6)",
+                                  "superset(odd_composite(3,3),5)"])
+def test_spec_size_is_the_size_of_the_built_board(spec):
+    assert C.spec_size(spec) == C.parse_game_spec(spec).n
+
+
+@pytest.mark.parametrize("spec", ["copies(pairs(3),3)", "product_torus(1)",
+                                  "superset(copies(pairs(3),3),5)"])
+def test_spec_size_is_unknown_where_the_budget_counts_built_lines(spec):
+    assert C.spec_size(spec) is None
+
+
+@pytest.mark.parametrize("spec", ["nope(3)", "pairs(3", "pairs(4)", "pairs(x)", "torus(1,2)",
+                                  "torus(64,2)", "even_general(1,3)", "even_general(30,3)",
+                                  "affine(9)", "affine(97)", "cycle(2)", "matching(1)",
+                                  "complete(3000)", "odd_composite(3,4)",
+                                  "superset(pairs(4),6)", "copies(pairs(3),3,1)"])
+def test_spec_size_refuses_what_the_factories_refuse_first(spec):
+    # the parameter checks and work budgets of a spec come before any building
+    with pytest.raises(GameError) as built:
+        C.parse_game_spec(spec)
+    with pytest.raises(GameError) as sized:
+        C.spec_size(spec)
+    assert str(sized.value) == str(built.value)
 
 
 def _nested_copies(depth: int) -> str:

@@ -85,7 +85,7 @@ def test_even_general_lines_are_complements_of_enumerated_allowed_sets(a, b):
     # _even_w_iter builds the allowed sets without the mask predicate
     game = C.even_general(a, b)
     n, k, full = game.n, game.n // 2, game.full_mask
-    allowed = {mask_of(w) for w in C._even_w_iter(b, 1 << a)}
+    allowed = set(C._even_w_iter(b, 1 << a))
     contains = game.lines.contains_mask
     for combo in itertools.combinations(range(n), k):
         mask = mask_of(combo)
@@ -97,7 +97,7 @@ def test_even_allowed_matches_enumerated_allowed_sets_at_m8():
     # the same-bin branch of the whole-mask predicate
     b, m = 3, 8
     n, k = b * m, b * m // 2
-    allowed = {mask_of(w) for w in C._even_w_iter(b, m)}
+    allowed = set(C._even_w_iter(b, m))
     assert len(allowed) == 63488
     assert all(C._even_allowed(b, m, w) for w in allowed)
     rng = random.Random(24)
@@ -133,9 +133,9 @@ BENCH_PV = {
 }
 
 
-# (states, table) of the canonical-key search; affine keeps plain keys
+# (states, table) of the canonical-key search
 BENCH_CANONICAL_COUNTS = {
-    "solve-affine-13": (62217, 62217),
+    "solve-affine-13": (1527, 1527),
     "solve-pairs-7": (8877, 8647),
     "solve-odd-composite-5-3": (145, 145),
 }
@@ -167,7 +167,7 @@ def test_move_order_work_counts(spec, order, states, table, pv):
     # one's. The descending search is the ascending one of the reversed
     # board, whose PV is mapped back to the game's points.
     canonical_counts = {
-        ("affine(11)", "descending"): (4458, 4458),
+        ("affine(11)", "descending"): (184, 184),
         ("pairs(5)", "ascending"): (386, 368),
         ("pairs(5)", "descending"): (287, 270),
         ("odd_composite(3,3)", "descending"): (34, 34),
