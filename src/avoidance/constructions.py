@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .core import (ExplicitLines, Game, GameError, ImplicitLines, Permutation,
                    iter_bits, mask_of)
 from . import pairset as _ps
+from .canonical import affine_canonical, odd_composite_canonical, pairs_canonical
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -103,13 +104,6 @@ def odd_composite(p: int, q: int) -> Game:
                        for b in buckets]
             yield from map(sum, itertools.product(*choices))
 
-    def canonical(mine: int, theirs: int) -> tuple:
-        # lines depend only on per-bucket counts, so every bucket-preserving
-        # permutation (S_p wr S_q) is an automorphism: the sorted profile
-        # of (mine, theirs) counts per bucket names the orbit
-        return tuple(sorted([((mine & bk).bit_count(), (theirs & bk).bit_count())
-                             for bk in buckets]))
-
     store = ImplicitLines(n, k, contains,
                           spec=("odd_composite", {"p": p, "q": q}),
                           w_iter=w_iter,
@@ -119,7 +113,7 @@ def odd_composite(p: int, q: int) -> Game:
     return Game(n, store, (bucket_cycle, in_bucket), f"odd_composite({p},{q})",
                 meta={"construction": "odd_composite", "params": {"p": p, "q": q},
                       "indexing": "point i -> (bucket i//p, offset i%p)"},
-                canonical=canonical)
+                canonical=odd_composite_canonical(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -203,42 +197,7 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
                 f"pairs({b})",
                 meta={"construction": "pairs", "params": {"b": b},
                       "indexing": "(x, y) in Z_b x Z_2 -> 2x + y"},
-                canonical=_pairs_canonical(b))
-
-
-def _pairs_canonical(b: int):
-    """Key of a position's orbit under the shipped group of ``pairs_game(b)``.
-
-    The group is the pair rotations times the flips of an even number of
-    pairs. Flipping each pair that holds one claimed point on its high
-    side, or mine on the high point and theirs on the low one, brings every
-    pair to one orientation. The parity of those flips is kept, unless an
-    empty pair or one held whole by a player (a pair the flip fixes) can
-    absorb an odd flip. The key is the least of the b rotations of
-    ``mine | theirs << n``, with the parity as bit 2n.
-    """
-    n = 2 * b
-    lo = mask_of(range(0, n, 2))
-    wrap = 3 | 3 << n      # pair 0 of each half, where a rotation wraps in
-    keep = ((1 << 2 * n) - 1) & ~wrap
-
-    def canonical(mine: int, theirs: int) -> int:
-        claimed = mine | theirs
-        c_lo, c_hi = claimed & lo, (claimed >> 1) & lo
-        flip = (c_hi & ~c_lo) | ((mine >> 1) & theirs & lo)
-        both = flip | flip << 1
-        mine = (mine & ~both) | (mine & flip) << 1 | (mine >> 1) & flip
-        theirs = (theirs & ~both) | (theirs & flip) << 1 | (theirs >> 1) & flip
-        best = v = mine | theirs << n
-        for _ in range(b - 1):
-            v = (v << 2) & keep | (v >> (n - 2)) & wrap
-            if v < best:
-                best = v
-        if lo & ~(c_lo | c_hi) or mine & (mine >> 1) & lo or theirs & (theirs >> 1) & lo:
-            return best
-        return best | (flip.bit_count() & 1) << 2 * n
-
-    return canonical
+                canonical=pairs_canonical(b))
 
 
 def _pairs_extendable(b: int, t: int) -> bool:
@@ -489,18 +448,21 @@ def superset_lines(g: Game, r: int) -> Game:
     if isinstance(g.lines, ExplicitLines) and comb(n, r) <= 100_000:
         masks = g.lines.masks
         # Fill each base line up to r points, about r - |l| + 1 a filled set,
-        # where that is in the budget and under a scan of the lines for every
-        # r-set (a dense base fills each r-set many times). Both sort alike.
+        # or scan the r-sets, n - r + 1 words of |lines| bits an r-set (see
+        # _superset_scan): the cheaper of the two, if it is in the budget.
+        # Both sort alike.
         fill = sum(comb(n - k, r - k) * (r - k + 1) for k in map(int.bit_count, masks))
-        if fill <= min(CONSTRUCTION_WORK_BUDGET, comb(n, r) * len(masks)):
+        scan = comb(n, r) * (n - r + 1) * (len(masks) // 64 + 1)
+        _require_work(min(fill, scan), f"superset({g.name},{r})",
+                      "the fill or scan of its r-sets")
+        if fill <= scan:
             filled = set()
             for m in masks:
                 rest = [1 << x for x in iter_bits(g.full_mask ^ m)]
                 filled.update(m | sum(t) for t in itertools.combinations(rest, r - m.bit_count()))
             lines = sorted(filled, key=lambda m: list(iter_bits(m)))
         else:
-            lines = [m for m in map(sum, itertools.combinations([1 << x for x in range(n)], r))
-                     if g.lines.contains_mask(m)]
+            lines = _superset_scan(masks, n, r)
         store: object = ExplicitLines(n, lines)
     else:
         # a permutation preserving g's lines preserves the r-sets holding one
@@ -510,6 +472,32 @@ def superset_lines(g: Game, r: int) -> Game:
     return Game(n, store, g.generators, f"superset({g.name},{r})",
                 meta={"construction": "superset", "params": {"base": g.name, "r": r},
                       "base": g})
+
+
+def _superset_scan(masks: Sequence[int], n: int, r: int) -> list[int]:
+    """The r-sets of n points that hold one of the lines ``masks``, in
+    ``itertools.combinations`` order.
+
+    An r-set holds a line unless each line meets the n - r points it
+    leaves out, so it is one OR of their bitsets over the lines. The
+    left-out sets run in ``combinations`` order, which is the reverse of
+    the r-sets' order.
+    """
+    through = [bytearray(len(masks) // 8 + 1) for _ in range(n)]
+    for i, m in enumerate(masks):
+        for x in iter_bits(m):
+            through[x][i >> 3] |= 1 << (i & 7)
+    met = [int.from_bytes(t, "little") for t in through]
+    every, full = (1 << len(masks)) - 1, (1 << n) - 1
+    out = []
+    for left in itertools.combinations(range(n), n - r):
+        hit = 0
+        for x in left:
+            hit |= met[x]
+        if hit != every:
+            out.append(full ^ mask_of(left))
+    out.reverse()
+    return out
 
 
 def product_torus(d: int) -> Game:
@@ -623,32 +611,7 @@ def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game
     return Game(n, ExplicitLines(n, lines), (shift, scale), f"affine({n})",
                 meta={"construction": "affine", "params": {"n": n},
                       "allowed_count": len(w)},
-                canonical=_affine_canonical(n))
-
-
-def _affine_canonical(p: int):
-    """Key of a position's orbit under x -> ax + c of Z_p, the group that
-    ``affine_game(p)``'s generators make: the least ``mine | theirs << p``
-    over the p - 1 scalings, each followed by the p rotations. The scaling
-    maps are built on the first call."""
-    wrap = 1 | 1 << p      # point 0 of each half, where a rotation wraps in
-    keep = ((1 << 2 * p) - 1) & ~wrap
-    scalings: list = []
-
-    def canonical(mine: int, theirs: int) -> int:
-        if not scalings:
-            scalings.extend(Permutation(tuple(a * x % p for x in range(p))).mask_map()
-                            for a in range(1, p))
-        best = 1 << 2 * p
-        for scale in scalings:
-            v = scale(mine) | scale(theirs) << p
-            for _ in range(p):
-                if v < best:
-                    best = v
-                v = (v << 1) & keep | (v >> (p - 1)) & wrap
-        return best
-
-    return canonical
+                canonical=affine_canonical(n))
 
 
 # ---------------------------------------------------------------------------

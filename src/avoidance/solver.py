@@ -119,9 +119,10 @@ def _negamax(game: Game, loss=None, draw=DRAW):
     board is worth to the side to move; a node stops at the first move
     worth ``-min(loss)``. The table is keyed by ``game.canonical`` when
     the game has one, else by the masks themselves, so the values must
-    depend on the move number only. On exit ``search``, which refers to
-    itself, is unbound, so the table is freed with the last reference to
-    it, not at the next cycle collection.
+    depend on the move number only. A node probes the table for each
+    child itself and calls ``expand`` only on a miss. On exit ``search``
+    and ``expand``, which refer to themselves, are unbound, so the table is
+    freed with the last reference to it, not at the next cycle collection.
     """
     full = game.full_mask
     n = game.n
@@ -138,8 +139,10 @@ def _negamax(game: Game, loss=None, draw=DRAW):
     def search(mine: int, theirs: int):
         key = mine | (theirs << n) if canonical is None else canonical(mine, theirs)
         hit = table.get(key)
-        if hit is not None:
-            return hit
+        return expand(mine, theirs, key) if hit is None else hit
+
+    def expand(mine: int, theirs: int, key):
+        """The value of a position not in the table, stored under ``key``."""
         stats["visited"] += 1
         claimed = mine | theirs
         if claimed == full:
@@ -156,7 +159,9 @@ def _negamax(game: Game, loss=None, draw=DRAW):
             if may_lose and loses_after(nm, x):
                 val = lost
             else:
-                val = -search(theirs, nm)
+                k = theirs | (nm << n) if canonical is None else canonical(theirs, nm)
+                val = table.get(k)
+                val = -(expand(theirs, nm, k) if val is None else val)
             if val > best:
                 best = val
                 if best == best_possible:
@@ -167,7 +172,7 @@ def _negamax(game: Game, loss=None, draw=DRAW):
     try:
         yield search, table, stats
     finally:
-        del search
+        del search, expand
 
 
 def _point_moves(game: Game):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from avoidance.core import Game, ImplicitLines, mask_of, set_of
+from avoidance.core import Game, ImplicitLines, Permutation, mask_of, set_of
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,6 +130,57 @@ def reversed_points(game) -> Game:
     canonical = game.canonical
     return Game(n, lines, (), f"reversed {game.name}", canonical=None if canonical is None
                 else lambda mine, theirs: canonical(rev(mine), rev(theirs)))
+
+
+def ref_pairs_key(b: int):
+    """``pairs_game(b)``'s orbit key by a loop over the group: flip each
+    pair into one orientation, then take the least of all b rotations of
+    ``mine | theirs << n``, with the flip parity as bit 2n when no pair
+    is fixed by a flip."""
+    n = 2 * b
+    lo = mask_of(range(0, n, 2))
+    wrap = 3 | 3 << n      # pair 0 of each half, where a rotation wraps in
+    keep = ((1 << 2 * n) - 1) & ~wrap
+
+    def key(mine: int, theirs: int) -> int:
+        claimed = mine | theirs
+        c_lo, c_hi = claimed & lo, (claimed >> 1) & lo
+        flip = (c_hi & ~c_lo) | ((mine >> 1) & theirs & lo)
+        both = flip | flip << 1
+        mine = (mine & ~both) | (mine & flip) << 1 | (mine >> 1) & flip
+        theirs = (theirs & ~both) | (theirs & flip) << 1 | (theirs >> 1) & flip
+        best = v = mine | theirs << n
+        for _ in range(b - 1):
+            v = (v << 2) & keep | (v >> (n - 2)) & wrap
+            if v < best:
+                best = v
+        if lo & ~(c_lo | c_hi) or mine & (mine >> 1) & lo or theirs & (theirs >> 1) & lo:
+            return best
+        return best | (flip.bit_count() & 1) << 2 * n
+
+    return key
+
+
+def ref_affine_key(p: int):
+    """``affine_game(p)``'s orbit key by a loop over the group: the least
+    ``mine | theirs << p`` over all p - 1 scalings, each followed by all p
+    rotations."""
+    wrap = 1 | 1 << p      # point 0 of each half, where a rotation wraps in
+    keep = ((1 << 2 * p) - 1) & ~wrap
+    scalings = [Permutation(tuple(a * x % p for x in range(p))).mask_map()
+                for a in range(1, p)]
+
+    def key(mine: int, theirs: int) -> int:
+        best = 1 << 2 * p
+        for scale in scalings:
+            v = scale(mine) | scale(theirs) << p
+            for _ in range(p):
+                if v < best:
+                    best = v
+                v = (v << 1) & keep | (v >> (p - 1)) & wrap
+        return best
+
+    return key
 
 
 def ref_solve_plus(game, cur=frozenset(), other=frozenset()) -> int:

@@ -4,12 +4,14 @@
 key only if an automorphism maps one onto the other. The properties below
 check that against the shipped generators (and, for ``odd_composite``,
 every bucket-preserving permutation), against the orbits of the shipped
-group (for ``pairs`` and ``affine``), against the values of the
-plain-key tables, and against the plain-key solve itself.
+group (for ``pairs`` and ``affine``), against a loop over that group, against
+the values of the plain-key tables, and against the plain-key solve itself.
 """
 
 import dataclasses
+import itertools
 import json
+import random
 from collections import deque
 
 import pytest
@@ -19,7 +21,7 @@ from avoidance import constructions as C
 from avoidance.core import ExplicitLines, Game, Permutation, iter_bits, mask_of
 from avoidance.solver import _negamax, earliest_forced_loss, solve
 
-from oracles import ref_solve, reversed_points
+from oracles import ref_affine_key, ref_pairs_key, ref_solve, reversed_points
 
 CANONICAL_GAMES = [C.pairs_game(3), C.pairs_game(5), C.pairs_game(7),
                    C.pairs_game(5, "implicit"), C.odd_composite(3, 3),
@@ -125,6 +127,79 @@ def _owner_lists(n: int, most: int):
     return rec([], 0)
 
 
+# the group loops that the shipped keys shortcut, by game spec
+REF_KEYS = {"affine(11)": ref_affine_key(11), "affine(13)": ref_affine_key(13),
+            "pairs(3)": ref_pairs_key(3), "pairs(5)": ref_pairs_key(5),
+            "pairs(7)": ref_pairs_key(7)}
+
+
+def _assert_keys_equal_the_group_loop(spec: str, positions: list) -> None:
+    # a fresh game fed the positions in another order must give the same
+    # keys: its per-``theirs`` memo then fills in another order
+    ref = REF_KEYS[spec]
+    want = [ref(mine, theirs) for mine, theirs in positions]
+    key = C.parse_game_spec(spec).canonical
+    assert [key(*pos) for pos in positions] == want
+    order = random.Random(spec).sample(range(len(positions)), len(positions))
+    fresh = C.parse_game_spec(spec).canonical
+    assert [fresh(*positions[i]) for i in order] == [want[i] for i in order]
+
+
+@pytest.mark.parametrize("spec", sorted(REF_KEYS))
+def test_keys_equal_the_group_loop_on_every_small_position(spec):
+    n = C.spec_size(spec)
+    _assert_keys_equal_the_group_loop(spec, [_position(o) for o in _owner_lists(n, 4)])
+
+
+@pytest.mark.parametrize("spec", sorted(REF_KEYS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_keys_equal_the_group_loop_on_positions_of_any_depth(spec, data):
+    n = C.spec_size(spec)
+    _assert_keys_equal_the_group_loop(spec, data.draw(st.lists(_positions(n), min_size=1,
+                                                               max_size=8)))
+
+
+def _stabilised_positions(spec: str) -> list:
+    """Positions whose ``theirs`` many group elements fix, so that many of
+    them tie for its least image: ``theirs`` empty or one point, with every
+    ``mine``; for affine(p), the cycle through 1 of each scaling x -> ax,
+    with and without 0, and each moved by x -> x + 3, with every ``mine``
+    of at most |theirs| + 1 points; for pairs(b), every ``theirs`` with one
+    point in each pair (all the low points are fixed by every rotation),
+    with every ``mine``."""
+    n = C.spec_size(spec)
+    full = (1 << n) - 1
+
+    def mines(theirs: int, most: int) -> list:
+        rest = [x for x in range(n) if not theirs >> x & 1]
+        return [(mask_of(c), theirs) for k in range(min(most, len(rest)) + 1)
+                for c in itertools.combinations(rest, k)]
+
+    positions = [pos for theirs in [0] + [1 << x for x in range(n)]
+                 for pos in mines(theirs, n)]
+    if spec.startswith("affine"):
+        for a in range(2, n):
+            cycle, x = [], 1
+            while x not in cycle:
+                cycle.append(x)
+                x = a * x % n
+            for fixed in (mask_of(cycle), mask_of(cycle) | 1):
+                for theirs in (fixed, (fixed << 3 | fixed >> (n - 3)) & full):
+                    positions += mines(theirs, theirs.bit_count() + 1)
+    else:
+        b = n // 2
+        for flips in range(1 << b):
+            theirs = mask_of(2 * i + (flips >> i & 1) for i in range(b))
+            positions += mines(theirs, n)
+    return positions
+
+
+@pytest.mark.parametrize("spec", ["affine(11)", "pairs(3)", "pairs(5)"])
+def test_keys_equal_the_group_loop_where_theirs_is_stabilised(spec):
+    _assert_keys_equal_the_group_loop(spec, _stabilised_positions(spec))
+
+
 @pytest.mark.parametrize("game", [C.pairs_game(5), C.pairs_game(5, "implicit"),
                                   C.odd_composite(3, 3), C.odd_composite(3, 5),
                                   C.affine_game(11)],
@@ -158,6 +233,26 @@ def test_canonical_solve_equals_the_plain_key_solve(game):
         assert report.states_visited <= plain.states_visited
     if game.n <= 11:
         assert ref_solve(game, key=game.canonical) == ref_solve(game)
+
+
+# full reports of the keyed solve, computed before the per-``theirs`` memo
+# of the keys: the memo must leave every key, and so every count, as it was
+PINNED_SOLVES = {
+    "affine(11)": {"outcome": "PIWin", "loss_time": 10, "pv": [0, 1, 2, 3, 6, 4, 7, 5, 8, 9],
+                   "states": 184, "table": 184},
+    "affine(13)": {"outcome": "PIWin", "loss_time": 12,
+                   "pv": [0, 1, 2, 3, 7, 4, 5, 6, 8, 9, 11, 10], "states": 1527, "table": 1527},
+    "pairs(5)": {"outcome": "PIWin", "loss_time": 10, "pv": [0, 1, 2, 3, 4, 5, 6, 7, 9, 8],
+                 "states": 386, "table": 368},
+    "pairs(7)": {"outcome": "PIWin", "loss_time": 14,
+                 "pv": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12],
+                 "states": 8877, "table": 8647},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_SOLVES))
+def test_keyed_solve_reports_are_pinned(spec):
+    assert solve(C.parse_game_spec(spec)).to_json() == PINNED_SOLVES[spec]
 
 
 @pytest.mark.parametrize("game", [C.pairs_game(3), C.pairs_game(5),

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -285,6 +286,15 @@ def test_oversize_torus_is_refused(capsys):
     rc, _, err = run_cli(capsys, "solve", "--game", "torus(64,2)")
     assert rc == 2
     assert "work budget" in err
+
+
+def test_over_budget_superset_scan_is_refused_at_once(capsys):
+    # the r-set scan used to run uncharged, 7-9 s for this spec
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "gen", "superset(pairs(11),17)")
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert "work budget" in err and "unexpected" not in err
 
 
 def test_deeply_nested_spec_is_refused(capsys):

@@ -457,6 +457,29 @@ def _brute_superset(base: Game, r: int) -> list:
                    if any(l <= set(c) for l in lines)}, key=sorted)
 
 
+@pytest.mark.parametrize("base,r", [(C.pairs_game(5), 6), (C.pairs_game(5), 8),
+                                    (C.pairs_game(5), 10), (C.torus(3, 2), 4),
+                                    (C.torus(3, 2), 6), (_mixed_board(), 4),
+                                    (_mixed_board(), 7)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_superset_scan_equals_the_enumeration_of_all_r_sets(base, r):
+    # the scan path on its own, whichever path the budget picks for the base
+    got = C._superset_scan(base.lines.masks, base.n, r)
+    assert [set_of(m) for m in got] == _brute_superset(base, r)
+
+
+def test_superset_scan_is_charged_against_the_work_budget():
+    # C(22, 17) r-sets, each an OR of 6 words of pairs(11)'s 29184 lines:
+    # the scan at once, and the line-by-line scan before it took 7-9 s
+    with pytest.raises(GameError, match="superset.pairs.11.,17. is over the work budget"):
+        C.parse_game_spec("superset(pairs(11),17)")
+    # refused, not swapped for another store: a document by that name with
+    # explicit lines still loads from its own lines
+    doc = {"n": 22, "name": "superset(pairs(11),17)", "lines": {"explicit": [[0, 1]]},
+           "generators": []}
+    assert C.game_from_json(doc).lines.masks == (0b11,)
+
+
 @pytest.mark.parametrize("k,r", [(40, 38), (100, 98)])
 def test_superset_of_a_dense_base_draws_each_r_set_at_most_once(monkeypatch, k, r):
     # filling each of complete(100)'s 4950 edges up to 98 points would draw
