@@ -113,7 +113,10 @@ def cmd_verify_strategy(args) -> int:
 
 def cmd_verify_lemma(args) -> int:
     kwargs = {}
-    if args.suite == "key-lemma" and args.max_free_pairs is not None:
+    if args.max_free_pairs is not None:
+        if args.suite not in ("key-lemma", "all"):
+            raise pairset.PairSetError(f"--max-free-pairs restricts key-lemma only, "
+                                       f"not {args.suite}")
         kwargs["max_free_pairs"] = args.max_free_pairs
     if args.suite == "all":
         reports = [pairset.run_suite(name, args.m, **({} if name != "key-lemma" else kwargs))

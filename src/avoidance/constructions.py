@@ -15,7 +15,9 @@ bijection in ``Game.meta``:
 The half-board-size families are described through their *allowed* sets
 (the family the first player tries to complete); lines are the complements
 of the allowed sets, or the non-members of the fixed size level, as noted
-per construction.
+per construction. ``pairs(b)`` is the bin board with m = 2 and odd
+transversal parity, built from the same rule (``_bin_rule``) as
+``even_general``.
 """
 
 from __future__ import annotations
@@ -117,40 +119,97 @@ def odd_composite(p: int, q: int) -> Game:
 
 
 # ---------------------------------------------------------------------------
-# pair boards: b opposite pairs, n = 2b
+# bin boards: b bins of m points, n = b * m; pairs(b) is m = 2
 
-def _pairs_w_masks(b: int) -> list[int]:
-    """The allowed sets of ``pairs_game(b)`` as point masks."""
-    bp = (b - 1) // 2
-    choices = [(1 << 2 * i, 2 << 2 * i) for i in range(b)]
-    high = ((1 << 2 * b) - 1) // 3 << 1  # the second point of every pair
-    out = [w for w in map(sum, itertools.product(*choices))
-           if (w & high).bit_count() % 2 == 1]
-    for full in range(b):
-        for d in range(1, bp + 1):
-            empty = (full + d) % b
-            rest = [choices[i] for i in range(b) if i not in (full, empty)]
-            doubled = 3 << 2 * full
-            out += [doubled | sum(t) for t in itertools.product(*rest)]
-    return out
+def _bin_rule(b: int, m: int, offset: int):
+    """The allowed sets of the bin board Z_b x Z_m (point x*m + y, opposite
+    points y and y + m/2), as ``(w_iter, allowed, extendable)``: their
+    enumeration as point masks, and whether a mask is one, or lies inside
+    one. They are ``even_general``'s, with the bins' maximal points summing,
+    plus ``offset``, into [0, m/2) mod m.
 
-
-def _pairs_allowed(b: int, w: int) -> bool:
-    """Is the point mask ``w`` an allowed set of the pair game?
-
-    ``lo & hi`` marks doubled pairs and ``low & ~(lo | hi)`` empty ones;
-    with |w| = b the two counts are equal.
+    Over all bins at once, ``lo & hi`` marks doubled pairs and the pairs in
+    neither half are empty, each pair named by its low point. A bin word's
+    maximal point and a doubled pair's window of empty pairs are found on
+    first use and kept, so nothing sized by n is built up front.
     """
-    if w.bit_count() != b:
-        return False
-    low = ((1 << 2 * b) - 1) // 3  # the first point of every pair
-    lo, hi = w & low, (w >> 1) & low
-    doubled, empty = lo & hi, low & ~(lo | hi)
-    if not doubled:
-        return hi.bit_count() % 2 == 1
-    if doubled & (doubled - 1):
-        return False
-    return 1 <= ((empty.bit_length() - doubled.bit_length()) // 2) % b <= (b - 1) // 2
+    n, half, mp, bp = b * m, m // 2, m // 4, (b - 1) // 2
+    binmask = (1 << m) - 1
+    low = ((1 << half) - 1) * (((1 << n) - 1) // binmask)  # first half of each bin
+    maxima: dict = {}
+    windows: dict = {}
+
+    def transversal_ok(w: int) -> bool:
+        total = offset
+        for j in range(0, n, m):
+            word = (w >> j) & binmask
+            x = maxima.get(word)
+            if x is None:
+                x = maxima[word] = _ps.maximal_point(m, word)
+            total += x
+        return total % m < half
+
+    def window(doubled: int) -> int:
+        mask = windows.get(doubled)
+        if mask is None:
+            j, fpid = divmod(doubled.bit_length() - 1, m)
+            mask = sum(1 << (j * m + (fpid + d) % half) for d in range(1, mp))
+            mask |= sum(low & (binmask << ((j + d) % b * m)) for d in range(1, bp + 1))
+            windows[doubled] = mask
+        return mask
+
+    def extendable(t: int) -> bool:
+        lo, hi = t & low, (t >> half) & low
+        doubled, empty = lo & hi, low & ~(lo | hi)
+        if not doubled:
+            # an empty pair lies in the window of a pair in the bin before it
+            return bool(empty) or transversal_ok(t)
+        if doubled & (doubled - 1):
+            return False
+        return empty & window(doubled) != 0
+
+    def allowed(w: int) -> bool:
+        return w.bit_count() == n // 2 and extendable(w)
+
+    def w_iter() -> Iterator[int]:
+        transversals = [(t, _ps.maximal_point(m, t)) for t in _ps.extension_masks(m, 0)]
+        for combo in itertools.product(transversals, repeat=b):
+            if (offset + sum(mx for _, mx in combo)) % m < half:
+                yield sum(t << j * m for j, (t, _) in enumerate(combo))
+        for j in range(b):
+            for fpid in range(half):
+                placements = [(j, (fpid + d) % half) for d in range(1, mp)]
+                placements += [((j + d) % b, pid)
+                               for d in range(1, bp + 1) for pid in range(half)]
+                for (je, epid) in placements:
+                    # either point of every other opposite pair
+                    choices = [(1 << jj * m + pid, 1 << jj * m + pid + half)
+                               for jj in range(b) for pid in range(half)
+                               if (jj, pid) not in ((j, fpid), (je, epid))]
+                    doubled = 1 << j * m + fpid | 1 << j * m + fpid + half
+                    yield from map(doubled.__or__, map(sum, itertools.product(*choices)))
+
+    return w_iter, allowed, extendable
+
+
+def _bin_store(b: int, m: int, offset: int, spec: tuple[str, dict]) -> ImplicitLines:
+    """The bin board's lines, the complements of the allowed sets: a mask
+    of at least n/2 points holds one when its complement is extendable."""
+    w_iter, allowed, extendable = _bin_rule(b, m, offset)
+    n = b * m
+    k, full = n // 2, (1 << n) - 1
+    return ImplicitLines(n, k, lambda mask: mask.bit_count() >= k and extendable(full ^ mask),
+                         spec=spec, w_iter=w_iter, w_member=allowed)
+
+
+def _bin_generators(b: int, m: int) -> tuple[Permutation, Permutation]:
+    """The bin cycle x -> x + 1, and bin 0 rotated by +1 with bin 1 by -1
+    (rotation amounts summing to zero)."""
+    n = b * m
+    bin_cycle = Permutation(tuple((i + m) % n for i in range(n)))
+    balanced_rot = Permutation(tuple((i + 1) % m if i < m else m + (i - 1) % m
+                                     if i < 2 * m else i for i in range(n)))
+    return bin_cycle, balanced_rot
 
 
 def _pairs_size(b: int, store: str = "explicit") -> int:
@@ -165,7 +224,8 @@ def _pairs_size(b: int, store: str = "explicit") -> int:
 
 
 def pairs_game(b: int, store: str = "explicit") -> Game:
-    """Game on b opposite pairs (n = 2b), b odd and at least 3.
+    """Game on b opposite pairs (n = 2b), b odd and at least 3: the bin
+    board with m = 2 and odd transversal parity.
 
     Point (x, y) of Z_b x Z_2 is index 2x + y. Allowed sets of size b:
     either one point of each pair with an odd number of second coordinates
@@ -173,123 +233,15 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
     after it. Lines are the complements of the allowed sets.
     """
     n = _pairs_size(b, store)
-    full = (1 << n) - 1
-
     if store == "explicit":
-        line_store: object = ExplicitLines(n, [full ^ w for w in _pairs_w_masks(b)])
+        full = (1 << n) - 1
+        line_store: object = ExplicitLines(n, [full ^ w for w in _bin_rule(b, 2, 1)[0]()])
     else:
-        def contains(mask: int) -> bool:
-            c = mask.bit_count()
-            if c < b:
-                return False
-            rest = full ^ mask
-            return _pairs_allowed(b, rest) if c == b else _pairs_extendable(b, rest)
-
-        line_store = ImplicitLines(
-            n, b, contains, spec=("pairs", {"b": b}),
-            w_iter=lambda: _pairs_w_masks(b),
-            w_member=lambda w: _pairs_allowed(b, w))
-
-    pair_cycle = Permutation(tuple((2 * ((i // 2 + 1) % b)) + i % 2 for i in range(n)))
-    double_swap = Permutation(tuple(
-        i ^ 1 if i < 4 else i for i in range(n)))  # swap inside pairs 0 and 1
-    return Game(n, line_store, (pair_cycle, double_swap),
-                f"pairs({b})",
+        line_store = _bin_store(b, 2, 1, ("pairs", {"b": b}))
+    return Game(n, line_store, _bin_generators(b, 2), f"pairs({b})",
                 meta={"construction": "pairs", "params": {"b": b},
                       "indexing": "(x, y) in Z_b x Z_2 -> 2x + y"},
                 canonical=pairs_canonical(b))
-
-
-def _pairs_extendable(b: int, t: int) -> bool:
-    """Is the point mask ``t`` a subset of some allowed set of the pair game?"""
-    low = ((1 << 2 * b) - 1) // 3
-    lo, hi = t & low, (t >> 1) & low
-    doubled, empty = lo & hi, low & ~(lo | hi)
-    if doubled & (doubled - 1):
-        return False
-    if not doubled:
-        # with a free pair the parity is fixable by that pair's choice
-        return bool(empty) or hi.bit_count() % 2 == 1
-    f = doubled.bit_length() // 2
-    return any(1 <= (e // 2 - f) % b <= (b - 1) // 2 for e in iter_bits(empty))
-
-
-# ---------------------------------------------------------------------------
-# general even boards: b bins of m = 2^a points
-
-def _even_allowed(b: int, m: int, w: int) -> bool:
-    """Is the point mask ``w`` an allowed set of the general even game?
-
-    Over all bins at once, ``lo & hi`` marks doubled opposite pairs and the
-    pairs in neither half are empty; with |w| = n/2 the two counts are equal.
-    """
-    half, mp, bp = m // 2, m // 4, (b - 1) // 2
-    if w.bit_count() != b * half:
-        return False
-    binmask = (1 << m) - 1
-    low = ((1 << half) - 1) * (((1 << (b * m)) - 1) // binmask)  # first half of each bin
-    lo, hi = w & low, (w >> half) & low
-    doubled, empty = lo & hi, low & ~(lo | hi)
-    if not doubled:
-        total = sum(_ps._max_point_info(m, (w >> (j * m)) & binmask)[0] for j in range(b))
-        return total % m < half
-    if doubled & (doubled - 1) or empty & (empty - 1):
-        return False
-    (j, f), (j2, e) = divmod(doubled.bit_length() - 1, m), divmod(empty.bit_length() - 1, m)
-    if j2 != j:
-        return 1 <= (j2 - j) % b <= bp
-    return 1 <= (e - f) % half <= mp - 1
-
-
-def _even_w_iter(b: int, m: int) -> Iterator[int]:
-    """The allowed sets of ``even_general`` as point masks, enumerated."""
-    half, mp, bp = m // 2, m // 4, (b - 1) // 2
-    transversals = [(t, _ps.maximal_point(m, t)) for t in _ps.extension_masks(m, 0)]
-    for combo in itertools.product(transversals, repeat=b):
-        if sum(mx for _, mx in combo) % m < half:
-            yield sum(t << j * m for j, (t, _) in enumerate(combo))
-    for j in range(b):
-        for fpid in range(half):
-            placements = [(j, (fpid + d) % half) for d in range(1, mp)]
-            placements += [((j + d) % b, pid)
-                           for d in range(1, bp + 1) for pid in range(half)]
-            for (je, epid) in placements:
-                # either point of every other opposite pair
-                choices = [(1 << jj * m + pid, 1 << jj * m + pid + half)
-                           for jj in range(b) for pid in range(half)
-                           if (jj, pid) not in ((j, fpid), (je, epid))]
-                doubled = 1 << j * m + fpid | 1 << j * m + fpid + half
-                for picks in itertools.product(*choices):
-                    yield doubled | sum(picks)
-
-
-def _even_extendable(b: int, m: int, t: int) -> bool:
-    """Is the point mask ``t`` a subset of some allowed set of the general even game?"""
-    half, mp, bp = m // 2, m // 4, (b - 1) // 2
-    binmask = (1 << m) - 1
-    low = ((1 << half) - 1) * (((1 << (b * m)) - 1) // binmask)  # first half of each bin
-    lo, hi = t & low, (t >> half) & low
-    doubled, empty = lo & hi, low & ~(lo | hi)
-    if doubled & (doubled - 1):
-        return False
-    if not doubled:
-        # transversal completion: per-bin achievable maxima, then a sum test
-        reachable = {0}
-        for j in range(b):
-            options = {_ps.maximal_point(m, e)
-                       for e in _ps.extension_masks(m, (t >> (j * m)) & binmask)}
-            reachable = {(r + o) % m for r in reachable for o in options}
-        if any(v < half for v in reachable):
-            return True
-    # completion with one doubled pair, t's own or any when t has none: an
-    # empty pair of t must lie in that pair's window
-    for f in iter_bits(doubled or low):
-        j, fpid = divmod(f, m)
-        window = sum(1 << (j * m + (fpid + d) % half) for d in range(1, mp))
-        window |= sum(low & (binmask << ((j + d) % b * m)) for d in range(1, bp + 1))
-        if empty & window:
-            return True
-    return False
 
 
 def _even_general_size(a: int, b: int) -> int:
@@ -311,28 +263,8 @@ def even_general(a: int, b: int) -> Game:
     """
     n = _even_general_size(a, b)
     m = 1 << a
-    k = n // 2
-    full = (1 << n) - 1
-
-    def contains(mask: int) -> bool:
-        c = mask.bit_count()
-        if c < k:
-            return False
-        rest = full ^ mask
-        return _even_allowed(b, m, rest) if c == k else _even_extendable(b, m, rest)
-
-    store = ImplicitLines(n, k, contains,
-                          spec=("even_general", {"a": a, "b": b}),
-                          w_iter=lambda: _even_w_iter(b, m),
-                          w_member=lambda w: _even_allowed(b, m, w))
-    bin_cycle = Permutation(tuple(((i // m + 1) % b) * m + i % m for i in range(n)))
-    # rotate bin 0 by +1 and bin 1 by -1: rotation amounts sum to zero
-    img = list(range(n))
-    for y in range(m):
-        img[y] = (y + 1) % m
-        img[m + y] = m + (y - 1) % m
-    balanced_rot = Permutation(tuple(img))
-    return Game(n, store, (bin_cycle, balanced_rot), f"even_general({a},{b})",
+    store = _bin_store(b, m, 0, ("even_general", {"a": a, "b": b}))
+    return Game(n, store, _bin_generators(b, m), f"even_general({a},{b})",
                 meta={"construction": "even_general", "params": {"a": a, "b": b},
                       "indexing": "(x, y) in Z_b x Z_m -> x*m + y"})
 
@@ -435,12 +367,17 @@ def disjoint_copies(g: Game, c: int) -> Game:
                       "base": g, "indexing": "(copy i, base point v) -> i*n_base + v"})
 
 
+def _superset_size(n: int, r: int) -> int:
+    _require(r <= n, f"r={r} is larger than the base board of {n} points")
+    return n
+
+
 def superset_lines(g: Game, r: int) -> Game:
     """Same board as ``g``; lines are the r-sets containing a line of ``g``."""
+    n = _superset_size(g.n, r)
     max_line = (max(m.bit_count() for m in g.lines.masks)
                 if isinstance(g.lines, ExplicitLines) else g.lines.k)  # implicit: uniform
     _require(r >= max_line, f"r={r} smaller than a line of the base game")
-    n = g.n
 
     def contains(mask: int) -> bool:
         return mask.bit_count() >= r and g.lines.contains_mask(mask)
@@ -688,7 +625,7 @@ CATALOG = {
     "copies": {"factory": disjoint_copies, "params": ["base", "c"], "ranges": "c odd >= 1",
                "size": None},
     "superset": {"factory": superset_lines, "params": ["base", "r"],
-                 "ranges": "r >= max base line size", "size": lambda base, r: base},
+                 "ranges": "r >= max base line size", "size": _superset_size},
 }
 
 

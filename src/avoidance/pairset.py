@@ -338,7 +338,10 @@ def verify_earliest_latest(m: int) -> SuiteReport:
 
 
 def verify_key_lemma(m: int, max_free_pairs: Optional[int] = None) -> SuiteReport:
-    """key_params output passes key_params_hold for every partial pair set."""
+    """key_params output passes key_params_hold for every partial pair set,
+    or every one with at most ``max_free_pairs`` free pairs."""
+    if max_free_pairs is not None and max_free_pairs < 0:
+        raise PairSetError(f"max_free_pairs must be >= 0, got {max_free_pairs}")
     checked, skipped, failures = 0, 0, []
     max_s = 0
     for mask in partial_masks(m):

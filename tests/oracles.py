@@ -49,6 +49,23 @@ def _allowed_sets(store) -> tuple:
     return tuple(map(set_of, store._w_iter()))
 
 
+def ref_pairs_w_masks(b: int) -> list:
+    """The allowed sets of ``pairs_game(b)`` as point masks, enumerated
+    directly: every odd transversal (one point per pair, an odd number of
+    second points), pair 0's pick varying slowest; then each doubled pair
+    with each empty pair 1..(b-1)/2 after it and either point of the rest."""
+    choices = [(1 << 2 * i, 2 << 2 * i) for i in range(b)]
+    high = ((1 << 2 * b) - 1) // 3 << 1  # the second point of every pair
+    out = [w for w in map(sum, itertools.product(*choices))
+           if (w & high).bit_count() % 2 == 1]
+    for full in range(b):
+        for d in range(1, (b - 1) // 2 + 1):
+            empty = (full + d) % b
+            rest = [choices[i] for i in range(b) if i not in (full, empty)]
+            out += [3 << 2 * full | sum(t) for t in itertools.product(*rest)]
+    return out
+
+
 def ref_unpreserved_line(store, perm):
     """The first line of an explicit store, in store order, that ``perm``
     maps off the family, as a frozenset; None if there is none."""

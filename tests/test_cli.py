@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from avoidance import cli
 from avoidance.cli import main
 from avoidance.core import ExplicitLines
 
@@ -171,6 +172,40 @@ def test_verify_lemma_counts(capsys):
     rep = json.loads(out)["reports"][0]
     assert rep["checked"] == 3 ** 4 - 1
     assert rep["failure_count"] == 0
+
+
+def test_verify_lemma_negative_max_free_pairs_is_refused(capsys):
+    # it used to check nothing and pass: "checked": 0, exit 0
+    rc, out, err = run_cli(capsys, "verify-lemma", "key-lemma", "--m", "8",
+                           "--max-free-pairs", "-1")
+    assert rc == 2 and out == ""
+    assert err == "error: max_free_pairs must be >= 0, got -1\n"
+
+
+def test_verify_lemma_max_free_pairs_on_a_suite_that_ignores_it_is_refused(capsys):
+    rc, out, err = run_cli(capsys, "verify-lemma", "unique-max", "--m", "8",
+                           "--max-free-pairs", "2")
+    assert rc == 2 and out == ""
+    assert err == "error: --max-free-pairs restricts key-lemma only, not unique-max\n"
+    rc, out, _ = run_cli(capsys, "verify-lemma", "all", "--m", "4", "--max-free-pairs", "1")
+    assert rc == 0
+    assert json.loads(out)["reports"][-1]["restricted_to_free_pairs"] == 1
+
+
+def test_superset_above_its_board_size_is_refused_before_building(capsys, monkeypatch):
+    # superset(pairs(3),7) used to build a game with no lines: transitive, a draw
+    spec = "superset(pairs(3),7)"
+    rc, out, err = run_cli(capsys, "check-transitive", "--game", spec)
+    assert rc == 2 and out == ""
+    assert err == "error: r=7 is larger than the base board of 6 points\n"
+
+    def refuse(spec):
+        raise AssertionError(f"{spec} was built")
+
+    monkeypatch.setattr(cli, "parse_game_spec", refuse)
+    rc, out, err = run_cli(capsys, "solve", "--game", spec)
+    assert rc == 2 and out == ""
+    assert err == "error: r=7 is larger than the base board of 6 points\n"
 
 
 def test_verify_lemma_all(capsys):

@@ -15,7 +15,14 @@ from avoidance import constructions as C
 from avoidance import pairset as ps
 
 from oracles import (brute_contains_line, brute_downset, ref_affine_disjoint_pair,
-                     ref_unpreserved_allowed, ref_unpreserved_line, word_string)
+                     ref_pairs_w_masks, ref_unpreserved_allowed, ref_unpreserved_line,
+                     word_string)
+
+
+def pairs_rule(b):
+    """``(w_iter, allowed, extendable)`` of ``pairs_game(b)``: the bin
+    board with m = 2 and odd transversal parity."""
+    return C._bin_rule(b, 2, 1)
 
 
 def all_catalog_games():
@@ -162,14 +169,14 @@ def test_odd_composite_35_contains_random_sets():
 
 @pytest.mark.parametrize("b,count", [(3, 10), (5, 96), (7, 736)])
 def test_pairs_allowed_count(b, count):
-    assert len(C._pairs_w_masks(b)) == count
+    assert len(list(pairs_rule(b)[0]())) == count
     assert count == 2 ** (b - 1) + b * ((b - 1) // 2) * 2 ** (b - 2)
 
 
 def test_pairs_b3_is_a_half_family():
     # every 3-subset or its complement is allowed, never both
     g = C.pairs_game(3)
-    w = set(map(set_of, C._pairs_w_masks(3)))
+    w = set(map(set_of, pairs_rule(3)[0]()))
     board = frozenset(range(6))
     for c in itertools.combinations(range(6), 3):
         s = frozenset(c)
@@ -185,11 +192,29 @@ def test_pairs_explicit_implicit_agree():
         if len(s) == 3:
             assert ge.lines.is_line(s) == gi.lines.is_line(s)
     # the implicit store's mask predicates against the enumerated family
-    allowed = set(C._pairs_w_masks(5))
+    allowed = set(ref_pairs_w_masks(5))
     below = brute_downset(allowed)
+    _, is_allowed, extendable = pairs_rule(5)
     for t in range(1 << 10):
-        assert C._pairs_allowed(5, t) == (t in allowed), sorted(set_of(t))
-        assert C._pairs_extendable(5, t) == (t in below), sorted(set_of(t))
+        assert is_allowed(t) == (t in allowed), sorted(set_of(t))
+        assert extendable(t) == (t in below), sorted(set_of(t))
+
+
+@pytest.mark.parametrize("b", [3, 5, 7, 9])
+def test_pairs_lines_are_complements_of_the_reference_allowed_sets_in_order(b):
+    full = (1 << 2 * b) - 1
+    assert list(C.pairs_game(b).lines.masks) == [full ^ w for w in ref_pairs_w_masks(b)]
+
+
+@pytest.mark.parametrize("b", [7, 9])
+def test_pairs_stores_agree_on_random_masks(b):
+    explicit = C.pairs_game(b).lines.contains_mask
+    implicit = C.pairs_game(b, "implicit").lines.contains_mask
+    rng = random.Random(b)
+    for size in range(b - 1, b + 4):
+        for _ in range(300):
+            mask = mask_of(rng.sample(range(2 * b), size))
+            assert explicit(mask) == implicit(mask), sorted(set_of(mask))
 
 
 def test_pairs_implicit_contains_matches_bruteforce():
@@ -207,7 +232,7 @@ def test_pairs_lines_size_b():
 
 def test_pairs_allowed_family_intersecting():
     for b in (3, 5):
-        w = C._pairs_w_masks(b)
+        w = list(pairs_rule(b)[0]())
         for w1, w2 in itertools.combinations(w, 2):
             assert w1 & w2, (sorted(set_of(w1)), sorted(set_of(w2)))
 
@@ -257,19 +282,21 @@ def test_even_general_contains_matches_bruteforce_random():
 
 
 def test_even_general_extendability_brute_cross_check():
-    below = brute_downset(C._even_w_iter(3, 4))
+    w_iter, _, extendable = C._bin_rule(3, 4, 0)
+    below = brute_downset(w_iter())
     for t in range(1 << 12):
-        assert C._even_extendable(3, 4, t) == (t in below), sorted(set_of(t))
+        assert extendable(t) == (t in below), sorted(set_of(t))
     # only m = 8 reaches the same-bin window (1..m/4-1 is empty at m = 4):
     # subsets of allowed sets, half of them with one point added
-    allowed = list(C._even_w_iter(3, 8))
+    w_iter, _, extendable = C._bin_rule(3, 8, 0)
+    allowed = list(w_iter())
     rng = random.Random(9)
     for _ in range(200):
         t = mask_of(rng.sample(list(iter_bits(rng.choice(allowed))), rng.randrange(13)))
         if rng.random() < 0.5:
             t |= 1 << rng.randrange(24)
         expect = any(t & w == t for w in allowed)
-        assert C._even_extendable(3, 8, t) == expect, sorted(set_of(t))
+        assert extendable(t) == expect, sorted(set_of(t))
 
 
 # --- torus -------------------------------------------------------------------
@@ -582,7 +609,8 @@ def test_spec_size_is_unknown_where_the_budget_counts_built_lines(spec):
                                   "torus(64,2)", "even_general(1,3)", "even_general(30,3)",
                                   "affine(9)", "affine(97)", "cycle(2)", "matching(1)",
                                   "complete(3000)", "odd_composite(3,4)",
-                                  "superset(pairs(4),6)", "copies(pairs(3),3,1)"])
+                                  "superset(pairs(4),6)", "superset(pairs(3),7)",
+                                  "copies(pairs(3),3,1)"])
 def test_spec_size_refuses_what_the_factories_refuse_first(spec):
     # the parameter checks and work budgets of a spec come before any building
     with pytest.raises(GameError) as built:

@@ -82,10 +82,10 @@ def test_containment_matches_brute_force_on_random_masks(spec):
 
 @pytest.mark.parametrize("a,b", [(2, 3), (2, 5)])
 def test_even_general_lines_are_complements_of_enumerated_allowed_sets(a, b):
-    # _even_w_iter builds the allowed sets without the mask predicate
+    # the rule's enumeration builds the allowed sets without the mask predicate
     game = C.even_general(a, b)
     n, k, full = game.n, game.n // 2, game.full_mask
-    allowed = set(C._even_w_iter(b, 1 << a))
+    allowed = set(C._bin_rule(b, 1 << a, 0)[0]())
     contains = game.lines.contains_mask
     for combo in itertools.combinations(range(n), k):
         mask = mask_of(combo)
@@ -97,18 +97,19 @@ def test_even_allowed_matches_enumerated_allowed_sets_at_m8():
     # the same-bin branch of the whole-mask predicate
     b, m = 3, 8
     n, k = b * m, b * m // 2
-    allowed = set(C._even_w_iter(b, m))
+    w_iter, is_allowed, _ = C._bin_rule(b, m, 0)
+    allowed = set(w_iter())
     assert len(allowed) == 63488
-    assert all(C._even_allowed(b, m, w) for w in allowed)
+    assert all(is_allowed(w) for w in allowed)
     rng = random.Random(24)
     for _ in range(3000):
         mask = mask_of(rng.sample(range(n), k))
-        assert C._even_allowed(b, m, mask) == (mask in allowed), sorted(set_of(mask))
+        assert is_allowed(mask) == (mask in allowed), sorted(set_of(mask))
     for w in rng.sample(sorted(allowed), 400):
         x = rng.choice(list(iter_bits(w)))
         y = rng.choice([p for p in range(n) if not (w >> p) & 1])
         moved = w ^ (1 << x) ^ (1 << y)
-        assert C._even_allowed(b, m, moved) == (moved in allowed), (sorted(set_of(w)), x, y)
+        assert is_allowed(moved) == (moved in allowed), (sorted(set_of(w)), x, y)
 
 
 def test_lookup_cutoff_keeps_sparse_families_on_the_scan():
