@@ -31,9 +31,8 @@ def _load_game(args, search: Optional[str] = None) -> Game:
         with open(args.game_file, "r", encoding="utf-8") as fh:
             return game_from_json(json.load(fh))
     if getattr(args, "game", None):
-        n = spec_size(args.game) if search is not None else None
-        if n is not None:
-            check_cap(n, args.cap, search)
+        if search is not None:
+            check_cap(spec_size(args.game), args.cap, search)
         return parse_game_spec(args.game)
     raise GameError("provide --game or --game-file")
 

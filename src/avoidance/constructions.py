@@ -121,6 +121,11 @@ def odd_composite(p: int, q: int) -> Game:
 # ---------------------------------------------------------------------------
 # bin boards: b bins of m points, n = b * m; pairs(b) is m = 2
 
+# the ``offset`` of each bin board's rule, which its mirror strategy reads
+# too: pairs(b) allows the transversals with an odd sum of maxima
+PAIRS_OFFSET, EVEN_GENERAL_OFFSET = 1, 0
+
+
 def _bin_rule(b: int, m: int, offset: int):
     """The allowed sets of the bin board Z_b x Z_m (point x*m + y, opposite
     points y and y + m/2), as ``(w_iter, allowed, extendable)``: their
@@ -235,9 +240,10 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
     n = _pairs_size(b, store)
     if store == "explicit":
         full = (1 << n) - 1
-        line_store: object = ExplicitLines(n, [full ^ w for w in _bin_rule(b, 2, 1)[0]()])
+        w_iter = _bin_rule(b, 2, PAIRS_OFFSET)[0]
+        line_store: object = ExplicitLines(n, [full ^ w for w in w_iter()])
     else:
-        line_store = _bin_store(b, 2, 1, ("pairs", {"b": b}))
+        line_store = _bin_store(b, 2, PAIRS_OFFSET, ("pairs", {"b": b}))
     return Game(n, line_store, _bin_generators(b, 2), f"pairs({b})",
                 meta={"construction": "pairs", "params": {"b": b},
                       "indexing": "(x, y) in Z_b x Z_2 -> 2x + y"},
@@ -263,7 +269,7 @@ def even_general(a: int, b: int) -> Game:
     """
     n = _even_general_size(a, b)
     m = 1 << a
-    store = _bin_store(b, m, 0, ("even_general", {"a": a, "b": b}))
+    store = _bin_store(b, m, EVEN_GENERAL_OFFSET, ("even_general", {"a": a, "b": b}))
     return Game(n, store, _bin_generators(b, m), f"even_general({a},{b})",
                 meta={"construction": "even_general", "params": {"a": a, "b": b},
                       "indexing": "(x, y) in Z_b x Z_m -> x*m + y"})
@@ -346,12 +352,16 @@ def torus(q: int, d: int) -> Game:
 # ---------------------------------------------------------------------------
 # derived boards
 
+def _copies_size(n: int, c: int) -> int:
+    _require(c >= 1 and c % 2 == 1, f"copy count must be odd >= 1, got {c}")
+    return c * n
+
+
 def disjoint_copies(g: Game, c: int) -> Game:
     """c disjoint relabelled copies of ``g``; lines live inside copies."""
-    _require(c >= 1 and c % 2 == 1, f"copy count must be odd >= 1, got {c}")
+    n = _copies_size(g.n, c)
     _require(isinstance(g.lines, ExplicitLines),
              "disjoint copies need an explicit base line store")
-    n = c * g.n
     _require_board(n, c * len(g.lines.masks), len(g.generators) + 1,
                    f"copies({g.name},{c})")
     lines = [m << i * g.n for i in range(c) for m in g.lines.masks]
@@ -437,16 +447,20 @@ def _superset_scan(masks: Sequence[int], n: int, r: int) -> list[int]:
     return out
 
 
+def _product_torus_size(d: int) -> int:
+    _require(d >= 1, f"d must be >= 1, got {d}")
+    return 6 * _torus_size(3, d)
+
+
 def product_torus(d: int) -> Game:
     """Product of the d-dimensional base-3 torus with the 6-point pair game.
 
     Board (t, h) -> t*6 + h. Lines: each torus point carries a copy of the
     pair game's lines, and each of the 6 layers carries the torus lines.
     """
-    _require(d >= 1, f"d must be >= 1, got {d}")
+    n = _product_torus_size(d)
     h1 = pairs_game(3)
     t3 = torus(3, d)
-    n = t3.n * 6
     _require_board(n, t3.n * len(h1.lines.masks) + 6 * len(t3.lines.masks),
                    d + len(h1.generators), f"product_torus({d})")
     lines = [m << t * 6 for t in range(t3.n) for m in h1.lines.masks]
@@ -601,8 +615,8 @@ def matching_game(k: int) -> Game:
 
 # "size" checks a spec's parameters and work budget as the factory does
 # first, and gives its board size without building it (a base taken as its
-# size). Copies and product_torus have none: their budgets count the lines
-# of the games they are built from.
+# size). The copies and product_torus factories also budget the lines of
+# the games they are built from, which only building can count.
 CATALOG = {
     "odd_composite": {"factory": odd_composite, "params": ["p", "q"],
                       "ranges": "p, q odd >= 3", "size": _odd_composite_size},
@@ -613,7 +627,7 @@ CATALOG = {
     "torus": {"factory": torus, "params": ["q", "d"],
               "ranges": "q >= 2, d >= 1, q^(2d+1) * d <= 2^21", "size": _torus_size},
     "product_torus": {"factory": product_torus, "params": ["d"], "ranges": "d >= 1",
-                      "size": None},
+                      "size": _product_torus_size},
     "affine": {"factory": affine_game, "params": ["n"], "ranges": "n in {11, 13}",
                "size": _affine_size},
     "cycle": {"factory": cycle_game, "params": ["n"], "ranges": "n >= 3",
@@ -623,7 +637,7 @@ CATALOG = {
     "matching": {"factory": matching_game, "params": ["k"], "ranges": "k >= 2",
                  "size": _matching_size},
     "copies": {"factory": disjoint_copies, "params": ["base", "c"], "ranges": "c odd >= 1",
-               "size": None},
+               "size": _copies_size},
     "superset": {"factory": superset_lines, "params": ["base", "r"],
                  "ranges": "r >= max base line size", "size": _superset_size},
 }
@@ -642,10 +656,9 @@ def parse_game_spec(spec: str) -> Game:
     return _from_spec(spec, "factory")
 
 
-def spec_size(spec: str) -> Optional[int]:
-    """The board size of the game a spec names, without building it; None
-    when a construction in it has no ``size`` in the catalog. Raises the
-    errors ``parse_game_spec`` raises before it builds anything."""
+def spec_size(spec: str) -> int:
+    """The board size of the game a spec names, without building it. Raises
+    the errors ``parse_game_spec`` raises before it builds anything."""
     return _from_spec(spec, "size")
 
 
@@ -707,8 +720,6 @@ def _catalog_game(head: str, args: list, role: str = "factory", **options):
         else:
             kind = "a game spec" if name == "base" else "an integer"
             raise GameError(f"{head} argument {name} must be {kind}, got {arg!r}")
-    if entry[role] is None or None in values:
-        return None
     return entry[role](*values, **options)
 
 

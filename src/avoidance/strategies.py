@@ -20,14 +20,16 @@ exhaustive verifier answers paired replies from the table and skips
 those whose child it has already verified.
 
 All free choices are resolved lowest index first, so identical histories
-reproduce identical moves. The one exception is documented per strategy
-(a parity or window constraint replacing the plain minimum).
+reproduce identical moves. The one exception is the r-bin window rule of
+``BinMirrorStrategy``: a bin claims the lowest free point of a window of
+max(m/4, 1) points that its guess places.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from .constructions import EVEN_GENERAL_OFFSET, PAIRS_OFFSET
 from .core import Game, Permutation, Player, StrategyInvariantError
 from . import pairset as _ps
 
@@ -107,29 +109,44 @@ class OddBucketStrategy(Strategy):
 
 
 # ---------------------------------------------------------------------------
-# shared skeleton for the pair-board and bin-board strategies
+# the bin-board mirror strategy; the pair board is its m = 2 case
 
 NORMAL, ENDGAME, DIRECT = "normal", "endgame", "direct"
 
 
-class _MirrorCore(Strategy):
-    """Common machinery: opposite-point mirroring, direct-win execution.
+class BinMirrorStrategy(Strategy):
+    """First-player strategy for the bin board of b bins of m = 2^a points
+    whose transversals are allowed when their per-bin maxima sum, plus
+    ``offset``, into [0, m/2) mod m (``constructions._bin_rule``).
 
-    The board is b bins of m points; the opposite of point y in a bin is
-    y + m/2 (mod m) in the same bin. State is the tuple
-    (phase, extra, forbidden) plus subclass extras; ``extra`` is our one
-    unmatched point, ``forbidden`` the point we must never take in direct
-    mode. Subclasses define the free-choice policy.
+    The opposite of point y in a bin is y + m/2 (mod m) in the same bin.
+    Normal play mirrors opposite points and opens bins below b'. The
+    endgame fills bins b'..b-1 in order: bins before the last empty bin r
+    take lowest free points, bin r claims a window of max(m/4, 1) points
+    placed so the running guess at the final sum of per-bin maxima enters
+    [0, m/2), and every later bin claims the quarter interval (of the two
+    produced by ``key_params``) that keeps the guess there. Adversary
+    intrusions next to our unmatched point win outright through a doubled
+    pair.
+
+    State: (phase, extra, forbidden, cur_bin, fill_z, r_bin, guess, t_cur);
+    ``extra`` is our one unmatched point, ``forbidden`` the point we must
+    never take in direct mode.
     """
 
-    def __init__(self, name: str, b: int, m: int):
+    initial = (NORMAL, None, None, None, None, None, None, None)
+
+    def __init__(self, name: str, b: int, m: int, offset: int):
         self.name = name
         self.role = Player.ONE
-        self.b, self.m = b, m
-        self.half, self.mp = m // 2, m // 4
-        self.bp = (b - 1) // 2
+        self.b, self.m, self.offset = b, m, offset
+        self.half, self.mp, self.bp = m // 2, m // 4, (b - 1) // 2
+        # claimed windows are m/4 points wide; at m = 2, the one point of
+        # the last empty bin that sets the transversal's parity
+        self.fill_mask = (1 << max(self.mp, 1)) - 1
         self.n = b * m
         self.full = (1 << self.n) - 1
+        self.binmask = (1 << m) - 1
         self.opp = tuple(x - x % m + (x % m + self.half) % m for x in range(self.n))
         # low half of every bin; swapping it with the high half maps a
         # mask to the mask of opposite points
@@ -166,11 +183,14 @@ class _MirrorCore(Strategy):
             return (free & -free).bit_length() - 1, state
         if q is not None and extra is not None:
             if self._triggers_direct(q, extra):
-                # double our unmatched point's pair; q's opposite is off limits
-                return self.opp[extra], (DIRECT, None, self.opp[q]) + state[3:]
+                # double our unmatched point's pair; q's opposite is off limits.
+                # Direct mode never reads the endgame fields; at m = 2 a stale
+                # r_bin would split memo nodes, at m >= 4 pinned counts keep them
+                rest = state[3:] if self.m > 2 else self.initial[3:]
+                return self.opp[extra], (DIRECT, None, self.opp[q]) + rest
             if q != self.opp[extra]:
                 return self.opp[q], state  # mirror; extra unchanged
-        return self._free_choice(state, a, b)
+        return self._claim(state, a, b)
 
     def pairing(self, state):
         """Opposite points, except where ``step`` may leave the mirror: the
@@ -189,64 +209,10 @@ class _MirrorCore(Strategy):
             t[q] = -1
         return tuple(t)
 
-    def _free_choice(self, state, a, b):
-        raise NotImplementedError
-
-
-class PairsStrategy(_MirrorCore):
-    """First-player strategy for the pair game on 2b points.
-
-    Mirror inside pairs; win outright when the adversary's stray point
-    lands 1..b' pairs after our unmatched one; otherwise open pairs below
-    b' and, once only pairs at b' and beyond remain, fill them in order,
-    choosing the final point's half to land an odd count of second
-    coordinates.
-    """
-
-    initial = (NORMAL, None, None)
-
-    def __init__(self, b: int):
-        super().__init__(f"pairs({b})", b, 2)
-
-    def _free_choice(self, state, a, b):
-        low = self.low
-        taken = a | b
-        empty = low & ~(taken | (taken >> 1))  # first points of empty pairs
-        if not empty:
-            raise StrategyInvariantError("free choice with no empty pair")
-        point = (empty & -empty).bit_length() - 1
-        phase = state[0]
-        if phase == NORMAL and point >> 1 >= self.bp:
-            phase = ENDGAME
-        if phase == ENDGAME and empty.bit_count() == 1:
-            ones = ((a >> 1) & low).bit_count()
-            point += 1 - ones % 2
-        return point, (phase, point, state[2])
-
-
-class EvenGeneralStrategy(_MirrorCore):
-    """First-player strategy for the bin game on b * 2^a points.
-
-    Normal play mirrors opposite points and opens bins below b'. The
-    endgame fills bins b'..b-1 in order: bins before the last empty bin r
-    take lowest free points, bin r claims a quarter interval placed so the
-    running guess at the final sum of per-bin maxima enters [0, m/2), and
-    every later bin claims the quarter interval (of the two produced by
-    ``key_params``) that keeps the guess there. Adversary intrusions next
-    to our unmatched point win outright through a doubled pair.
-
-    State: (phase, extra, forbidden, cur_bin, fill_z, r_bin, guess, t_cur).
-    """
-
-    initial = (NORMAL, None, None, None, None, None, None, None)
-
-    def __init__(self, a: int, b: int):
-        super().__init__(f"even-general({a},{b})", b, 1 << a)
-        self.binmask = (1 << self.m) - 1
-
     def _guess_terms(self, a: int, upto: int) -> int:
-        """Sum of final maxima for bins < upto plus window centres beyond."""
-        total = 0
+        """``offset`` plus the final maxima of bins < upto plus the window
+        centres beyond, mod m."""
+        total = self.offset
         for j in range(self.b):
             mine = (a >> (j * self.m)) & self.binmask
             if j < upto:
@@ -280,7 +246,8 @@ class EvenGeneralStrategy(_MirrorCore):
             t_cur = None
         return cur_bin, fill_z, guess, t_cur
 
-    def _free_choice(self, state, a, b):
+    def _claim(self, state, a, b):
+        """The move off the mirror: open bins below b', then the endgame fill."""
         phase, _, forbidden, cur_bin, fill_z, r_bin, guess, t_cur = state
         taken = a | b
         if phase == NORMAL:
@@ -321,8 +288,8 @@ class EvenGeneralStrategy(_MirrorCore):
             raise StrategyInvariantError("current bin closed unexpectedly")
         y = (free & -free).bit_length() - 1
         if fill_z is not None:
-            # free points of [fill_z, fill_z + m/4), rotated down to bit 0
-            window = ((free >> fill_z) | (free << (self.m - fill_z))) & ((1 << self.mp) - 1)
+            # free points of the window at fill_z, rotated down to bit 0
+            window = ((free >> fill_z) | (free << (self.m - fill_z))) & self.fill_mask
             if window:
                 y = (fill_z + (window & -window).bit_length() - 1) % self.m
         point = j * self.m + y
@@ -441,7 +408,7 @@ class ProductStrategy(CopyMirrorStrategy):
     """
 
     def __init__(self, d: int):
-        super().__init__(PairsStrategy(3), 3 ** d)
+        super().__init__(pairs_strategy(3), 3 ** d)
         self.name = f"product({d})"
         self.d = d
         self.f = _negation_table(d)
@@ -449,6 +416,14 @@ class ProductStrategy(CopyMirrorStrategy):
 
 # ---------------------------------------------------------------------------
 # registry: build a strategy matching a constructed game
+
+def pairs_strategy(b: int) -> BinMirrorStrategy:
+    return BinMirrorStrategy(f"pairs({b})", b, 2, PAIRS_OFFSET)
+
+
+def even_general_strategy(a: int, b: int) -> BinMirrorStrategy:
+    return BinMirrorStrategy(f"even-general({a},{b})", b, 1 << a, EVEN_GENERAL_OFFSET)
+
 
 def _torus_pairing_for(game: Game, params: dict) -> Strategy:
     if params.get("q") != 3:
@@ -467,8 +442,8 @@ def _involution_pairing_for(game: Game, params: dict) -> Strategy:
 # name -> (construction the game must come from, or None; builder(game, params))
 _REGISTRY = {
     "odd-bucket": ("odd_composite", lambda g, p: OddBucketStrategy(p["p"], p["q"])),
-    "pairs": ("pairs", lambda g, p: PairsStrategy(p["b"])),
-    "even-general": ("even_general", lambda g, p: EvenGeneralStrategy(p["a"], p["b"])),
+    "pairs": ("pairs", lambda g, p: pairs_strategy(p["b"])),
+    "even-general": ("even_general", lambda g, p: even_general_strategy(p["a"], p["b"])),
     "torus-pairing": ("torus", _torus_pairing_for),
     "involution-pairing": (None, _involution_pairing_for),
     "copy-mirror": ("copies", lambda g, p: CopyMirrorStrategy(

@@ -35,12 +35,12 @@ def test_c01_lemma_suites_exhaustive():
 
 
 def test_c02_pairs_game():
-    r3 = verify_strategy(C.pairs_game(3), S.PairsStrategy(3), Player.ONE, Goal.WIN)
+    r3 = verify_strategy(C.pairs_game(3), S.pairs_strategy(3), Player.ONE, Goal.WIN)
     assert r3.passed
     sv = solve(C.pairs_game(3))
     assert sv.outcome.winner is Winner.PI_WIN
     assert earliest_forced_loss(C.pairs_game(3)) == 6
-    r5 = verify_strategy(C.pairs_game(5), S.PairsStrategy(5), Player.ONE, Goal.WIN)
+    r5 = verify_strategy(C.pairs_game(5), S.pairs_strategy(5), Player.ONE, Goal.WIN)
     assert r5.passed
     report("C2 PASS: pairs strategy exhaustive b=3,5; solve=PIWin; "
            "earliest forced loss = 6")
@@ -55,10 +55,10 @@ def test_c03_odd_composite():
 
 
 def test_c04_even_general():
-    r = verify_strategy(C.even_general(2, 3), S.EvenGeneralStrategy(2, 3),
+    r = verify_strategy(C.even_general(2, 3), S.even_general_strategy(2, 3),
                         Player.ONE, Goal.WIN)
     assert r.passed
-    r20 = verify_strategy(C.even_general(2, 5), S.EvenGeneralStrategy(2, 5),
+    r20 = verify_strategy(C.even_general(2, 5), S.even_general_strategy(2, 5),
                           Player.ONE, Goal.WIN)
     assert r20.passed and r20.mode == "exhaustive"
     report("C4 PASS: bin strategy exhaustive at (2,3) n=12 and (2,5) n=20 "
@@ -117,7 +117,7 @@ def test_c08_torus_pairing_and_solve():
 
 def test_c09_products_exhaustive():
     dc = C.disjoint_copies(C.pairs_game(3), 3)
-    r1 = verify_strategy(dc, S.CopyMirrorStrategy(S.PairsStrategy(3), 3),
+    r1 = verify_strategy(dc, S.CopyMirrorStrategy(S.pairs_strategy(3), 3),
                          Player.ONE, Goal.WIN)
     assert r1.passed and r1.mode == "exhaustive"
     pt = C.product_torus(1)

@@ -297,6 +297,8 @@ def test_play_against_the_solver_opponent(monkeypatch, capsys):
      "board size 13 exceeds solve cap 12"),
     (["solve-plus", "--game", "pairs(5)"], "board size 10 exceeds plus-solve cap 8"),
     (["play", "--game", "pairs(9)"], "board size 18 exceeds solve cap 16"),
+    (["solve", "--game", "copies(pairs(3),3)"], "board size 18 exceeds solve cap 16"),
+    (["solve", "--game", "product_torus(1)"], "board size 18 exceeds solve cap 16"),
 ])
 def test_over_cap_specs_are_refused_before_they_are_built(monkeypatch, capsys, argv,
                                                           message):
@@ -386,7 +388,8 @@ def test_oversize_construction_is_refused_before_it_is_built(tmp_path, source):
     # in the declared n (a 70-byte document); the budget refuses them up front
     import avoidance
     if isinstance(source, str):
-        where = ["--game", source]
+        # a cap as large as the board leaves the refusal to the budget
+        where = ["--game", source, "--cap", "120006"]
     else:
         path = tmp_path / "game.json"
         path.write_text(json.dumps({"n": source, "name": "x", "lines": {"explicit": []},

@@ -594,15 +594,10 @@ def test_game_spec_parser_errors():
 @pytest.mark.parametrize("spec", ["odd_composite(3,5)", "pairs(7)", "even_general(2,3)",
                                   "torus(3,2)", "affine(13)", "cycle(5)", "complete(4)",
                                   "matching(3)", "superset(pairs(5),6)",
-                                  "superset(odd_composite(3,3),5)"])
+                                  "superset(odd_composite(3,3),5)", "copies(pairs(3),3)",
+                                  "product_torus(1)", "superset(copies(pairs(3),3),5)"])
 def test_spec_size_is_the_size_of_the_built_board(spec):
     assert C.spec_size(spec) == C.parse_game_spec(spec).n
-
-
-@pytest.mark.parametrize("spec", ["copies(pairs(3),3)", "product_torus(1)",
-                                  "superset(copies(pairs(3),3),5)"])
-def test_spec_size_is_unknown_where_the_budget_counts_built_lines(spec):
-    assert C.spec_size(spec) is None
 
 
 @pytest.mark.parametrize("spec", ["nope(3)", "pairs(3", "pairs(4)", "pairs(x)", "torus(1,2)",
@@ -610,7 +605,8 @@ def test_spec_size_is_unknown_where_the_budget_counts_built_lines(spec):
                                   "affine(9)", "affine(97)", "cycle(2)", "matching(1)",
                                   "complete(3000)", "odd_composite(3,4)",
                                   "superset(pairs(4),6)", "superset(pairs(3),7)",
-                                  "copies(pairs(3),3,1)"])
+                                  "copies(pairs(3),3,1)", "copies(pairs(3),2)",
+                                  "product_torus(0)", "product_torus(9)"])
 def test_spec_size_refuses_what_the_factories_refuse_first(spec):
     # the parameter checks and work budgets of a spec come before any building
     with pytest.raises(GameError) as built:

@@ -73,6 +73,19 @@ def test_maximal_point_examples():
         maximal_point(4, 0b0101)    # periodic set, not a pair set
 
 
+def test_kernel_at_m2_answers_with_the_point_of_a_one_point_word():
+    # the pair board's mirror strategy is the bin-board one at m = 2, where
+    # a bin holding one point is its own maximum and key-lemma window
+    assert maximal_point(2, 0b01) == 0 and maximal_point(2, 0b10) == 1
+    for p in (0, 1):
+        assert key_params(2, 1 << p) == KeyParams(s=0, t=p, z1=p, z2=p)
+    for w in (0b00, 0b11):
+        with pytest.raises(MaximalityTieError):
+            maximal_point(2, w)
+        with pytest.raises(MaximalityTieError):
+            key_params(2, w)
+
+
 def test_complement_shifts_maximal_point():
     for m in (4, 8, 16):
         for a in extension_masks(m, 0):

@@ -9,7 +9,7 @@ from avoidance.core import (ExplicitLines, Game, GameError, Permutation,
 from avoidance import constructions as C
 from avoidance.solver import (Goal, best_move, earliest_forced_loss, solve,
                               solve_plus, verify_strategy)
-from avoidance.strategies import LowestFreeStrategy, PairsStrategy, strategy_for
+from avoidance.strategies import LowestFreeStrategy, pairs_strategy, strategy_for
 
 from oracles import ref_earliest_loss, ref_solve, ref_solve_plus, reversed_points
 
@@ -291,14 +291,14 @@ def test_negamax_solvers_free_their_table_on_return(call):
 
 def test_verify_strategy_role_mismatch():
     with pytest.raises(GameError):
-        verify_strategy(C.pairs_game(3), PairsStrategy(3), Player.TWO, Goal.WIN)
+        verify_strategy(C.pairs_game(3), pairs_strategy(3), Player.TWO, Goal.WIN)
 
 
 def test_verify_strategy_sampled_reproducible():
     g = C.pairs_game(3)
-    r1 = verify_strategy(g, PairsStrategy(3), Player.ONE, Goal.WIN,
+    r1 = verify_strategy(g, pairs_strategy(3), Player.ONE, Goal.WIN,
                          mode="sampled", samples=200, seed=42)
-    r2 = verify_strategy(g, PairsStrategy(3), Player.ONE, Goal.WIN,
+    r2 = verify_strategy(g, pairs_strategy(3), Player.ONE, Goal.WIN,
                          mode="sampled", samples=200, seed=42)
     assert r1.passed and r2.passed
     assert r1.to_json() == r2.to_json()
@@ -308,12 +308,12 @@ def test_verify_strategy_sampled_reproducible():
 @pytest.mark.parametrize("samples", [0, -5])
 def test_verify_strategy_sampled_needs_a_sample(samples):
     with pytest.raises(GameError):
-        verify_strategy(C.pairs_game(3), PairsStrategy(3), Player.ONE, Goal.WIN,
+        verify_strategy(C.pairs_game(3), pairs_strategy(3), Player.ONE, Goal.WIN,
                         mode="sampled", samples=samples)
 
 
 def test_win_pass_implies_solver_pi_win():
-    for spec, strat in [("pairs(3)", PairsStrategy(3))]:
+    for spec, strat in [("pairs(3)", pairs_strategy(3))]:
         g = C.parse_game_spec(spec)
         r = verify_strategy(g, strat, Player.ONE, Goal.WIN)
         assert r.passed

@@ -41,7 +41,7 @@ def test_odd_bucket_opening_and_rule1():
 
 
 def test_pairs_strategy_first_move_and_mirror():
-    s = S.PairsStrategy(3)
+    s = S.pairs_strategy(3)
     x, st = s.step(s.initial, 0, 0, None)
     assert x == 0                       # (0, 0)
     # adversary plays (2,0): not a trigger; we mirror to (2,1)
@@ -51,20 +51,20 @@ def test_pairs_strategy_first_move_and_mirror():
 def test_pairs_strategy_direct_win_branch_shapes():
     # adversary stray lands one pair after our unmatched point: we double it
     g = C.pairs_game(3)
-    s = S.PairsStrategy(3)
+    s = S.pairs_strategy(3)
     x, st = s.step(s.initial, 0, 0, None)
     assert x == 0
     x, st = s.step(st, 0b1, 0b100, 2)   # (1,0): pair distance 1 -> direct
     assert x == 1                       # doubles pair 0
-    phase, _, forbidden = st
+    phase, _, forbidden = st[:3]
     assert phase == "direct" and forbidden == 3
     # finish all play-outs from here and check the final shape
-    r = verify_strategy(g, S.PairsStrategy(3), Player.ONE, Goal.WIN)
+    r = verify_strategy(g, S.pairs_strategy(3), Player.ONE, Goal.WIN)
     assert r.passed
 
 
 def test_pairs_strategy_determinism():
-    s = S.PairsStrategy(5)
+    s = S.pairs_strategy(5)
     moves = [0, 9, 8, 1, 2, 7, 6, 3, 4, 5]
     first = run_history(s, moves)
     second = run_history(s, moves)
@@ -75,7 +75,7 @@ def test_pairs_direct_win_final_shape():
     # drive the direct branch to the end: our final set must hold both of
     # the doubled pair and neither of the adversary's stray pair
     g = C.pairs_game(5)
-    s = S.PairsStrategy(5)
+    s = S.pairs_strategy(5)
     a = b = 0
     x, st = s.step(s.initial, a, b, None)   # (0,0)
     a |= 1 << x
@@ -99,11 +99,41 @@ def test_pairs_direct_win_final_shape():
     assert not ({2, 3} & ours)      # stray pair 1 untouched by us
 
 
+@pytest.mark.parametrize("b", [5, 7])
+def test_pairs_free_choices_see_only_empty_or_full_pairs(b):
+    # so the lowest free point, which the bin-board mirror takes off the
+    # mirror, is the low point of the lowest empty pair
+    s, contains = S.pairs_strategy(b), C.pairs_game(b).lines.contains_mask
+    rng = random.Random(b)
+    choices = 0
+    for _ in range(300):
+        state, q = s.initial, None
+        a = bb = 0
+        while a | bb != s.full:
+            if a.bit_count() == bb.bit_count():
+                phase = state[0]
+                x, state = s.step(state, a, bb, q)
+                if phase != S.DIRECT and state[0] != S.DIRECT \
+                        and (q is None or x != s.opp[q]):
+                    choices += 1
+                    taken = a | bb
+                    assert all((taken >> 2 * j) & 3 in (0, 3) for j in range(b)), bin(taken)
+                a |= 1 << x
+                if contains(a):
+                    break
+            else:
+                q = rng.choice([y for y in range(s.n) if not ((a | bb) >> y) & 1])
+                bb |= 1 << q
+                if contains(bb):
+                    break
+    assert choices >= 300
+
+
 def test_even_strategy_first_move_and_guess_invariant():
-    s = S.EvenGeneralStrategy(2, 3)
+    s = S.even_general_strategy(2, 3)
     assert s.step(s.initial, 0, 0, None)[0] == 0
     # a full exhaustive run exercises the guess bookkeeping and its asserts
-    r = verify_strategy(C.even_general(2, 3), S.EvenGeneralStrategy(2, 3),
+    r = verify_strategy(C.even_general(2, 3), S.even_general_strategy(2, 3),
                         Player.ONE, Goal.WIN)
     assert r.passed
 
@@ -112,7 +142,7 @@ def test_even_strategy_m8_sampled():
     # m = 8 exercises nonzero direct-win windows and the interval claims;
     # the full exhaustive run (n = 24) also passes but takes ~2 minutes,
     # so the regular suite samples
-    r = verify_strategy(C.even_general(3, 3), S.EvenGeneralStrategy(3, 3),
+    r = verify_strategy(C.even_general(3, 3), S.even_general_strategy(3, 3),
                         Player.ONE, Goal.WIN, mode="sampled",
                         samples=3000, seed=99)
     assert r.passed
@@ -144,7 +174,7 @@ def _owner_final_masks(game, strat, samples, seed):
 def test_even_strategy_m8_owner_moves_are_pinned():
     # computed before the strategy read its bins as masks; a sampled pass
     # cannot see a changed move that still wins
-    got = _owner_final_masks(C.even_general(3, 3), S.EvenGeneralStrategy(3, 3), 20, 33)
+    got = _owner_final_masks(C.even_general(3, 3), S.even_general_strategy(3, 3), 20, 33)
     assert got == [
         0xc30b1f, 0x3c3497, 0x3c34d3, 0x5ac22f, 0x2d1af1, 0xd2c395, 0x2d431f,
         0xe11e95, 0x87073d, 0xc30d3d, 0x87851f, 0xa51e59, 0x87941f, 0x3ca13d,
@@ -152,7 +182,7 @@ def test_even_strategy_m8_owner_moves_are_pinned():
 
 
 def test_even_strategy_type2_trigger():
-    s = S.EvenGeneralStrategy(3, 3)   # m = 8, windows are nonempty
+    s = S.even_general_strategy(3, 3)   # m = 8, windows are nonempty
     x, st = s.step(s.initial, 0, 0, None)
     assert x == 0                       # extra = (0,0)
     # same bin, displacement 1 in (0, m/4)
@@ -179,7 +209,7 @@ def test_even_strategy_steers_a_later_bin_into_the_z1_window():
     # endgame state (phase, extra, forbidden, cur_bin, fill_z, r_bin, guess,
     # t_cur): bin 2 is current and the guess is set; the adversary holds
     # the opposite of each of our points there
-    m, s = 16, S.EvenGeneralStrategy(4, 3)
+    m, s = 16, S.even_general_strategy(4, 3)
     masks = _steered_bin_masks(m)
     assert len(masks) == 48
     for v in masks:
@@ -202,7 +232,7 @@ def test_even_strategy_places_the_r_bin_window_from_later_bins_t():
     # partial pair set whose t (6) is not its z1 (8): the guess terms are
     # 0 + 6, so the window start u is the first with (6 + u) % 16 in [4, 8),
     # which is 0 (z1 in place of t would give 12)
-    m, s = 16, S.EvenGeneralStrategy(4, 3)
+    m, s = 16, S.even_general_strategy(4, 3)
     v = _steered_bin_masks(m)[0]
     kp = pairset.key_params(m, v)
     assert (kp.s, kp.t, kp.z1) == (0, 6, 8)
@@ -212,7 +242,7 @@ def test_even_strategy_places_the_r_bin_window_from_later_bins_t():
     assert (x, state[4]) == (m, 0)
 
 
-@pytest.mark.parametrize("strat,m", [(S.PairsStrategy(5), 2), (S.EvenGeneralStrategy(3, 3), 8)],
+@pytest.mark.parametrize("strat,m", [(S.pairs_strategy(5), 2), (S.even_general_strategy(3, 3), 8)],
                          ids=["pairs", "even-general"])
 def test_direct_mode_matches_the_point_scan(strat, m):
     # answer q with its opposite if admissible, else take the lowest
@@ -291,14 +321,14 @@ def test_pairs_group_has_no_pairing_involution():
 def test_copy_mirror_single_copy_equals_base():
     base_game = C.pairs_game(3)
     solo = C.disjoint_copies(base_game, 1)
-    r = verify_strategy(solo, S.CopyMirrorStrategy(S.PairsStrategy(3), 1),
+    r = verify_strategy(solo, S.CopyMirrorStrategy(S.pairs_strategy(3), 1),
                         Player.ONE, Goal.WIN)
     assert r.passed
 
 
 def test_copy_mirror_never_emits_claimed_points():
     game = C.disjoint_copies(C.pairs_game(3), 3)
-    strat = S.CopyMirrorStrategy(S.PairsStrategy(3), 3)
+    strat = S.CopyMirrorStrategy(S.pairs_strategy(3), 3)
     rng = random.Random(2)
     for _ in range(200):
         st, q = strat.initial, None
@@ -464,9 +494,9 @@ class _NextPointStrategy(S.Strategy):
 SAMPLED_REPORTS = [
     ("pairs(5)", lambda g: S.strategy_for(g, "lowest"), Goal.WIN, 50, 3,
      1, [0, 4, 1, 7, 2, 9, 3, 5, 6, 8]),
-    ("matching(3)", lambda g: S.PairsStrategy(3), Goal.WIN, 200, 1,
+    ("matching(3)", lambda g: S.pairs_strategy(3), Goal.WIN, 200, 1,
      4, [0, 4, 5, 2, 1, 3]),
-    ("cycle(18)", lambda g: S.CopyMirrorStrategy(S.PairsStrategy(3), 3), Goal.WIN, 200, 1,
+    ("cycle(18)", lambda g: S.CopyMirrorStrategy(S.pairs_strategy(3), 3), Goal.WIN, 200, 1,
      1, [0, 5, 4, 12, 6, 17, 11, 2, 1]),
     ("even_general(2,3)", lambda g: S.strategy_for(g, "even-general"), Goal.WIN, 300, 5,
      300, None),
