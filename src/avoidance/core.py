@@ -93,6 +93,14 @@ class Outcome:
             )
 
 
+def is_fpf_partial_involution(t) -> bool:
+    """Whether the table ``t`` pairs points with no point paired to itself:
+    each entry is a hole (negative) or a partner ``y`` of ``q`` on the
+    ``len(t)`` points with ``y != q`` and ``t[y] == q``."""
+    n = len(t)
+    return all(y < 0 or (y < n and y != q and t[y] == q) for q, y in enumerate(t))
+
+
 @dataclass(frozen=True)
 class Permutation:
     """A bijection on 0..n-1, stored as its image tuple."""
@@ -148,8 +156,7 @@ class Permutation:
         return all(i == j for i, j in enumerate(self.image))
 
     def is_fpf_involution(self) -> bool:
-        return all(self.image[x] != x and self.image[self.image[x]] == x
-                   for x in range(len(self.image)))
+        return is_fpf_partial_involution(self.image)
 
     @staticmethod
     def identity(n: int) -> "Permutation":

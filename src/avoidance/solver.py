@@ -38,6 +38,7 @@ from .core import (
     SearchCapExceeded,
     StrategyInvariantError,
     Winner,
+    is_fpf_partial_involution,
     is_transitive,
     iter_bits,
     set_of,
@@ -505,8 +506,7 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
 def _checked_pairing(t: Optional[tuple], n: int) -> Optional[tuple]:
     """``t`` itself, once it is a fixed-point-free partial involution on
     ``n`` points (negative entries are holes)."""
-    if t is not None and (len(t) != n or any(
-            y >= 0 and (y >= n or y == q or t[y] != q) for q, y in enumerate(t))):
+    if t is not None and (len(t) != n or not is_fpf_partial_involution(t)):
         raise StrategyInvariantError("pairing table is no fixed-point-free partial involution")
     return t
 

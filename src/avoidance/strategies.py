@@ -30,7 +30,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .constructions import EVEN_GENERAL_OFFSET, PAIRS_OFFSET
-from .core import Game, Permutation, Player, StrategyInvariantError
+from .core import (Game, Player, StrategyInvariantError, find_fpf_involution,
+                   is_fpf_partial_involution)
 from . import pairset as _ps
 
 
@@ -297,121 +298,81 @@ class BinMirrorStrategy(Strategy):
 
 
 # ---------------------------------------------------------------------------
-# pairing strategies
+# pairing strategies: answer every move with its partner
 
-def _negation_table(d: int) -> tuple:
-    """Index of -v for every v in Z_3^d, points indexed by base-3 digits."""
-    return tuple(sum((-(i // 3 ** k)) % 3 * 3 ** k for k in range(d))
-                 for i in range(3 ** d))
-
-
-class TorusPairingStrategy(Strategy):
-    """Open at the origin, then answer every move with its negation."""
-
-    def __init__(self, d: int):
-        self.name = f"torus-pairing({d})"
-        self.role = Player.ONE
-        self.d = d
-        self.n = 3 ** d
-        self.neg = _negation_table(d)
-        # the origin is the opening move, and its own negation
-        self._pairs = (-1,) + self.neg[1:]
-
-    def step(self, state, a, b, q):
-        if a | b == 0:
-            return 0, state
-        if q is None:
-            raise StrategyInvariantError("no adversary move to answer")
-        x = self.neg[q]
-        if ((a | b) >> x) & 1:
-            raise StrategyInvariantError(f"negation {x} already claimed")
-        return x, state
-
-    def pairing(self, state):
-        return self._pairs
+def _pairing_table(partner, fixed: int) -> tuple:
+    """``partner`` with its fixed points made holes (-1), once ``partner``
+    is an involution of its points with exactly ``fixed`` fixed points."""
+    t = tuple(-1 if y == x else y for x, y in enumerate(partner))
+    if min(partner, default=0) < 0 or t.count(-1) != fixed \
+            or not is_fpf_partial_involution(t):
+        raise StrategyInvariantError(f"partner table is no involution with {fixed} fixed point(s)")
+    return t
 
 
-class InvolutionPairingStrategy(Strategy):
-    """Second player answers g(x) for a fixed-point-free involution g."""
+class PairingStrategy(Strategy):
+    """Answer every adversary move q with ``partner[q]``.
 
-    def __init__(self, g: Permutation):
-        if not g.is_fpf_involution():
-            raise StrategyInvariantError("pairing needs a fixed-point-free involution")
-        self.name = "involution-pairing"
-        self.role = Player.TWO
-        self.n = g.n
-        self.g = g
+    ``partner`` is an involution of the board. A first player opens at its
+    one fixed point; a second player's has none. ``step`` answers from the
+    table that ``pairing`` returns.
+    """
+
+    def __init__(self, name: str, role: Player, partner):
+        self.name, self.role, self.n = name, role, len(partner)
+        self.partner = tuple(partner)
+        self.table = _pairing_table(self.partner, 1 if role is Player.ONE else 0)
+        self.opening = self.table.index(-1) if role is Player.ONE else None
 
     def step(self, state, a, b, q):
         if q is None:
-            raise StrategyInvariantError("no adversary move to answer")
-        x = self.g(q)
-        if ((a | b) >> x) & 1:
-            raise StrategyInvariantError(f"paired point {x} already claimed")
+            if self.opening is None:
+                raise StrategyInvariantError("no adversary move to answer")
+            return self.opening, state
+        x = self.table[q]
+        if x < 0 or ((a | b) >> x) & 1:
+            raise StrategyInvariantError(f"the partner of {q} is not free")
         return x, state
 
     def pairing(self, state):
-        return self.g.image
-
-
-def involution_pairing_strategy(g: Permutation, game: Optional[Game] = None
-                                ) -> InvolutionPairingStrategy:
-    if game is not None:
-        game.lines.check_preserved(g)
-    return InvolutionPairingStrategy(g)
+        return self.table
 
 
 # ---------------------------------------------------------------------------
 # mirroring across copies
 
 class CopyMirrorStrategy(Strategy):
-    """Run the base strategy in copy 0, mirror everything else across f.
+    """Run the base strategy in copy 0, mirror the other copies across f.
 
-    f fixes copy 0 and swaps copies 2i-1 and 2i; an adversary move (i, v)
-    with i != 0 is answered by (f(i), v). The state is the base's state.
+    Copy i is the points i*n0 .. i*n0 + n0 - 1 of a base board of n0
+    points. The copy map f is an involution of the copies whose one fixed
+    point is copy 0; an adversary move (i, v) with i != 0 is answered by
+    (f(i), v). The state is the base's state.
     """
 
-    def __init__(self, base: Strategy, c: int):
-        if c < 1 or c % 2 == 0:
-            raise StrategyInvariantError("copy count must be odd")
-        self.name = f"copy-mirror({base.name},{c})"
+    def __init__(self, name: str, base: Strategy, f):
+        if _pairing_table(f, 1)[0] != -1:
+            raise StrategyInvariantError("the copy map moves copy 0")
+        self.name = name
         self.role = Player.ONE
         self.base = base
         self.initial = base.initial
-        self.c = c
-        self.n0 = base.n
-        self.n = c * base.n
-        f = list(range(c))
-        for i in range(1, c, 2):
-            f[i], f[i + 1] = i + 1, i
         self.f = tuple(f)
+        n0 = self.n0 = base.n
+        self.n = len(f) * n0
+        # the answer to each point of copies 1.., in point order
+        self.mirror = tuple(self.f[i] * n0 + v for i in range(1, len(f)) for v in range(n0))
 
     def step(self, state, a, b, q):
         if q is None or q < self.n0:
             lo = (1 << self.n0) - 1
             return self.base.step(state, a & lo, b & lo, q)
-        copy_i, v = divmod(q, self.n0)
-        return self.f[copy_i] * self.n0 + v, state
+        return self.mirror[q - self.n0], state
 
     def pairing(self, state):
-        """The base's table on copy 0, the copy swap everywhere else."""
-        n0 = self.n0
+        """The base's table on copy 0, the copy map everywhere else."""
         base = self.base.pairing(state)
-        return ((-1,) * n0 if base is None else base) + tuple(
-            self.f[i] * n0 + v for i in range(1, self.c) for v in range(n0))
-
-
-class ProductStrategy(CopyMirrorStrategy):
-    """Pair-game strategy in the zero torus layer, antipodal mirror elsewhere.
-
-    Copy t is torus layer t; the layer map f is the torus negation.
-    """
-
-    def __init__(self, d: int):
-        super().__init__(pairs_strategy(3), 3 ** d)
-        self.name = f"product({d})"
-        self.d = d
-        self.f = _negation_table(d)
+        return ((-1,) * self.n0 if base is None else base) + self.mirror
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +386,26 @@ def even_general_strategy(a: int, b: int) -> BinMirrorStrategy:
     return BinMirrorStrategy(f"even-general({a},{b})", b, 1 << a, EVEN_GENERAL_OFFSET)
 
 
+def copy_mirror_strategy(base: Strategy, c: int) -> CopyMirrorStrategy:
+    """``base`` in copy 0 of c copies; copies 2i-1 and 2i mirror each other."""
+    f = (0,) + tuple(i + 1 if i % 2 else i - 1 for i in range(1, c))
+    return CopyMirrorStrategy(f"copy-mirror({base.name},{c})", base, f)
+
+
 def _torus_pairing_for(game: Game, params: dict) -> Strategy:
     if params.get("q") != 3:
         raise StrategyInvariantError("torus-pairing needs a torus(3, d) game")
-    return TorusPairingStrategy(params["d"])
+    # torus()'s last generator is the negation; the origin is its fixed point
+    return PairingStrategy(f"torus-pairing({params['d']})", Player.ONE,
+                           game.generators[-1].image)
 
 
 def _involution_pairing_for(game: Game, params: dict) -> Strategy:
-    from .core import find_fpf_involution
     g = find_fpf_involution(game)
     if g is None:
         raise StrategyInvariantError("no fixed-point-free involution in the group")
-    return involution_pairing_strategy(g, game)
+    game.lines.check_preserved(g)
+    return PairingStrategy("involution-pairing", Player.TWO, g.image)
 
 
 # name -> (construction the game must come from, or None; builder(game, params))
@@ -446,9 +415,12 @@ _REGISTRY = {
     "even-general": ("even_general", lambda g, p: even_general_strategy(p["a"], p["b"])),
     "torus-pairing": ("torus", _torus_pairing_for),
     "involution-pairing": (None, _involution_pairing_for),
-    "copy-mirror": ("copies", lambda g, p: CopyMirrorStrategy(
+    "copy-mirror": ("copies", lambda g, p: copy_mirror_strategy(
         strategy_for(g.meta["base"], "pairs"), p["c"])),
-    "product": ("product_torus", lambda g, p: ProductStrategy(p["d"])),
+    # torus layer t is copy t; the copy map is the torus negation
+    "product": ("product_torus", lambda g, p: CopyMirrorStrategy(
+        f"product({p['d']})", strategy_for(g.meta["base"], "pairs"),
+        g.meta["torus"].generators[-1].image)),
     "lowest": (None, lambda g, p: LowestFreeStrategy(g.n)),
 }
 

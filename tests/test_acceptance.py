@@ -81,7 +81,7 @@ def test_c06_power_of_two_boards():
         assert solve(g).outcome.winner is not Winner.PI_WIN, g.name
         inv = find_fpf_involution(g)
         assert inv is not None, g.name
-        r = verify_strategy(g, S.involution_pairing_strategy(inv, g),
+        r = verify_strategy(g, S.strategy_for(g, "involution-pairing"),
                             Player.TWO, Goal.NEVER_LOSE)
         assert r.passed, g.name
     report("C6 PASS: three transitive games each on n=4 and n=8 "
@@ -102,10 +102,12 @@ def test_c07_plus_variant_never_first_player_win():
 
 def test_c08_torus_pairing_and_solve():
     for d in (1, 2):
-        r = verify_strategy(C.torus(3, d), S.TorusPairingStrategy(d),
+        g = C.torus(3, d)
+        r = verify_strategy(g, S.strategy_for(g, "torus-pairing"),
                             Player.ONE, Goal.NEVER_LOSE)
         assert r.passed, d
-    r3 = verify_strategy(C.torus(3, 3), S.TorusPairingStrategy(3),
+    g3 = C.torus(3, 3)
+    r3 = verify_strategy(g3, S.strategy_for(g3, "torus-pairing"),
                          Player.ONE, Goal.NEVER_LOSE,
                          mode="sampled", samples=100_000, seed=SEED)
     assert r3.passed
@@ -117,11 +119,11 @@ def test_c08_torus_pairing_and_solve():
 
 def test_c09_products_exhaustive():
     dc = C.disjoint_copies(C.pairs_game(3), 3)
-    r1 = verify_strategy(dc, S.CopyMirrorStrategy(S.pairs_strategy(3), 3),
+    r1 = verify_strategy(dc, S.strategy_for(dc, "copy-mirror"),
                          Player.ONE, Goal.WIN)
     assert r1.passed and r1.mode == "exhaustive"
     pt = C.product_torus(1)
-    r2 = verify_strategy(pt, S.ProductStrategy(1), Player.ONE, Goal.WIN)
+    r2 = verify_strategy(pt, S.strategy_for(pt, "product"), Player.ONE, Goal.WIN)
     assert r2.passed and r2.mode == "exhaustive"
     report("C9 PASS: copy mirroring (n=18) and torus product (n=18) win "
            "exhaustively (memoized, no sampling fallback)")

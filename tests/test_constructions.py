@@ -616,6 +616,48 @@ def test_spec_size_refuses_what_the_factories_refuse_first(spec):
     assert str(sized.value) == str(built.value)
 
 
+def _specs(depth: int):
+    """Spec strings of catalog heads over integers <= 12, nesting <= depth;
+    mostly with the head's own parameters, else with any 0..3 arguments."""
+    num = (st.sampled_from([2, 3, 5]) | st.integers(-2, 12)).map(str)
+    arg = num | _specs(depth - 1) if depth > 1 else num
+
+    def args(head):
+        own = [arg if p == "base" else num for p in C.CATALOG[head]["params"]]
+        return st.tuples(*own) | st.lists(arg, max_size=3)
+
+    return st.sampled_from(sorted(C.CATALOG)).flatmap(
+        lambda head: args(head).map(lambda a: f"{head}({','.join(a)})"))
+
+
+@st.composite
+def _junk_specs(draw):
+    """A spec, half the time with one to three junk characters inserted."""
+    spec = draw(_specs(3))
+    junk = st.tuples(st.integers(0, 40), st.sampled_from("(),x- 9_\u0663"))
+    for i, ch in draw(st.just([]) | st.lists(junk, min_size=1, max_size=3)):
+        spec = spec[:i] + ch + spec[i:]
+    return spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_junk_specs())
+def test_spec_parser_raises_only_game_errors_and_sizes_what_it_builds(spec):
+    # sizing need not imply building: superset(pairs(3),2) sizes to 6, but
+    # its base's lines are longer than 2
+    try:
+        n = C.spec_size(spec)
+    except GameError:
+        n = None
+    if n is not None and n > 64:
+        return  # sized; left unbuilt to keep the test fast
+    try:
+        game = C.parse_game_spec(spec)
+    except GameError:
+        return
+    assert n == game.n
+
+
 def _nested_copies(depth: int) -> str:
     """``pairs(3)`` inside depth - 1 one-copy wrappers: depth nested parentheses."""
     return "copies(" * (depth - 1) + "pairs(3)" + ",1)" * (depth - 1)

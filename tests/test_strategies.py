@@ -278,7 +278,7 @@ def test_direct_mode_matches_the_point_scan(strat, m):
 
 
 def test_torus_pairing_negation_table():
-    s = S.TorusPairingStrategy(2)
+    s = S.strategy_for(C.torus(3, 2), "torus-pairing")
     x, st = s.step(s.initial, 0, 0, None)
     assert x == 0
     # (1,2) -> negation (2,1) = index 7
@@ -287,22 +287,55 @@ def test_torus_pairing_negation_table():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_negation_table_is_the_torus_negation(d):
-    neg = tuple(C.torus(3, d).generators[-1].image)  # pointwise negation
-    assert S.TorusPairingStrategy(d).neg == neg
-    assert S.ProductStrategy(d).f == neg
+    # -v digit by digit, points indexed by their base-3 digits
+    neg = tuple(sum((-(i // 3 ** k)) % 3 * 3 ** k for k in range(d)) for i in range(3 ** d))
+    assert S.strategy_for(C.torus(3, d), "torus-pairing").partner == neg
+    assert S.strategy_for(C.product_torus(d), "product").f == neg
+
+
+@pytest.mark.parametrize("role,partner", [
+    (Player.TWO, (1, 2, 3, 0)),     # not an involution
+    (Player.ONE, (0, 2, 1, 3, 5, 4)),  # a second fixed point
+    (Player.ONE, (1, 0, 3, 2)),     # no opening for the first player
+    (Player.TWO, (1, 0, -2, -2)),   # holes
+])
+def test_pairing_strategy_refuses_what_is_no_pairing(role, partner):
+    with pytest.raises(StrategyInvariantError):
+        S.PairingStrategy("p", role, partner)
 
 
 def test_involution_pairing_requires_fpf():
+    # a second player has no opening, so its table may fix no point
     with pytest.raises(StrategyInvariantError):
-        S.involution_pairing_strategy(
-            __import__("avoidance.core", fromlist=["Permutation"]).Permutation((0, 2, 1)))
+        S.PairingStrategy("involution-pairing", Player.TWO, (0, 2, 1))
+
+
+def test_pairing_strategy_answers_from_its_table():
+    s = S.PairingStrategy("p", Player.ONE, (2, 1, 0, 4, 3))
+    assert s.pairing(s.initial) == (2, -1, 0, 4, 3)
+    assert s.step(s.initial, 0, 0, None) == (1, s.initial)
+    assert s.step(s.initial, 0b10, 0b1000, 3) == (4, s.initial)
+    with pytest.raises(StrategyInvariantError):
+        s.step(s.initial, 0b10010, 0b1000, 3)  # the partner is claimed
+    with pytest.raises(StrategyInvariantError):
+        S.PairingStrategy("p", Player.TWO, (1, 0)).step(None, 0, 0, None)
+
+
+@pytest.mark.parametrize("f", [(1, 0, 2), (0, 2, 1, 3), (0, 2), (0, 1), (), (0, 2, 0)])
+def test_copy_map_must_fix_copy_0_only_and_pair_the_rest(f):
+    with pytest.raises(StrategyInvariantError):
+        S.CopyMirrorStrategy("m", S.pairs_strategy(3), f)
+
+
+def test_copy_map_of_an_even_copy_count_is_refused():
+    with pytest.raises(StrategyInvariantError):
+        S.copy_mirror_strategy(S.pairs_strategy(3), 2)
 
 
 def test_involution_pairing_never_loses_on_small_games():
     for game in [C.cycle_game(4), C.matching_game(2), C.torus(2, 2), C.torus(2, 3)]:
-        g = find_fpf_involution(game)
-        assert g is not None
-        strat = S.involution_pairing_strategy(g, game)
+        assert find_fpf_involution(game) is not None
+        strat = S.strategy_for(game, "involution-pairing")
         r = verify_strategy(game, strat, Player.TWO, Goal.NEVER_LOSE)
         assert r.passed, (game.name, r.counterexample)
 
@@ -321,14 +354,14 @@ def test_pairs_group_has_no_pairing_involution():
 def test_copy_mirror_single_copy_equals_base():
     base_game = C.pairs_game(3)
     solo = C.disjoint_copies(base_game, 1)
-    r = verify_strategy(solo, S.CopyMirrorStrategy(S.pairs_strategy(3), 1),
+    r = verify_strategy(solo, S.copy_mirror_strategy(S.pairs_strategy(3), 1),
                         Player.ONE, Goal.WIN)
     assert r.passed
 
 
 def test_copy_mirror_never_emits_claimed_points():
     game = C.disjoint_copies(C.pairs_game(3), 3)
-    strat = S.CopyMirrorStrategy(S.pairs_strategy(3), 3)
+    strat = S.copy_mirror_strategy(S.pairs_strategy(3), 3)
     rng = random.Random(2)
     for _ in range(200):
         st, q = strat.initial, None
@@ -496,7 +529,7 @@ SAMPLED_REPORTS = [
      1, [0, 4, 1, 7, 2, 9, 3, 5, 6, 8]),
     ("matching(3)", lambda g: S.pairs_strategy(3), Goal.WIN, 200, 1,
      4, [0, 4, 5, 2, 1, 3]),
-    ("cycle(18)", lambda g: S.CopyMirrorStrategy(S.pairs_strategy(3), 3), Goal.WIN, 200, 1,
+    ("cycle(18)", lambda g: S.copy_mirror_strategy(S.pairs_strategy(3), 3), Goal.WIN, 200, 1,
      1, [0, 5, 4, 12, 6, 17, 11, 2, 1]),
     ("even_general(2,3)", lambda g: S.strategy_for(g, "even-general"), Goal.WIN, 300, 5,
      300, None),
