@@ -29,7 +29,12 @@ def _load_game(args, search: Optional[str] = None) -> Game:
     before it is built."""
     if getattr(args, "game_file", None):
         with open(args.game_file, "r", encoding="utf-8") as fh:
-            return game_from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise GameError("the game file nests too deeply to be a game "
+                                "document") from None
+        return game_from_json(doc)
     if getattr(args, "game", None):
         if search is not None:
             check_cap(spec_size(args.game), args.cap, search)

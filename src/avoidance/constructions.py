@@ -523,6 +523,13 @@ def _affine_size(n: int) -> int:
     return n
 
 
+def _affine_default_size(n: int) -> int:
+    """``_affine_size`` for a spec, which builds the default base sets."""
+    _affine_size(n)
+    _require(n in AFFINE_BASES, f"no default base sets for n={n}")
+    return n
+
+
 def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game:
     """Game on a prime board whose allowed family is affine-closed.
 
@@ -534,11 +541,11 @@ def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game
     group, which preserves the lines for any bases, so the ``canonical``
     form keys a position by its orbit under that group.
     """
-    _affine_size(n)
     if bases is None:
-        _require(n in AFFINE_BASES, f"no default base sets for n={n}")
+        _affine_default_size(n)
         base_sets = AFFINE_BASES[n]
     else:
+        _affine_size(n)
         base_sets = [frozenset(b) for b in bases]
     k = (n - 1) // 2
     for b in base_sets:
@@ -629,7 +636,7 @@ CATALOG = {
     "product_torus": {"factory": product_torus, "params": ["d"], "ranges": "d >= 1",
                       "size": _product_torus_size},
     "affine": {"factory": affine_game, "params": ["n"], "ranges": "n in {11, 13}",
-               "size": _affine_size},
+               "size": _affine_default_size},
     "cycle": {"factory": cycle_game, "params": ["n"], "ranges": "n >= 3",
               "size": _cycle_size},
     "complete": {"factory": complete_graph_game, "params": ["n"], "ranges": "n >= 3",

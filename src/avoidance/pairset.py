@@ -21,6 +21,12 @@ a pair set inside a 2-power cycle is trivial); ``key_params`` exploits
 this to produce, for any partial pair set, interval choices that pin the
 eventual maximal point of any completion into a narrow window. The
 construction is cross-checked exhaustively by ``verify_key_lemma``.
+
+A full pair set F is named by its choice bits ``(F >> m/2) & (2^(m/2) - 1)``,
+so Z_m has 2^(m/2) of them; ``_full_maxima(m)`` keeps their maximal points,
+and a completion of a partial pair set (its fixed choice bits OR-ed with a
+submask of its free-pair bits) costs one lookup. ``verify-lemma all --m 16``
+reads 256 entries of it and fills 12864 masks of each kernel cache.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ class MaximalityTieError(PairSetError):
 
 
 # Both caches hold one entry per distinct mask; ``verify-lemma all --m 16``
-# fills 12864 of each, which the bound keeps.
+# fills 12864 of each (and 256 entries of the full-pair-set table), which
+# the bound keeps.
 _CACHE_SIZE = 1 << 14
 
 
@@ -70,6 +77,71 @@ def _max_point_info(m: int, mask: int) -> tuple[int, bool]:
     words = _rotation_words(m, mask)
     top = max(words)
     return words.index(top), words.count(top) == 1
+
+
+class _FullMaxima(dict):
+    """The maximal point of each full pair set of Z_m by its choice bits (bit
+    p set: it holds p + m/2, not p), made on first lookup through
+    ``_max_point_info``, so a tie raises MaximalityTieError. On demand, as
+    the strategies steer bins of m = 64 and more, whose 2^(m/2) full pair
+    sets no table could hold; emptied when it reaches the cache bound."""
+
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, choice: int) -> int:
+        half = self.m // 2
+        full = choice << half | ((1 << half) - 1) & ~choice
+        x, unique = _max_point_info(self.m, full)
+        if not unique:
+            raise MaximalityTieError(
+                f"full pair set {sorted(iter_bits(full))} of Z_{self.m} has no unique maximum")
+        if len(self) >= _CACHE_SIZE:
+            self.clear()
+        self[choice] = x
+        return x
+
+
+@lru_cache(maxsize=None)
+def _full_maxima(m: int) -> _FullMaxima:
+    """The one table of full-pair-set maxima of Z_m."""
+    return _FullMaxima(m)
+
+
+def _fresh_full_maxima(m: int) -> _FullMaxima:
+    """The table of Z_m, emptied: a suite fills every entry it reads itself,
+    so each maximum it relies on has passed the tie check in its own run."""
+    table = _full_maxima(m)
+    table.clear()
+    return table
+
+
+def _full_pair_sets(m: int) -> Iterator[tuple[int, int]]:
+    """(F, maximal point of F) for each full pair set F of Z_m, by choice
+    bits, from an emptied table (see ``_fresh_full_maxima``)."""
+    table = _fresh_full_maxima(m)
+    half = m // 2
+    low = (1 << half) - 1
+    for choice in range(1 << half):
+        yield choice << half | low & ~choice, table[choice]
+
+
+def _completion_maxima(m: int, mask: int) -> Iterator[int]:
+    """The maximal point of each full pair set containing the pair set
+    ``mask``. A completion's choice bits are the fixed choice bits of
+    ``mask`` OR-ed with a submask of its free-pair bits."""
+    table = _full_maxima(m)
+    half = m // 2
+    low = (1 << half) - 1
+    fixed = (mask >> half) & low
+    free = low & ~(mask | mask >> half)
+    sub = free
+    while True:
+        yield table[fixed | sub]
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
 def maximal_point(m: int, mask: int) -> int:
@@ -170,10 +242,13 @@ def key_params(m: int, mask: int) -> KeyParams:
     mp = m // 4
     u_star = maximal_point(m, mask | _free_mask(m, mask))
     base = ((mask >> u_star) | (mask << (m - u_star))) & ((1 << m) - 1)
+    table, half, low = _full_maxima(m), m // 2, (1 << m // 2) - 1
 
     def max_of(k: int) -> int:
-        # the two quarters span m/2 points, so no fill blocks the other
-        return maximal_point(m, _fill_mask(m, base, _interval_mask(m, k * mp, 2 * mp)))
+        # the two quarters span m/2 points, one of each opposite pair, so
+        # the fill is a full pair set
+        full = _fill_mask(m, base, _interval_mask(m, k * mp, 2 * mp))
+        return table[(full >> half) & low]
 
     def out(s: int, t: int, z1: int, z2: int) -> KeyParams:
         return KeyParams(s, (t + u_star) % m, (z1 + u_star) % m, (z2 + u_star) % m)
@@ -204,10 +279,7 @@ def key_params_hold(m: int, mask: int, p: KeyParams) -> bool:
         (p.z2, p.t, 2 * mp - p.s),
     )
     for z, lo, width in checks:
-        for ext in extension_masks(m, _fill_mask(m, mask, _interval_mask(m, z, mp))):
-            mx, unique = _max_point_info(m, ext)
-            if not unique:
-                raise MaximalityTieError("full pair set with a non-unique maximum")
+        for mx in _completion_maxima(m, _fill_mask(m, mask, _interval_mask(m, z, mp))):
             if (mx - lo) % m >= width:
                 return False
     return True
@@ -254,8 +326,8 @@ def verify_unique_max(m: int) -> SuiteReport:
 def verify_not_min(m: int) -> SuiteReport:
     """Full pair set with 0 maximal: no point of [0, r] is r-minimal, r < m/2."""
     checked, failures = 0, []
-    for mask in extension_masks(m, 0):
-        if maximal_point(m, mask) != 0:
+    for mask, mx in _full_pair_sets(m):
+        if mx != 0:
             continue
         for r in range(1, m // 2):
             words = _windows(m, mask, r)
@@ -270,8 +342,7 @@ def verify_not_min(m: int) -> SuiteReport:
 def verify_not_top(m: int) -> SuiteReport:
     """Full pair set, x m/4-maximal: the maximal point lies in (x - m/2, x]."""
     checked, failures = 0, []
-    for mask in extension_masks(m, 0):
-        mx = maximal_point(m, mask)
+    for mask, mx in _full_pair_sets(m):
         for x in _r_maximal_points(m, mask, m // 4):
             checked += 1
             if (x - mx) % m >= m // 2:
@@ -282,13 +353,13 @@ def verify_not_top(m: int) -> SuiteReport:
 def verify_least_max(m: int) -> SuiteReport:
     """With 0 m/4-maximal, the maximum is the first m/4-maximal point in (m/2, m]."""
     checked, failures = 0, []
-    for mask in extension_masks(m, 0):
+    for mask, mx in _full_pair_sets(m):
         top = _r_maximal_points(m, mask, m // 4)
         if top[0] != 0:
             continue
         checked += 1
         first = next((x for x in top if x > m // 2), 0)
-        if maximal_point(m, mask) != first:
+        if mx != first:
             failures.append((sorted(iter_bits(mask)), first))
     return SuiteReport("least-max", m, checked, failures, {})
 
@@ -304,33 +375,35 @@ def verify_earliest_latest(m: int) -> SuiteReport:
     (d) every completion of A plus the fill of [y, y+m/4) has its maximum
     in [x', x].
     """
-    mp = m // 4
-    interval = [[_interval_mask(m, x, r) for r in range(m)] for x in range(m)]
+    mp, half = m // 4, m // 2
+    low = (1 << half) - 1
+    interval = [[_interval_mask(m, x, r) for r in range(m + 1)] for x in range(m)]
     quarter = [row[mp] for row in interval]
-    ext_maxima: dict = {}  # upper fill mask -> maxima of its full completions
+    table = _fresh_full_maxima(m)
+    ext_maxima: dict = {}  # upper fill mask -> maxima of its full completions, as a mask
     checked, failures = 0, []
     for mask in partial_masks(m):
         free = _free_mask(m, mask)
         maximal_in_amax = _r_maximal_points(m, mask | free, mp)
         for y in range(m):
-            # [y - m/4, y + m/4) spans m/2 points: no fill there blocks another
+            # [y - m/4, y + m/4) spans m/2 points, one of each opposite
+            # pair: its fill is a full pair set
             upper = mask | free & quarter[y]
-            xp = maximal_point(m, mask | free & interval[(y - mp) % m][2 * mp])
+            xp = table[((mask | free & interval[(y - mp) % m][half]) >> half) & low]
             for x in maximal_in_amax:
                 if free & interval[x][(y - x) % m]:
                     continue  # a free point inside [x, y)
                 checked += 1
                 maxima = ext_maxima.get(upper)
                 if maxima is None:
-                    maxima = ext_maxima[upper] = {
-                        _max_point_info(m, ext)[0] for ext in extension_masks(m, upper)}
+                    maxima = ext_maxima[upper] = sum(
+                        {1 << mx for mx in _completion_maxima(m, upper)})
                 ok_a = (x - xp) % m < m // 2
                 ok_b = xp in maximal_in_amax
                 dv = (xp - (y - mp)) % m
                 in_yx = 0 < dv <= (x - (y - mp)) % m
-                width = (x - xp) % m + 1
                 ok_c = in_yx or not free & interval[xp][(y - mp - xp) % m]
-                ok_d = all((mx - xp) % m < width for mx in maxima)
+                ok_d = not maxima & ~interval[xp][(x - xp) % m + 1]  # all in [x', x]
                 if not (ok_a and ok_b and ok_c and ok_d):
                     failures.append((sorted(iter_bits(mask)), x, y, xp,
                                      ok_a, ok_b, ok_c, ok_d))
@@ -344,6 +417,7 @@ def verify_key_lemma(m: int, max_free_pairs: Optional[int] = None) -> SuiteRepor
         raise PairSetError(f"max_free_pairs must be >= 0, got {max_free_pairs}")
     checked, skipped, failures = 0, 0, []
     max_s = 0
+    _fresh_full_maxima(m)  # key_params and key_params_hold fill it
     for mask in partial_masks(m):
         if max_free_pairs is not None and _free_mask(m, mask).bit_count() // 2 > max_free_pairs:
             skipped += 1

@@ -515,8 +515,10 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
                     samples: int, seed: int) -> VerifyReport:
     """Seeded random play-outs on owner-relative masks.
 
-    The adversary draws ``rng.choice`` over the ascending list of unclaimed
-    points, so a seed replays the same play-outs in every version.
+    The adversary draws an index into the ascending list of unclaimed
+    points with ``rng.randrange``, which consumes the generator exactly as
+    ``rng.choice`` over that list would, so a seed replays the same
+    play-outs in every version.
     """
     n = game.n
     loses_after = game.lines.loses_after
@@ -529,6 +531,7 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
     for _ in range(samples):
         state, q = strat.initial, None
         mine = theirs = 0
+        nmine = ntheirs = 0  # popcounts of mine and theirs
         free = list(range(n))
         history: list = []
         failed = None
@@ -545,16 +548,17 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
                     failed = history
                     break
                 mine |= 1 << x
-                if mine.bit_count() >= minline and loses_after(mine, x):
+                nmine += 1
+                if nmine >= minline and loses_after(mine, x):
                     failed = history
                     break
                 free.remove(x)
             else:
-                q = rng.choice(free)
-                free.remove(q)
+                q = free.pop(rng.randrange(len(free)))
                 theirs |= 1 << q
+                ntheirs += 1
                 history.append(q)
-                if theirs.bit_count() >= minline and loses_after(theirs, q):
+                if ntheirs >= minline and loses_after(theirs, q):
                     break  # adversary lost: play-out passes
             if not free:
                 if win:

@@ -402,3 +402,62 @@ def ref_verify(game, strat, owner, goal) -> dict:
     if cx is not None:
         doc["counterexample"] = cx
     return doc
+
+
+def ref_verify_sampled(game, strat, owner, goal, samples: int, seed: int) -> dict:
+    """The sampled strategy check as a report document, drawing as the
+    verifier once did: ``rng.choice`` over the ascending unclaimed points,
+    then ``remove``, with the popcounts read off the masks."""
+    import random
+
+    from avoidance.core import IllegalMoveError, Player
+
+    n = game.n
+    minline = game.lines.min_line_size
+    first = owner is Player.ONE
+    win = goal.value == "win"
+    rng = random.Random(seed)
+    leaves = 0
+    failed = None
+    for _ in range(samples):
+        state, q = strat.initial, None
+        mine = theirs = 0
+        free = list(range(n))
+        history = []
+        owner_moves = first
+        while True:
+            if owner_moves:
+                try:
+                    x, state = (strat.step(state, mine, theirs, q) if first
+                                else strat.step(state, theirs, mine, q))
+                except IllegalMoveError:
+                    x = -1
+                history.append(x)
+                if not 0 <= x < n or ((mine | theirs) >> x) & 1:
+                    failed = history
+                    break
+                mine |= 1 << x
+                if mine.bit_count() >= minline and game.lines.loses_after(mine, x):
+                    failed = history
+                    break
+                free.remove(x)
+            else:
+                q = rng.choice(free)
+                free.remove(q)
+                theirs |= 1 << q
+                history.append(q)
+                if theirs.bit_count() >= minline and game.lines.loses_after(theirs, q):
+                    break
+            if not free:
+                if win:
+                    failed = history
+                break
+            owner_moves = not owner_moves
+        leaves += 1
+        if failed is not None:
+            break
+    doc = {"verdict": "pass" if failed is None else "counterexample", "leaves": leaves,
+           "mode": "sampled", "seed": seed, "samples": samples}
+    if failed is not None:
+        doc["counterexample"] = failed
+    return doc

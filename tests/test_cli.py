@@ -5,10 +5,15 @@ import subprocess
 import sys
 import time
 
+import contextlib
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avoidance import cli
 from avoidance.cli import main
+from avoidance.constructions import game_to_json, parse_game_spec
 from avoidance.core import ExplicitLines
 
 
@@ -120,6 +125,84 @@ def test_game_file_with_a_bad_line_is_refused(tmp_path, capsys, name, lines, mes
     rc, out, err = run_cli(capsys, "solve", "--game-file", str(path))
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {message}")
+
+
+_DOC_SPECS = ["pairs(3)", "cycle(5)", "matching(2)", "torus(3,1)", "superset(pairs(3),4)",
+              "even_general(2,3)", "odd_composite(3,3)"]
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+# a value the loader must refuse in each place of a document
+_WRONG = {"n": lambda v: type(v) is not int, "name": lambda v: not isinstance(v, str),
+          "lines": lambda v: not isinstance(v, dict),
+          "generators": lambda v: not isinstance(v, list)}
+
+
+@st.composite
+def _malformed_game_files(draw):
+    """The text of a document no loader may accept: a catalog game's
+    document with one change that breaks it, or text of another shape."""
+    doc = game_to_json(parse_game_spec(draw(st.sampled_from(_DOC_SPECS))))
+    n, lines = doc["n"], doc["lines"]
+    kind = draw(st.sampled_from(["truncate", "deep", "other", "drop", "retype", "n",
+                                 "point", "implicit"]))
+    if kind == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "deep":
+        depth = draw(st.integers(1, 100_000))
+        return "[" * depth + "]" * depth
+    if kind == "other":
+        return json.dumps(draw(_json_values.filter(lambda v: not isinstance(v, dict))))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(["n", "lines", "generators"]))]
+    elif kind == "retype":
+        key = draw(st.sampled_from(sorted(_WRONG)))
+        doc[key] = draw(_json_values.filter(_WRONG[key]))
+    elif kind == "n":
+        doc["n"] = draw(st.integers().filter(lambda v: v != n))
+    elif kind == "point" or "explicit" in lines:
+        # a point of a line or a generator off the board, or no integer
+        lists = draw(st.sampled_from([doc["generators"], lines.get("explicit", [])]))
+        lists = lists or doc["generators"]
+        points = lists[draw(st.integers(0, len(lists) - 1))]
+        points[draw(st.integers(0, len(points) - 1))] = draw(
+            st.integers().filter(lambda v: not 0 <= v < n)
+            | _json_values.filter(lambda v: type(v) is not int))
+    else:
+        # another value of a parameter, or another construction; every
+        # other value of a parameter changes the board size
+        impl = lines["implicit"]
+        key = draw(st.sampled_from(["construction", *sorted(impl["params"])]))
+        if key == "construction":
+            impl[key] = draw(_json_values.filter(lambda v: v != impl[key]))
+        else:
+            impl["params"][key] = draw(_json_values.filter(
+                lambda v: v != impl["params"][key]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed_game_files())
+def test_a_malformed_game_file_exits_2_with_one_error_line(text):
+    # a refusal is exit 2, never 1 ("claim refuted"), with no traceback
+    # and no "unexpected" crash
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["solve", "--game-file", path])
+    assert rc == 2 and out.getvalue() == ""
+    message = err.getvalue().splitlines()
+    assert len(message) == 1 and message[0].startswith("error:")
+    assert "unexpected" not in message[0], message[0]
 
 
 def test_verify_strategy_exit_codes(capsys):

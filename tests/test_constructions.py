@@ -602,7 +602,8 @@ def test_spec_size_is_the_size_of_the_built_board(spec):
 
 @pytest.mark.parametrize("spec", ["nope(3)", "pairs(3", "pairs(4)", "pairs(x)", "torus(1,2)",
                                   "torus(64,2)", "even_general(1,3)", "even_general(30,3)",
-                                  "affine(9)", "affine(97)", "cycle(2)", "matching(1)",
+                                  "affine(9)", "affine(97)", "affine(2)", "affine(3)",
+                                  "affine(5)", "affine(7)", "cycle(2)", "matching(1)",
                                   "complete(3000)", "odd_composite(3,4)",
                                   "superset(pairs(4),6)", "superset(pairs(3),7)",
                                   "copies(pairs(3),3,1)", "copies(pairs(3),2)",

@@ -134,6 +134,66 @@ def test_earliest_latest_keeps_the_tie_check(monkeypatch):
         ps.verify_earliest_latest(4)
 
 
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_table_completion_maxima_match_the_extension_route(m):
+    # one table lookup per completion, against _max_point_info on each
+    # mask extension_masks builds
+    for a in (0, *partial_masks(m)):
+        assert sorted(ps._completion_maxima(m, a)) == sorted(
+            ps._max_point_info(m, e)[0] for e in extension_masks(m, a))
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_half_interval_fills_are_full_pair_sets(m):
+    # earliest-latest's xp and key_params's max_of read the table at the
+    # fill of a half interval [y, y + m/2); key_params fills a rotation of
+    # its pair set, which is again among the partial masks
+    for a in partial_masks(m):
+        for y in range(m):
+            fill = ps._fill_mask(m, a, ps._interval_mask(m, y, m // 2))
+            assert ps._free_mask(m, fill) == 0 and fill.bit_count() == m // 2
+
+
+def _tie_on_full_pair_sets(monkeypatch):
+    """Make _max_point_info report a tie on every full pair set only, so
+    the tie can reach a suite through the table alone."""
+    real = ps._max_point_info
+
+    def info(m, mask):
+        if mask.bit_count() == m // 2 and not ps._free_mask(m, mask):
+            return 0, False
+        return real(m, mask)
+
+    monkeypatch.setattr(ps, "_max_point_info", info)
+
+
+def test_key_lemma_keeps_the_tie_check_of_the_table(monkeypatch):
+    ps.verify_key_lemma(4)  # a table filled before the patch is emptied
+    _tie_on_full_pair_sets(monkeypatch)
+    with pytest.raises(MaximalityTieError):
+        ps.verify_key_lemma(4)
+    with pytest.raises(MaximalityTieError):
+        ps.verify_earliest_latest(4)
+
+
+def test_table_is_filled_on_demand_and_bounded(monkeypatch):
+    # a bin of m = 64 has 2^32 full pair sets; the strategies steer such
+    # bins, so the table holds only the ones looked up
+    m = 64
+    a = 0
+    for p in range(28):  # 4 free pairs
+        a |= 1 << (p if p % 3 else p + m // 2)
+    assert ps._free_mask(m, a).bit_count() == 8
+    assert key_params_hold(m, a, key_params(m, a))
+    assert len(ps._full_maxima(m)) <= 4 + 2 * 2 ** 4  # max_of, then two completions
+    monkeypatch.setattr(ps, "_CACHE_SIZE", 4)
+    table = ps._FullMaxima(8)
+    for choice in range(16):
+        full = choice << 4 | 0b1111 & ~choice
+        assert table[choice] == maximal_point(8, full)
+        assert len(table) <= 4
+
+
 def test_full_extensions_count():
     assert len(set(extension_masks(8, 0b0001))) == 2 ** 3
     # pair 0's pick varies slowest, its low point first

@@ -8,6 +8,8 @@ from avoidance.solver import Goal, verify_strategy
 from avoidance import pairset
 from avoidance import strategies as S
 
+from oracles import ref_verify_sampled
+
 
 def run_history(strategy, moves):
     """Feed alternating moves; owner moves come from step and must match."""
@@ -557,3 +559,33 @@ def test_sampled_reports_are_pinned(spec, build, goal, samples, seed, leaves, cx
     if cx is not None:
         want["counterexample"] = cx
     assert report.to_json() == want
+
+
+# (spec, strategy, owner, goal, samples, seed): counterexamples and passes,
+# both owner roles, both goals
+SAMPLED_ORACLE_CASES = [
+    ("pairs(5)", lambda g: S.strategy_for(g, "lowest"), Player.ONE, Goal.WIN, 50, 3),
+    ("matching(3)", lambda g: S.pairs_strategy(3), Player.ONE, Goal.WIN, 200, 1),
+    ("even_general(2,3)", lambda g: S.strategy_for(g, "even-general"), Player.ONE,
+     Goal.WIN, 300, 5),
+    ("odd_composite(3,3)", lambda g: S.LowestFreeStrategy(g.n, Player.TWO), Player.TWO,
+     Goal.NEVER_LOSE, 50, 2),
+    ("odd_composite(3,3)", lambda g: S.LowestFreeStrategy(g.n, Player.TWO), Player.TWO,
+     Goal.WIN, 50, 9),
+    ("torus(2,2)", lambda g: S.strategy_for(g, "involution-pairing"), Player.TWO,
+     Goal.NEVER_LOSE, 100, 2),
+    ("cycle(9)", lambda g: _NextPointStrategy(g.n), Player.ONE, Goal.NEVER_LOSE, 100, 4),
+    ("torus(3,3)", lambda g: S.strategy_for(g, "torus-pairing"), Player.ONE,
+     Goal.NEVER_LOSE, 500, 11),
+]
+
+
+@pytest.mark.parametrize("spec,build,owner,goal,samples,seed", SAMPLED_ORACLE_CASES,
+                         ids=[f"{r[0]}-{r[2].name}-{r[3].value}" for r in SAMPLED_ORACLE_CASES])
+def test_sampled_play_outs_match_the_choice_and_remove_loop(spec, build, owner, goal,
+                                                            samples, seed):
+    game = C.parse_game_spec(spec)
+    strat = build(game)
+    report = verify_strategy(game, strat, owner, goal, mode="sampled",
+                             samples=samples, seed=seed)
+    assert report.to_json() == ref_verify_sampled(game, strat, owner, goal, samples, seed)
