@@ -55,11 +55,10 @@ _CACHE_SIZE = 1 << 14
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _base_word(m: int, mask: int) -> int:
-    """Pack the indicator of ``mask`` into an int, position 0 at the MSB."""
-    w = 0
-    for i in range(m):
-        w = (w << 1) | ((mask >> i) & 1)
-    return w
+    """Pack the indicator of ``mask`` into an int, position 0 at the MSB:
+    the m bits of ``mask`` reversed, read off its binary string below a
+    sentinel bit m."""
+    return int(bin(mask | 1 << m)[:2:-1], 2)
 
 
 def _rotation_words(m: int, mask: int) -> list[int]:
@@ -379,13 +378,20 @@ def verify_earliest_latest(m: int) -> SuiteReport:
     low = (1 << half) - 1
     interval = [[_interval_mask(m, x, r) for r in range(m + 1)] for x in range(m)]
     quarter = [row[mp] for row in interval]
+    ring = (1 << m) - 1
     table = _fresh_full_maxima(m)
     ext_maxima: dict = {}  # upper fill mask -> maxima of its full completions, as a mask
     checked, failures = 0, []
     for mask in partial_masks(m):
         free = _free_mask(m, mask)
         maximal_in_amax = _r_maximal_points(m, mask | free, mp)
-        for y in range(m):
+        # an x admits the y from x up to its first free point at or after
+        # x, or every y when nothing is free; visit the union of these runs
+        ys = 0
+        for x in maximal_in_amax:
+            ahead = (free >> x | free << (m - x)) & ring  # bit d: point x + d
+            ys |= interval[x][(ahead & -ahead).bit_length() or m]
+        for y in iter_bits(ys):
             # [y - m/4, y + m/4) spans m/2 points, one of each opposite
             # pair: its fill is a full pair set
             upper = mask | free & quarter[y]

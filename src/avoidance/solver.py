@@ -12,9 +12,9 @@ winning move, and ``earliest_forced_loss`` gives it a table of loss values.
 reply (or a seeded random sample), memoizing on (position, strategy
 state) packed into one integer, with the state as a small id interned by
 equality; only passing subtrees are cached so a failure always carries a
-replayable history. Exhaustive mode answers paired replies from the
-strategy's pairing table and skips, by sleep sets, those whose child it
-has already verified.
+replayable history. Both modes answer paired replies from the
+strategy's pairing table; exhaustive mode also skips, by sleep sets,
+those whose child it has already verified.
 
 Subtrees may be searched concurrently against a shared write-once table
 without changing any result; the implementation here is single-threaded
@@ -398,17 +398,9 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
     step = strat.step
     n2 = 2 * n
     memo: set = set()
-    ids: dict = {}     # state -> its id, by equality
-    tables: dict = {}  # state id -> checked pairing table
+    ids: dict = {}  # state -> its id, by equality
+    table_of = _pairing_tables(strat, n)  # keyed by state id
     leaves = 0
-
-    def table_of(state, sid: int):
-        """The pairing table of ``state``, fetched and checked once."""
-        try:
-            return tables[sid]
-        except KeyError:
-            t = tables[sid] = _checked_pairing(strat.pairing(state), n)
-            return t
 
     def replies(mine: int, theirs: int, state, sid: int, t, sleep: int) -> Optional[list]:
         """Adversary to move against strategy ``state`` (id ``sid``) with
@@ -503,6 +495,21 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
     return VerifyReport("pass", None, leaves, "exhaustive", memo=len(memo))
 
 
+def _pairing_tables(strat, n: int):
+    """``table_of(state, key)``: the pairing table of ``state``, fetched
+    from ``strat`` and checked once per ``key``."""
+    tables: dict = {}
+
+    def table_of(state, key):
+        try:
+            return tables[key]
+        except KeyError:
+            t = tables[key] = _checked_pairing(strat.pairing(state), n)
+            return t
+
+    return table_of
+
+
 def _checked_pairing(t: Optional[tuple], n: int) -> Optional[tuple]:
     """``t`` itself, once it is a fixed-point-free partial involution on
     ``n`` points (negative entries are holes)."""
@@ -515,10 +522,16 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
                     samples: int, seed: int) -> VerifyReport:
     """Seeded random play-outs on owner-relative masks.
 
-    The adversary draws an index into the ascending list of unclaimed
-    points with ``rng.randrange``, which consumes the generator exactly as
-    ``rng.choice`` over that list would, so a seed replays the same
-    play-outs in every version.
+    The owner answers a paired reply as in exhaustive mode: ``t[q]`` from
+    the state's pairing table when that point is unclaimed, with the state
+    kept and no ``step`` call. Tables are kept by state, equal states
+    sharing one entry, and each is checked once.
+
+    The adversary draws an index into the ascending list of k unclaimed
+    points by CPython's rejection loop (``_randbelow_with_getrandbits``,
+    which ``randrange(k)`` and ``choice`` call): ``getrandbits`` of k's
+    bit length, repeated while the draw is k or more. A seed replays the
+    same play-outs in every version whose ``getrandbits`` is unchanged.
     """
     n = game.n
     loses_after = game.lines.loses_after
@@ -526,25 +539,31 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
     first = owner is Player.ONE
     win = goal is Goal.WIN
     step = strat.step
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    table_of = _pairing_tables(strat, n)  # keyed by the state, by equality
+    tstate, t = object(), None  # the last state the adversary faced, its table
     leaves = 0
     for _ in range(samples):
         state, q = strat.initial, None
         mine = theirs = 0
         nmine = ntheirs = 0  # popcounts of mine and theirs
         free = list(range(n))
+        nfree = n
         history: list = []
         failed = None
         owner_moves = first
         while True:
             if owner_moves:
-                try:
-                    x, state = (step(state, mine, theirs, q) if first
-                                else step(state, theirs, mine, q))
-                except IllegalMoveError:
-                    x = -1
+                claimed = mine | theirs
+                # a paired reply is answered by t[q], and the state stays
+                if q is None or t is None or (x := t[q]) < 0 or (claimed >> x) & 1:
+                    try:
+                        x, state = (step(state, mine, theirs, q) if first
+                                    else step(state, theirs, mine, q))
+                    except IllegalMoveError:
+                        x = -1
                 history.append(x)
-                if not 0 <= x < n or ((mine | theirs) >> x) & 1:
+                if not 0 <= x < n or (claimed >> x) & 1:
                     failed = history
                     break
                 mine |= 1 << x
@@ -554,13 +573,20 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
                     break
                 free.remove(x)
             else:
-                q = free.pop(rng.randrange(len(free)))
+                if state is not tstate:
+                    tstate, t = state, table_of(state, state)
+                k = nfree.bit_length()
+                r = getrandbits(k)
+                while r >= nfree:
+                    r = getrandbits(k)
+                q = free.pop(r)
                 theirs |= 1 << q
                 ntheirs += 1
                 history.append(q)
                 if ntheirs >= minline and loses_after(theirs, q):
                     break  # adversary lost: play-out passes
-            if not free:
+            nfree -= 1
+            if not nfree:
                 if win:
                     failed = history
                 break

@@ -15,9 +15,9 @@ A strategy may also expose a pairing table per state,
 ``t[q]`` is unclaimed after adversary move ``q``, ``step(state, a, b, q)``
 returns ``(t[q], state)`` with the same state object, and ``-1`` means
 "ask ``step``". ``t`` is a fixed-point-free partial involution
-(``t[q] != q`` and ``t[t[q]] == q``), so two paired answers commute; the
-exhaustive verifier answers paired replies from the table and skips
-those whose child it has already verified.
+(``t[q] != q`` and ``t[t[q]] == q``), so two paired answers commute. The
+verifier answers paired replies from the table in both modes, and in
+exhaustive mode skips those whose child it has already verified.
 
 All free choices are resolved lowest index first, so identical histories
 reproduce identical moves. The one exception is the r-bin window rule of

@@ -272,6 +272,27 @@ def ref_free_points(members, m: int) -> frozenset:
                      if x not in members and (x + half) % m not in members)
 
 
+def ref_earliest_latest_count(m: int) -> int:
+    """The ``checked`` count of the ``earliest-latest`` suite, by the plain
+    double loop: for every partial pair set A, every y and every x that is
+    m/4-maximal in A with its frees added (by string comparison), count
+    (x, y) when no free point lies in [x, y)."""
+    half, quarter = m // 2, m // 4
+    count = 0
+    for picks in itertools.product(*[(None, p, p + half) for p in range(half)]):
+        members = frozenset(x for x in picks if x is not None)
+        if not members:
+            continue
+        free = ref_free_points(members, m)
+        words = [word_string(members | free, m, x, quarter) for x in range(m)]
+        maximal = [x for x in range(m) if words[x] == max(words)]
+        for y in range(m):
+            for x in maximal:
+                if not any((x + i) % m in free for i in range((y - x) % m)):
+                    count += 1
+    return count
+
+
 def ref_fill(members, m: int, x: int, r: int) -> frozenset:
     """``members`` plus the free points of the cyclic interval [x, x+r)."""
     free = ref_free_points(members, m)

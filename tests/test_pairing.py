@@ -1,9 +1,10 @@
 """Pairing tables and the sleep-set exhaustive verifier.
 
-The verifier answers paired replies from the strategy's table and skips
-those whose child it has verified; ``oracles.ref_verify`` is the plain loop
-with one ``step`` call per reply. Their reports must be equal, and every
-table must say what ``step`` does.
+The verifier answers paired replies from the strategy's table, in both
+modes, and in exhaustive mode skips those whose child it has verified;
+``oracles.ref_verify`` is the plain loop with one ``step`` call per
+reply. Their reports must be equal, and every table must say what
+``step`` does.
 """
 
 import pytest
@@ -196,8 +197,19 @@ class _BrokenTable(_XorPairing):
         self._pairs = table
 
 
-@pytest.mark.parametrize("table", [(1, 0, 2, -1), (1, 2, 0, -1), (1, 0, 4, -1), (1, 0, -1)])
+BROKEN_TABLES = [(1, 0, 2, -1), (1, 2, 0, -1), (1, 0, 4, -1), (1, 0, -1)]
+
+
+@pytest.mark.parametrize("table", BROKEN_TABLES)
 def test_a_table_that_is_no_pairing_is_refused(table):
     game = C.parse_game_spec("torus(2,2)")
     with pytest.raises(StrategyInvariantError, match="pairing table"):
         verify_strategy(game, _BrokenTable(4, table), Player.TWO, Goal.NEVER_LOSE)
+
+
+@pytest.mark.parametrize("table", BROKEN_TABLES)
+def test_sampled_mode_refuses_a_table_that_is_no_pairing(table):
+    game = C.parse_game_spec("torus(2,2)")
+    with pytest.raises(StrategyInvariantError, match="pairing table"):
+        verify_strategy(game, _BrokenTable(4, table), Player.TWO, Goal.NEVER_LOSE,
+                        mode="sampled", samples=1)

@@ -8,8 +8,8 @@ from avoidance.pairset import (
     maximal_point, partial_masks, run_suite,
 )
 
-from oracles import (brute_key_params, ref_fill, ref_free_points, ref_is_r_maximal,
-                     ref_maximal_points, word_string)
+from oracles import (brute_key_params, ref_earliest_latest_count, ref_fill, ref_free_points,
+                     ref_is_r_maximal, ref_maximal_points, word_string)
 
 
 def test_superset_word_compares_geq():
@@ -258,12 +258,38 @@ def test_opposite_flip_full_sets():
                 assert (words[x] == top) == (words[(x + m // 2) % m] == low)
 
 
+SUITE_CHECKED = {
+    4: {"earliest-latest": 48, "key-lemma": 8, "least-max": 2, "not-min": 2,
+        "not-top": 8, "unique-max": 8},
+    8: {"earliest-latest": 672, "key-lemma": 80, "least-max": 4, "not-min": 18,
+        "not-top": 32, "unique-max": 80},
+}
+
+
 @pytest.mark.parametrize("m", [4, 8])
 @pytest.mark.parametrize("name", sorted(ps.SUITES))
 def test_suites_small(m, name):
     report = run_suite(name, m)
     assert report.passed, report.failures[:3]
-    assert report.checked > 0
+    assert report.checked == SUITE_CHECKED[m][name]
+
+
+@pytest.mark.parametrize("m,checked", [(4, 48), (8, 672), (16, 49104)])
+def test_earliest_latest_checks_what_the_double_loop_counts(m, checked):
+    # the suite visits only the y some x admits; the oracle tries every y
+    assert run_suite("earliest-latest", m).checked == ref_earliest_latest_count(m) == checked
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_base_word_reverses_the_bits(m):
+    def loop(mask):
+        w = 0
+        for i in range(m):
+            w = (w << 1) | ((mask >> i) & 1)
+        return w
+
+    base_word = ps._base_word.__wrapped__  # keep the cache out of it
+    assert all(base_word(m, mask) == loop(mask) for mask in range(1 << m))
 
 
 def test_run_suite_rejects_unknown():

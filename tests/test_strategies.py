@@ -577,7 +577,27 @@ SAMPLED_ORACLE_CASES = [
     ("cycle(9)", lambda g: _NextPointStrategy(g.n), Player.ONE, Goal.NEVER_LOSE, 100, 4),
     ("torus(3,3)", lambda g: S.strategy_for(g, "torus-pairing"), Player.ONE,
      Goal.NEVER_LOSE, 500, 11),
+    # pairing tables with holes, or whose state changes: the verifier answers
+    # paired replies from the table, the oracle calls ``step`` for every reply
+    ("even_general(2,5)", lambda g: S.strategy_for(g, "even-general"), Player.ONE,
+     Goal.WIN, 300, 3),
+    ("pairs(9)", lambda g: S.strategy_for(g, "pairs"), Player.ONE, Goal.WIN, 300, 8),
+    ("copies(pairs(3),3)", lambda g: S.strategy_for(g, "copy-mirror"), Player.ONE,
+     Goal.WIN, 300, 13),
+    ("product_torus(1)", lambda g: S.strategy_for(g, "product"), Player.ONE,
+     Goal.NEVER_LOSE, 300, 21),
+    # the same strategies on a board of their size that they lose: the
+    # counterexample pins every draw and every answer of its play-outs
+    ("matching(10)", lambda g: _strategy_of("even_general(2,5)", "even-general"), Player.ONE,
+     Goal.WIN, 300, 3),
+    ("matching(9)", lambda g: _strategy_of("pairs(9)", "pairs"), Player.ONE, Goal.WIN, 300, 2),
+    ("matching(9)", lambda g: _strategy_of("copies(pairs(3),3)", "copy-mirror"), Player.ONE,
+     Goal.WIN, 300, 3),
 ]
+
+
+def _strategy_of(spec: str, name: str):
+    return S.strategy_for(C.parse_game_spec(spec), name)
 
 
 @pytest.mark.parametrize("spec,build,owner,goal,samples,seed", SAMPLED_ORACLE_CASES,
