@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import pairset
 from .core import (Game, GameError, IllegalMoveError, Player, Position,
-                   apply_move, is_transitive, iter_bits, orbit)
+                   SearchCapExceeded, apply_move, is_transitive, iter_bits, orbit)
 from .constructions import (CATALOG, game_from_json, game_to_json, parse_game_spec,
                             spec_size)
 from .solver import (Goal, best_move, check_cap, earliest_forced_loss, solve, solve_plus,
@@ -76,6 +76,8 @@ def cmd_check_transitive(args) -> int:
         transitive = is_transitive(game)
         preserved = True
         detail = None
+    except SearchCapExceeded:
+        raise  # a cap hit is no answer, so not a "no" (exit 2)
     except GameError as exc:
         transitive, preserved, detail = False, False, str(exc)
     orb = sorted(orbit(game.generators, 0)) if preserved else []
@@ -116,17 +118,8 @@ def cmd_verify_strategy(args) -> int:
 
 
 def cmd_verify_lemma(args) -> int:
-    kwargs = {}
-    if args.max_free_pairs is not None:
-        if args.suite not in ("key-lemma", "all"):
-            raise pairset.PairSetError(f"--max-free-pairs restricts key-lemma only, "
-                                       f"not {args.suite}")
-        kwargs["max_free_pairs"] = args.max_free_pairs
-    if args.suite == "all":
-        reports = [pairset.run_suite(name, args.m, **({} if name != "key-lemma" else kwargs))
-                   for name in pairset.SUITES]
-    else:
-        reports = [pairset.run_suite(args.suite, args.m, **kwargs)]
+    names = pairset.SUITES if args.suite == "all" else [args.suite]
+    reports = [pairset.run_suite(name, args.m) for name in names]
     _emit({"reports": [r.to_json() for r in reports]})
     return 0 if all(r.passed for r in reports) else 1
 
@@ -251,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("verify-lemma", help="exhaustive pair-set suites")
     l.add_argument("suite", choices=sorted(pairset.SUITES) + ["all"])
     l.add_argument("--m", type=int, required=True)
-    l.add_argument("--max-free-pairs", type=int,
-                   help="restrict key-lemma enumeration (recorded in the report)")
     l.set_defaults(func=cmd_verify_lemma)
 
     e = sub.add_parser("earliest-loss", help="forced loss time in a first-player win")

@@ -16,7 +16,7 @@ The half-board-size families are described through their *allowed* sets
 (the family the first player tries to complete); lines are the complements
 of the allowed sets, or the non-members of the fixed size level, as noted
 per construction. ``pairs(b)`` is the bin board with m = 2 and odd
-transversal parity, built from the same rule (``_bin_rule``) as
+transversal parity, built from the same rule (``bin_rule``) as
 ``even_general``.
 """
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (ExplicitLines, Game, GameError, ImplicitLines, Permutation,
@@ -121,25 +122,24 @@ def odd_composite(p: int, q: int) -> Game:
 # ---------------------------------------------------------------------------
 # bin boards: b bins of m points, n = b * m; pairs(b) is m = 2
 
-# the ``offset`` of each bin board's rule, which its mirror strategy reads
-# too: pairs(b) allows the transversals with an odd sum of maxima
-PAIRS_OFFSET, EVEN_GENERAL_OFFSET = 1, 0
-
-
-def _bin_rule(b: int, m: int, offset: int):
-    """The allowed sets of the bin board Z_b x Z_m (point x*m + y, opposite
-    points y and y + m/2), as ``(w_iter, allowed, extendable)``: their
-    enumeration as point masks, and whether a mask is one, or lies inside
-    one. They are ``even_general``'s, with the bins' maximal points summing,
-    plus ``offset``, into [0, m/2) mod m.
+def bin_rule(b: int, m: int, offset: int) -> SimpleNamespace:
+    """The bin board Z_b x Z_m (point x*m + y, opposite points y and
+    y + m/2), which its lines and its mirror strategy share: ``b``, ``m``,
+    ``offset``; ``low``, each bin's first half; ``window(x)``, both points
+    of each pair in the window of x's pair (the next m/4 - 1 pairs of its
+    bin, every pair of the next (b - 1)/2 bins); the allowed sets'
+    enumeration ``w_iter()`` as point masks, and whether a mask is one
+    (``allowed``) or lies inside one (``extendable``). They are
+    ``even_general``'s, with the bins' maximal points summing, plus
+    ``offset``, into [0, m/2) mod m.
 
     Over all bins at once, ``lo & hi`` marks doubled pairs and the pairs in
     neither half are empty, each pair named by its low point. A bin word's
-    maximal point and a doubled pair's window of empty pairs are found on
-    first use and kept, so nothing sized by n is built up front.
+    maximal point and a point's window are found on first use and kept, so
+    nothing sized by n is built up front.
     """
     n, half, mp, bp = b * m, m // 2, m // 4, (b - 1) // 2
-    binmask = (1 << m) - 1
+    binmask, pair = (1 << m) - 1, 1 | 1 << half
     low = ((1 << half) - 1) * (((1 << n) - 1) // binmask)  # first half of each bin
     maxima: dict = {}
     windows: dict = {}
@@ -154,13 +154,13 @@ def _bin_rule(b: int, m: int, offset: int):
             total += x
         return total % m < half
 
-    def window(doubled: int) -> int:
-        mask = windows.get(doubled)
+    def window(x: int) -> int:
+        mask = windows.get(x)
         if mask is None:
-            j, fpid = divmod(doubled.bit_length() - 1, m)
-            mask = sum(1 << (j * m + (fpid + d) % half) for d in range(1, mp))
-            mask |= sum(low & (binmask << ((j + d) % b * m)) for d in range(1, bp + 1))
-            windows[doubled] = mask
+            j, y = divmod(x, m)
+            mask = sum(pair << (j * m + (y + d) % half) for d in range(1, mp))
+            mask |= sum(binmask << ((j + d) % b * m) for d in range(1, bp + 1))
+            windows[x] = mask
         return mask
 
     def extendable(t: int) -> bool:
@@ -171,7 +171,7 @@ def _bin_rule(b: int, m: int, offset: int):
             return bool(empty) or transversal_ok(t)
         if doubled & (doubled - 1):
             return False
-        return empty & window(doubled) != 0
+        return empty & window(doubled.bit_length() - 1) != 0
 
     def allowed(w: int) -> bool:
         return w.bit_count() == n // 2 and extendable(w)
@@ -194,23 +194,34 @@ def _bin_rule(b: int, m: int, offset: int):
                     doubled = 1 << j * m + fpid | 1 << j * m + fpid + half
                     yield from map(doubled.__or__, map(sum, itertools.product(*choices)))
 
-    return w_iter, allowed, extendable
+    return SimpleNamespace(b=b, m=m, offset=offset, low=low, window=window,
+                           w_iter=w_iter, allowed=allowed, extendable=extendable)
 
 
-def _bin_store(b: int, m: int, offset: int, spec: tuple[str, dict]) -> ImplicitLines:
+def pairs_rule(b: int) -> SimpleNamespace:
+    """pairs(b)'s rule: m = 2, and odd transversal parity."""
+    return bin_rule(b, 2, 1)
+
+
+def even_general_rule(a: int, b: int) -> SimpleNamespace:
+    """even_general(a, b)'s rule: m = 2^a and offset 0."""
+    return bin_rule(b, 1 << a, 0)
+
+
+def _bin_store(rule: SimpleNamespace, spec: tuple[str, dict]) -> ImplicitLines:
     """The bin board's lines, the complements of the allowed sets: a mask
     of at least n/2 points holds one when its complement is extendable."""
-    w_iter, allowed, extendable = _bin_rule(b, m, offset)
-    n = b * m
+    n, extendable = rule.b * rule.m, rule.extendable
     k, full = n // 2, (1 << n) - 1
     return ImplicitLines(n, k, lambda mask: mask.bit_count() >= k and extendable(full ^ mask),
-                         spec=spec, w_iter=w_iter, w_member=allowed)
+                         spec=spec, w_iter=rule.w_iter, w_member=rule.allowed)
 
 
-def _bin_generators(b: int, m: int) -> tuple[Permutation, Permutation]:
+def _bin_generators(rule: SimpleNamespace) -> tuple[Permutation, Permutation]:
     """The bin cycle x -> x + 1, and bin 0 rotated by +1 with bin 1 by -1
     (rotation amounts summing to zero)."""
-    n = b * m
+    m = rule.m
+    n = rule.b * m
     bin_cycle = Permutation(tuple((i + m) % n for i in range(n)))
     balanced_rot = Permutation(tuple((i + 1) % m if i < m else m + (i - 1) % m
                                      if i < 2 * m else i for i in range(n)))
@@ -238,13 +249,13 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
     after it. Lines are the complements of the allowed sets.
     """
     n = _pairs_size(b, store)
+    rule = pairs_rule(b)
     if store == "explicit":
         full = (1 << n) - 1
-        w_iter = _bin_rule(b, 2, PAIRS_OFFSET)[0]
-        line_store: object = ExplicitLines(n, [full ^ w for w in w_iter()])
+        line_store: object = ExplicitLines(n, [full ^ w for w in rule.w_iter()])
     else:
-        line_store = _bin_store(b, 2, PAIRS_OFFSET, ("pairs", {"b": b}))
-    return Game(n, line_store, _bin_generators(b, 2), f"pairs({b})",
+        line_store = _bin_store(rule, ("pairs", {"b": b}))
+    return Game(n, line_store, _bin_generators(rule), f"pairs({b})",
                 meta={"construction": "pairs", "params": {"b": b},
                       "indexing": "(x, y) in Z_b x Z_2 -> 2x + y"},
                 canonical=pairs_canonical(b))
@@ -268,9 +279,9 @@ def even_general(a: int, b: int) -> Game:
     Lines are the complements of the allowed sets.
     """
     n = _even_general_size(a, b)
-    m = 1 << a
-    store = _bin_store(b, m, EVEN_GENERAL_OFFSET, ("even_general", {"a": a, "b": b}))
-    return Game(n, store, _bin_generators(b, m), f"even_general({a},{b})",
+    rule = even_general_rule(a, b)
+    store = _bin_store(rule, ("even_general", {"a": a, "b": b}))
+    return Game(n, store, _bin_generators(rule), f"even_general({a},{b})",
                 meta={"construction": "even_general", "params": {"a": a, "b": b},
                       "indexing": "(x, y) in Z_b x Z_m -> x*m + y"})
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
@@ -293,6 +293,12 @@ class ExplicitLines(LineStore):
                     f"{list(iter_bits(image(m)))}", perm, set_of(m))
 
 
+# allowed sets one ``ImplicitLines.check_preserved`` call maps through a
+# generator before it refuses, about 1.5 s at 1.5 us a set in CPython;
+# even_general(2,7), the largest board checked in full, has 352256
+PRESERVE_CHECK_BUDGET = 1 << 20
+
+
 class ImplicitLines(LineStore):
     """Line family given by predicates instead of an enumeration.
 
@@ -303,7 +309,8 @@ class ImplicitLines(LineStore):
     by ``check`` when given (a derived family delegates to its base's
     check), else through ``w_iter``/``w_member``, the complementary family
     of allowed sets as point masks, each mapped by the generator's
-    ``mask_map``.
+    ``mask_map``; past ``PRESERVE_CHECK_BUDGET`` sets that check raises
+    SearchCapExceeded.
     """
 
     def __init__(self, n: int, k: int,
@@ -341,11 +348,16 @@ class ImplicitLines(LineStore):
         # size-k level, and perm permutes that level; preserving one is
         # preserving the other.
         image, member = perm.mask_map(), self._w_member
-        for w in self._w_iter():
+        sets = iter(self._w_iter())
+        for w in islice(sets, PRESERVE_CHECK_BUDGET):
             if not member(image(w)):
                 raise LinePreservationError(
                     f"generator maps allowed set {list(iter_bits(w))} out of the family",
                     perm, set_of(w))
+        for _ in sets:
+            raise SearchCapExceeded(
+                f"the line check would map more than {PRESERVE_CHECK_BUDGET} allowed "
+                f"sets; result inconclusive")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .core import iter_bits
 
@@ -416,28 +416,18 @@ def verify_earliest_latest(m: int) -> SuiteReport:
     return SuiteReport("earliest-latest", m, checked, failures, {})
 
 
-def verify_key_lemma(m: int, max_free_pairs: Optional[int] = None) -> SuiteReport:
-    """key_params output passes key_params_hold for every partial pair set,
-    or every one with at most ``max_free_pairs`` free pairs."""
-    if max_free_pairs is not None and max_free_pairs < 0:
-        raise PairSetError(f"max_free_pairs must be >= 0, got {max_free_pairs}")
-    checked, skipped, failures = 0, 0, []
+def verify_key_lemma(m: int) -> SuiteReport:
+    """key_params output passes key_params_hold for every partial pair set."""
+    checked, failures = 0, []
     max_s = 0
     _fresh_full_maxima(m)  # key_params and key_params_hold fill it
     for mask in partial_masks(m):
-        if max_free_pairs is not None and _free_mask(m, mask).bit_count() // 2 > max_free_pairs:
-            skipped += 1
-            continue
         checked += 1
         p = key_params(m, mask)
         max_s = max(max_s, p.s)
         if not key_params_hold(m, mask, p):
             failures.append((sorted(iter_bits(mask)), p))
-    notes = {"max_s_observed": max_s}
-    if max_free_pairs is not None:
-        notes["restricted_to_free_pairs"] = max_free_pairs
-        notes["skipped"] = skipped
-    return SuiteReport("key-lemma", m, checked, failures, notes)
+    return SuiteReport("key-lemma", m, checked, failures, {"max_s_observed": max_s})
 
 
 SUITES = {
@@ -450,10 +440,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, m: int, **kwargs) -> SuiteReport:
+def run_suite(name: str, m: int) -> SuiteReport:
     if name not in SUITES:
         raise PairSetError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if m not in (4, 8, 16):  # the enumerations grow as 3^(m/2)
         raise PairSetError(f"m must be a power of two from 4 up to the largest suite "
                            f"size 16, got {m}")
-    return SUITES[name](m, **kwargs)
+    return SUITES[name](m)

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .constructions import EVEN_GENERAL_OFFSET, PAIRS_OFFSET
+from .constructions import even_general_rule, pairs_rule
 from .core import (Game, Player, StrategyInvariantError, find_fpf_involution,
-                   is_fpf_partial_involution)
+                   is_fpf_partial_involution, iter_bits)
 from . import pairset as _ps
 
 
@@ -116,9 +116,10 @@ NORMAL, ENDGAME, DIRECT = "normal", "endgame", "direct"
 
 
 class BinMirrorStrategy(Strategy):
-    """First-player strategy for the bin board of b bins of m = 2^a points
-    whose transversals are allowed when their per-bin maxima sum, plus
-    ``offset``, into [0, m/2) mod m (``constructions._bin_rule``).
+    """First-player strategy for the bin board of ``rule``
+    (``constructions.bin_rule``): b bins of m = 2^a points whose
+    transversals are allowed when their per-bin maxima sum, plus
+    ``offset``, into [0, m/2) mod m.
 
     The opposite of point y in a bin is y + m/2 (mod m) in the same bin.
     Normal play mirrors opposite points and opens bins below b'. The
@@ -126,9 +127,9 @@ class BinMirrorStrategy(Strategy):
     take lowest free points, bin r claims a window of max(m/4, 1) points
     placed so the running guess at the final sum of per-bin maxima enters
     [0, m/2), and every later bin claims the quarter interval (of the two
-    produced by ``key_params``) that keeps the guess there. Adversary
-    intrusions next to our unmatched point win outright through a doubled
-    pair.
+    produced by ``key_params``) that keeps the guess there. An adversary
+    move into the rule's window of our unmatched point's pair wins
+    outright: we double that pair, and the window holds an empty pair.
 
     State: (phase, extra, forbidden, cur_bin, fill_z, r_bin, guess, t_cur);
     ``extra`` is our one unmatched point, ``forbidden`` the point we must
@@ -137,33 +138,19 @@ class BinMirrorStrategy(Strategy):
 
     initial = (NORMAL, None, None, None, None, None, None, None)
 
-    def __init__(self, name: str, b: int, m: int, offset: int):
+    def __init__(self, name: str, rule):
         self.name = name
         self.role = Player.ONE
-        self.b, self.m, self.offset = b, m, offset
-        self.half, self.mp, self.bp = m // 2, m // 4, (b - 1) // 2
+        b, m = self.b, self.m = rule.b, rule.m
+        self.offset, self.low, self.window = rule.offset, rule.low, rule.window
+        self.half, self.bp = m // 2, (b - 1) // 2
         # claimed windows are m/4 points wide; at m = 2, the one point of
         # the last empty bin that sets the transversal's parity
-        self.fill_mask = (1 << max(self.mp, 1)) - 1
+        self.fill_mask = (1 << max(m // 4, 1)) - 1
         self.n = b * m
         self.full = (1 << self.n) - 1
         self.binmask = (1 << m) - 1
         self.opp = tuple(x - x % m + (x % m + self.half) % m for x in range(self.n))
-        # low half of every bin; swapping it with the high half maps a
-        # mask to the mask of opposite points
-        self.low = sum(((1 << self.half) - 1) << (j * m) for j in range(b))
-
-    def _triggers_direct(self, q: int, extra: int) -> bool:
-        """Adversary move q lands 1..b' bins after our unmatched point, or
-        within m/4 of it (or of its opposite) in the same bin."""
-        m = self.m
-        dbin = (q // m - extra // m) % self.b
-        if 1 <= dbin <= self.bp:
-            return True
-        if dbin == 0:
-            dy = (q % m - extra % m) % m
-            return 0 < dy < self.mp or self.half < dy < self.half + self.mp
-        return False
 
     def step(self, state, a, b, q):
         phase, extra, forbidden = state[0], state[1], state[2]
@@ -175,7 +162,8 @@ class BinMirrorStrategy(Strategy):
                 if not ((a | b) >> back) & 1 and back != forbidden:
                     return back, state
             # else the lowest point that is neither forbidden nor opposite
-            # one we hold
+            # one we hold (swapping each bin's low and high halves maps a
+            # mask to the mask of opposite points)
             low, half = self.low, self.half
             free = self.full & ~(a | b | ((a & low) << half) | ((a >> half) & low)
                                  | (1 << forbidden))
@@ -183,7 +171,7 @@ class BinMirrorStrategy(Strategy):
                 raise StrategyInvariantError("direct mode found no admissible point")
             return (free & -free).bit_length() - 1, state
         if q is not None and extra is not None:
-            if self._triggers_direct(q, extra):
+            if self.window(extra) >> q & 1:
                 # double our unmatched point's pair; q's opposite is off limits.
                 # Direct mode never reads the endgame fields; at m = 2 a stale
                 # r_bin would split memo nodes, at m >= 4 pinned counts keep them
@@ -195,18 +183,17 @@ class BinMirrorStrategy(Strategy):
 
     def pairing(self, state):
         """Opposite points, except where ``step`` may leave the mirror: the
-        forbidden pair in direct mode; our unmatched point, its opposite and
-        every trigger point (a set closed under ``opp``) otherwise."""
+        forbidden pair in direct mode; our unmatched point's pair and its
+        window (a set closed under ``opp``) otherwise."""
         phase, extra, forbidden = state[0], state[1], state[2]
         if phase == DIRECT:
-            holes = [forbidden, self.opp[forbidden]]
+            holes = 1 << forbidden | 1 << self.opp[forbidden]
         elif extra is None:
             return None
         else:
-            holes = [extra, self.opp[extra]]
-            holes += [q for q in range(self.n) if self._triggers_direct(q, extra)]
+            holes = 1 << extra | 1 << self.opp[extra] | self.window(extra)
         t = list(self.opp)
-        for q in holes:
+        for q in iter_bits(holes):
             t[q] = -1
         return tuple(t)
 
@@ -271,15 +258,10 @@ class BinMirrorStrategy(Strategy):
             raise StrategyInvariantError("free choice after all bins closed")
         j = cur_bin
         if fill_z is None and j == r_bin:
-            c = self._guess_terms(a, r_bin)
-            for u in range(self.m):
-                if self.half // 2 <= (c + u) % self.m < self.half:
-                    # window [u-m/4, u] of the bin maximum lands the guess
-                    # inside [0, m/2)
-                    fill_z = u
-                    break
-            else:
-                raise StrategyInvariantError("no interval start fits the guess window")
+            # the least u with c + u in [m/4, m/2) mod m: a bin maximum in
+            # the window [u-m/4, u] then lands the guess inside [0, m/2)
+            c, quarter = self._guess_terms(a, r_bin), self.half // 2
+            fill_z = 0 if quarter <= c < self.half else (quarter - c) % self.m
         elif fill_z is None and guess is not None:
             kp = _ps.key_params(self.m, (a >> (j * self.m)) & self.binmask)
             t_cur = kp.t
@@ -379,11 +361,11 @@ class CopyMirrorStrategy(Strategy):
 # registry: build a strategy matching a constructed game
 
 def pairs_strategy(b: int) -> BinMirrorStrategy:
-    return BinMirrorStrategy(f"pairs({b})", b, 2, PAIRS_OFFSET)
+    return BinMirrorStrategy(f"pairs({b})", pairs_rule(b))
 
 
 def even_general_strategy(a: int, b: int) -> BinMirrorStrategy:
-    return BinMirrorStrategy(f"even-general({a},{b})", b, 1 << a, EVEN_GENERAL_OFFSET)
+    return BinMirrorStrategy(f"even-general({a},{b})", even_general_rule(a, b))
 
 
 def copy_mirror_strategy(base: Strategy, c: int) -> CopyMirrorStrategy:

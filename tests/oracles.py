@@ -66,6 +66,18 @@ def ref_pairs_w_masks(b: int) -> list:
     return out
 
 
+def ref_bin_window(b: int, m: int, x: int) -> frozenset:
+    """The window of point x's opposite pair on the bin board Z_b x Z_m
+    (point j*m + y; pair i of a bin is its points i and i + m/2), as a
+    set of points: both points of each of the next m/4 - 1 pairs of x's
+    bin, and every point of each of the next (b - 1)/2 bins."""
+    half = m // 2
+    j, i = x // m, x % m % half
+    pairs = [(j, (i + d) % half) for d in range(1, m // 4)]
+    pairs += [((j + d) % b, e) for d in range(1, (b - 1) // 2 + 1) for e in range(half)]
+    return frozenset(jj * m + e + h for jj, e in pairs for h in (0, half))
+
+
 def ref_unpreserved_line(store, perm):
     """The first line of an explicit store, in store order, that ``perm``
     maps off the family, as a frozenset; None if there is none."""

@@ -257,24 +257,6 @@ def test_verify_lemma_counts(capsys):
     assert rep["failure_count"] == 0
 
 
-def test_verify_lemma_negative_max_free_pairs_is_refused(capsys):
-    # it used to check nothing and pass: "checked": 0, exit 0
-    rc, out, err = run_cli(capsys, "verify-lemma", "key-lemma", "--m", "8",
-                           "--max-free-pairs", "-1")
-    assert rc == 2 and out == ""
-    assert err == "error: max_free_pairs must be >= 0, got -1\n"
-
-
-def test_verify_lemma_max_free_pairs_on_a_suite_that_ignores_it_is_refused(capsys):
-    rc, out, err = run_cli(capsys, "verify-lemma", "unique-max", "--m", "8",
-                           "--max-free-pairs", "2")
-    assert rc == 2 and out == ""
-    assert err == "error: --max-free-pairs restricts key-lemma only, not unique-max\n"
-    rc, out, _ = run_cli(capsys, "verify-lemma", "all", "--m", "4", "--max-free-pairs", "1")
-    assert rc == 0
-    assert json.loads(out)["reports"][-1]["restricted_to_free_pairs"] == 1
-
-
 def test_superset_above_its_board_size_is_refused_before_building(capsys, monkeypatch):
     # superset(pairs(3),7) used to build a game with no lines: transitive, a draw
     spec = "superset(pairs(3),7)"
@@ -303,6 +285,16 @@ def test_check_transitive(capsys):
     doc = json.loads(out)
     assert doc["transitive"] is True
     assert doc["orbit_of_0"] == list(range(6))
+
+
+def test_check_transitive_over_its_budget_exits_2_not_1(capsys):
+    # 52.5 M allowed sets, far past the line check's budget; a cap hit is
+    # no "transitive": false (exit 1)
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "check-transitive", "--game", "odd_composite(7,7)")
+    assert time.perf_counter() - start < 10
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "inconclusive" in err
 
 
 def test_earliest_loss(capsys):

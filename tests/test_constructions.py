@@ -15,14 +15,8 @@ from avoidance import constructions as C
 from avoidance import pairset as ps
 
 from oracles import (brute_contains_line, brute_downset, ref_affine_disjoint_pair,
-                     ref_pairs_w_masks, ref_unpreserved_allowed, ref_unpreserved_line,
-                     word_string)
-
-
-def pairs_rule(b):
-    """``(w_iter, allowed, extendable)`` of ``pairs_game(b)``: the bin
-    board with m = 2 and odd transversal parity."""
-    return C._bin_rule(b, 2, 1)
+                     ref_bin_window, ref_pairs_w_masks, ref_unpreserved_allowed,
+                     ref_unpreserved_line, word_string)
 
 
 def all_catalog_games():
@@ -169,14 +163,14 @@ def test_odd_composite_35_contains_random_sets():
 
 @pytest.mark.parametrize("b,count", [(3, 10), (5, 96), (7, 736)])
 def test_pairs_allowed_count(b, count):
-    assert len(list(pairs_rule(b)[0]())) == count
+    assert len(list(C.pairs_rule(b).w_iter())) == count
     assert count == 2 ** (b - 1) + b * ((b - 1) // 2) * 2 ** (b - 2)
 
 
 def test_pairs_b3_is_a_half_family():
     # every 3-subset or its complement is allowed, never both
     g = C.pairs_game(3)
-    w = set(map(set_of, pairs_rule(3)[0]()))
+    w = set(map(set_of, C.pairs_rule(3).w_iter()))
     board = frozenset(range(6))
     for c in itertools.combinations(range(6), 3):
         s = frozenset(c)
@@ -194,7 +188,8 @@ def test_pairs_explicit_implicit_agree():
     # the implicit store's mask predicates against the enumerated family
     allowed = set(ref_pairs_w_masks(5))
     below = brute_downset(allowed)
-    _, is_allowed, extendable = pairs_rule(5)
+    rule = C.pairs_rule(5)
+    is_allowed, extendable = rule.allowed, rule.extendable
     for t in range(1 << 10):
         assert is_allowed(t) == (t in allowed), sorted(set_of(t))
         assert extendable(t) == (t in below), sorted(set_of(t))
@@ -232,7 +227,7 @@ def test_pairs_lines_size_b():
 
 def test_pairs_allowed_family_intersecting():
     for b in (3, 5):
-        w = list(pairs_rule(b)[0]())
+        w = list(C.pairs_rule(b).w_iter())
         for w1, w2 in itertools.combinations(w, 2):
             assert w1 & w2, (sorted(set_of(w1)), sorted(set_of(w2)))
 
@@ -281,14 +276,24 @@ def test_even_general_contains_matches_bruteforce_random():
         assert g.contains_line(s) == expect
 
 
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+@pytest.mark.parametrize("b", [3, 5, 7])
+def test_bin_window_is_the_rules_window_of_each_pair(b, m):
+    window = C.bin_rule(b, m, 0).window
+    for x in range(b * m):
+        assert set_of(window(x)) == ref_bin_window(b, m, x), x
+
+
 def test_even_general_extendability_brute_cross_check():
-    w_iter, _, extendable = C._bin_rule(3, 4, 0)
+    rule = C.bin_rule(3, 4, 0)
+    w_iter, extendable = rule.w_iter, rule.extendable
     below = brute_downset(w_iter())
     for t in range(1 << 12):
         assert extendable(t) == (t in below), sorted(set_of(t))
     # only m = 8 reaches the same-bin window (1..m/4-1 is empty at m = 4):
     # subsets of allowed sets, half of them with one point added
-    w_iter, _, extendable = C._bin_rule(3, 8, 0)
+    rule = C.bin_rule(3, 8, 0)
+    w_iter, extendable = rule.w_iter, rule.extendable
     allowed = list(w_iter())
     rng = random.Random(9)
     for _ in range(200):

@@ -85,7 +85,7 @@ def test_even_general_lines_are_complements_of_enumerated_allowed_sets(a, b):
     # the rule's enumeration builds the allowed sets without the mask predicate
     game = C.even_general(a, b)
     n, k, full = game.n, game.n // 2, game.full_mask
-    allowed = set(C._bin_rule(b, 1 << a, 0)[0]())
+    allowed = set(C.even_general_rule(a, b).w_iter())
     contains = game.lines.contains_mask
     for combo in itertools.combinations(range(n), k):
         mask = mask_of(combo)
@@ -97,7 +97,8 @@ def test_even_allowed_matches_enumerated_allowed_sets_at_m8():
     # the same-bin branch of the whole-mask predicate
     b, m = 3, 8
     n, k = b * m, b * m // 2
-    w_iter, is_allowed, _ = C._bin_rule(b, m, 0)
+    rule = C.bin_rule(b, m, 0)
+    w_iter, is_allowed = rule.w_iter, rule.allowed
     allowed = set(w_iter())
     assert len(allowed) == 63488
     assert all(is_allowed(w) for w in allowed)
