@@ -23,7 +23,6 @@ from .core import (
     StrategyInvariantError,
     Winner,
     apply_move,
-    contains_line,
     find_fpf_involution,
     is_transitive,
     orbit,
@@ -32,6 +31,6 @@ from .core import (
 __all__ = [
     "Game", "GameError", "IllegalMoveError", "LinePreservationError",
     "Outcome", "Permutation", "Player", "Position", "SearchCapExceeded",
-    "StrategyInvariantError", "Winner", "apply_move", "contains_line",
+    "StrategyInvariantError", "Winner", "apply_move",
     "find_fpf_involution", "is_transitive", "orbit",
 ]

@@ -397,7 +397,7 @@ def superset_lines(g: Game, r: int) -> Game:
     """Same board as ``g``; lines are the r-sets containing a line of ``g``."""
     n = _superset_size(g.n, r)
     max_line = (max(m.bit_count() for m in g.lines.masks)
-                if isinstance(g.lines, ExplicitLines) else g.lines.k)  # implicit: uniform
+                if isinstance(g.lines, ExplicitLines) else g.lines.min_line_size)
     _require(r >= max_line, f"r={r} smaller than a line of the base game")
 
     def contains(mask: int) -> bool:

@@ -119,13 +119,6 @@ class Permutation:
     def __call__(self, x: int) -> int:
         return self.image[x]
 
-    def apply_set(self, s: Iterable[int]) -> frozenset:
-        return frozenset(self.image[x] for x in s)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(x) == self(other(x))."""
-        return Permutation(tuple(self.image[y] for y in other.image))
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.image)
         for i, j in enumerate(self.image):
@@ -152,26 +145,9 @@ class Permutation:
 
         return image
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.image))
-
-    def is_fpf_involution(self) -> bool:
-        return is_fpf_partial_involution(self.image)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
     @staticmethod
     def cycle(n: int, shift: int = 1) -> "Permutation":
         return Permutation(tuple((i + shift) % n for i in range(n)))
-
-    @staticmethod
-    def from_mapping(n: int, pairs: Mapping[int, int]) -> "Permutation":
-        img = list(range(n))
-        for a, b in pairs.items():
-            img[a] = b
-        return Permutation(tuple(img))
 
 
 def mask_of(points: Iterable[int]) -> int:
@@ -202,15 +178,9 @@ class LineStore:
     def contains_mask(self, mask: int) -> bool:
         raise NotImplementedError
 
-    def contains(self, s: Iterable[int]) -> bool:
-        return self.contains_mask(mask_of(s))
-
     def loses_after(self, mask: int, point: int) -> bool:
         """Did adding ``point`` (already set in ``mask``) complete a line?"""
         return self.contains_mask(mask)
-
-    def is_line(self, s: Iterable[int]) -> bool:
-        raise NotImplementedError
 
     def check_preserved(self, perm: Permutation) -> None:
         """Raise LinePreservationError if ``perm`` maps some line off the family."""
@@ -281,9 +251,6 @@ class ExplicitLines(LineStore):
                 return True
         return False
 
-    def is_line(self, s: Iterable[int]) -> bool:
-        return mask_of(s) in self._mask_set
-
     def check_preserved(self, perm: Permutation) -> None:
         image, lines = perm.mask_map(), self._mask_set
         for m in self.masks:
@@ -304,8 +271,9 @@ class ImplicitLines(LineStore):
 
     ``contains_fn`` must answer containment for arbitrary point masks; it
     is cross-checked against k-subset enumeration at desk sizes by the test
-    suite before being trusted. Every line has size k, so a set is a line
-    exactly when it has k points and contains one. Generators are validated
+    suite before being trusted. Every line has ``min_line_size`` = k
+    points; there is no line test by set, as a set is a line exactly when
+    it has k points and ``contains_mask`` holds for it. Generators are validated
     by ``check`` when given (a derived family delegates to its base's
     check), else through ``w_iter``/``w_member``, the complementary family
     of allowed sets as point masks, each mapped by the generator's
@@ -321,7 +289,6 @@ class ImplicitLines(LineStore):
                  check: Optional[Callable[[Permutation], None]] = None):
         self.n = n
         self.min_line_size = k
-        self.k = k
         self._contains = contains_fn
         self.spec = spec
         self._w_iter = w_iter
@@ -333,10 +300,6 @@ class ImplicitLines(LineStore):
 
     def loses_after(self, mask: int, point: int) -> bool:
         return self._contains(mask)
-
-    def is_line(self, s: Iterable[int]) -> bool:
-        s = frozenset(s)
-        return len(s) == self.k and self._contains(mask_of(s))
 
     def check_preserved(self, perm: Permutation) -> None:
         if self._check is not None:
@@ -379,9 +342,6 @@ class Game:
     canonical: Optional[Callable[[int, int], Hashable]] = field(
         default=None, compare=False, repr=False)
 
-    def contains_line(self, s: Iterable[int]) -> bool:
-        return self.lines.contains(s)
-
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -411,11 +371,6 @@ class Position:
     @staticmethod
     def initial() -> "Position":
         return Position(0, 0)
-
-
-def contains_line(game: Game, s: Iterable[int]) -> bool:
-    """True iff some line of the game is a subset of ``s``."""
-    return game.contains_line(s)
 
 
 def apply_move(game: Game, pos: Position, x: int) -> tuple[Position, bool]:
@@ -476,16 +431,22 @@ def is_transitive(game: Game) -> bool:
     return len(orbit(game.generators, 0)) == game.n
 
 
-def find_fpf_involution(game: Game, cap: int = 10**6) -> Optional[Permutation]:
+# points one ``find_fpf_involution`` walk holds, group elements times board
+# size: 32 MiB of tuple slots; odd_composite(7,7) refuses at 67 MiB peak
+GROUP_WALK_BUDGET = 1 << 22
+
+
+def find_fpf_involution(game: Game) -> Optional[Permutation]:
     """Search the generated group for a fixed-point-free involution.
 
     Breadth-first enumeration from the identity, multiplying by the shipped
-    generators; visits at most ``cap`` group elements. Returns the first
-    such element found, None if the whole group was enumerated without one,
-    and raises SearchCapExceeded when the cap was hit (inconclusive, as
-    opposed to a definite no).
+    generators; holds at most ``GROUP_WALK_BUDGET`` points (elements visited
+    times board size). Returns the first such element found, None if the
+    whole group was enumerated without one, and raises SearchCapExceeded
+    when the budget was hit (inconclusive, as opposed to a definite no).
     """
-    ident = tuple(range(game.n))
+    n = game.n
+    ident = tuple(range(n))
     seen = {ident}
     queue = deque([ident])
     gen_images = [g.image for g in game.generators]
@@ -495,12 +456,12 @@ def find_fpf_involution(game: Game, cap: int = 10**6) -> Optional[Permutation]:
             nxt = tuple(img[c] for c in cur)
             if nxt in seen:
                 continue
-            if len(seen) >= cap:
+            if len(seen) * n >= GROUP_WALK_BUDGET:
                 raise SearchCapExceeded(
-                    f"group enumeration exceeded cap {cap}; result inconclusive")
+                    f"group enumeration exceeded {GROUP_WALK_BUDGET} points; "
+                    f"result inconclusive")
             seen.add(nxt)
-            p = Permutation(nxt)
-            if p.is_fpf_involution():
-                return p
+            if is_fpf_partial_involution(nxt):
+                return Permutation(nxt)
             queue.append(nxt)
     return None

@@ -20,26 +20,30 @@ def _line_sets(store) -> tuple:
     return tuple(map(set_of, store.masks))
 
 
+def _is_line(store, c) -> bool:
+    """Whether the point tuple ``c`` is a line of an implicit store: it has
+    the store's uniform line size and contains a line."""
+    return len(c) == store.min_line_size and store.contains_mask(mask_of(c))
+
+
 def brute_contains_line(store, members) -> bool:
-    """Containment by enumerating k-subsets against the store's is_line."""
+    """Containment by enumerating k-subsets against the line test above."""
     members = frozenset(members)
-    k = store.k if hasattr(store, "k") else None
-    if k is not None:
+    if isinstance(store, ImplicitLines):
+        k = store.min_line_size
         if len(members) < k:
             return False
-        return any(store.is_line(frozenset(c))
-                   for c in itertools.combinations(sorted(members), k))
+        return any(_is_line(store, c) for c in itertools.combinations(sorted(members), k))
     return any(l <= members for l in _line_sets(store))
 
 
 def brute_loses_after(store, members, x) -> bool:
     """Is some line through ``x`` a subset of ``members``? By enumeration."""
     members = frozenset(members)
-    k = store.k if hasattr(store, "k") else None
-    if k is not None:
+    if isinstance(store, ImplicitLines):
         rest = sorted(members - {x})
-        return any(store.is_line(frozenset(c) | {x})
-                   for c in itertools.combinations(rest, k - 1))
+        return any(_is_line(store, c + (x,))
+                   for c in itertools.combinations(rest, store.min_line_size - 1))
     return any(x in l and l <= members for l in _line_sets(store))
 
 
@@ -93,9 +97,9 @@ def ref_unpreserved_allowed(store, perm):
 
 def _first_unpreserved(sets: tuple, perm):
     """The first of ``sets`` whose image is not among them; each set is
-    mapped point by point with ``Permutation.apply_set``."""
-    family = set(sets)
-    return next((s for s in sets if perm.apply_set(s) not in family), None)
+    mapped point by point through ``perm.image``."""
+    family, img = set(sets), perm.image
+    return next((s for s in sets if frozenset(img[x] for x in s) not in family), None)
 
 
 def ref_affine_disjoint_pair(n: int, bases):
@@ -222,7 +226,8 @@ def ref_solve_plus(game, cur=frozenset(), other=frozenset()) -> int:
     for r in range(1, len(unclaimed) + 1):
         for combo in itertools.combinations(unclaimed, r):
             nc = cur | set(combo)
-            val = -1 if game.contains_line(nc) else -ref_solve_plus(game, other, nc)
+            lost = game.lines.contains_mask(mask_of(nc))
+            val = -1 if lost else -ref_solve_plus(game, other, nc)
             best = max(best, val)
             if best == 1:
                 return 1
@@ -238,6 +243,7 @@ def ref_earliest_loss(game) -> float:
     """
     inf = float("inf")
     memo: dict = {}
+    contains = game.lines.contains_mask
 
     def value(a: frozenset, b: frozenset) -> float:
         if (a, b) not in memo:
@@ -249,10 +255,10 @@ def ref_earliest_loss(game) -> float:
                     continue
                 if first:
                     na = a | {x}
-                    values.append(inf if game.contains_line(na) else value(na, b))
+                    values.append(inf if contains(mask_of(na)) else value(na, b))
                 else:
                     nb = b | {x}
-                    values.append(len(claimed) + 1 if game.contains_line(nb)
+                    values.append(len(claimed) + 1 if contains(mask_of(nb))
                                   else value(a, nb))
             memo[a, b] = inf if not values else min(values) if first else max(values)
         return memo[a, b]

@@ -70,7 +70,7 @@ def test_key_is_invariant_under_products_of_the_generators(game, data):
     word = data.draw(st.lists(st.integers(0, len(game.generators) - 1), max_size=12))
     img = tuple(range(game.n))
     for i in word:
-        img = game.generators[i].compose(Permutation(img)).image
+        img = tuple(map(game.generators[i], img))
     assert game.canonical(_image(img, mine), _image(img, theirs)) == \
         game.canonical(mine, theirs)
 

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import avoidance
+from avoidance import core
 from avoidance.core import (
     ExplicitLines, Game, IllegalMoveError, LinePreservationError, Outcome,
     Permutation, Player, Position, SearchCapExceeded, Winner, apply_move,
-    contains_line, find_fpf_involution, is_transitive, orbit,
+    find_fpf_involution, is_transitive, mask_of, orbit,
 )
 from avoidance.constructions import odd_composite, pairs_game, torus
 
@@ -15,10 +17,18 @@ def test_permutation_rejects_non_bijection():
 
 
 def test_permutation_compose_inverse():
-    p = Permutation.cycle(5)
-    q = p.compose(p.inverse())
-    assert q.is_identity()
-    assert p.compose(p)(0) == 2
+    for p in [Permutation.cycle(5), Permutation((2, 0, 4, 1, 3))]:
+        inv = p.inverse()
+        assert all(inv(p(x)) == x and p(inv(x)) == x for x in range(5))
+    assert Permutation.cycle(5).inverse()(0) == 4
+
+
+def test_package_exports_resolve():
+    for name in avoidance.__all__:
+        assert getattr(avoidance, name) is not None, name
+    namespace = {}
+    exec("from avoidance import *", namespace)
+    assert set(avoidance.__all__) <= set(namespace)
 
 
 def test_outcome_parity_checks():
@@ -36,17 +46,17 @@ def test_outcome_parity_checks():
 def test_contains_line_torus_examples():
     g = torus(3, 2)
     # the main diagonal (0,0),(1,1),(2,2) -> indices 0, 4, 8
-    assert contains_line(g, {0, 4, 8})
+    assert g.lines.contains_mask(mask_of({0, 4, 8}))
     for pair in [{0, 1}, {3, 7}]:
-        assert not contains_line(g, pair)
+        assert not g.lines.contains_mask(mask_of(pair))
 
 
 def test_contains_line_odd_composite_window_profile():
     g = odd_composite(3, 3)
     # two points in each of two buckets is an allowed set, not a line
     s = {0, 1, 3, 4}
-    assert not contains_line(g, s)
-    assert g.lines.contains(frozenset({0, 1, 2, 3}))  # 3 in one bucket
+    assert not g.lines.contains_mask(mask_of(s))
+    assert g.lines.contains_mask(mask_of({0, 1, 2, 3}))  # 3 in one bucket
 
 
 def test_apply_move_flow():
@@ -80,7 +90,7 @@ def test_position_invariants():
 
 
 def test_orbit_examples():
-    ident = Permutation.identity(7)
+    ident = Permutation(tuple(range(7)))
     assert orbit([ident], 3) == {3}
     assert orbit([Permutation.cycle(6)], 0) == set(range(6))
     g = pairs_game(3)
@@ -89,14 +99,14 @@ def test_orbit_examples():
 
 def test_is_transitive_flags_bad_generator():
     g = torus(3, 2)
-    swap01 = Permutation.from_mapping(9, {0: 1, 1: 0})
+    swap01 = Permutation((1, 0) + tuple(range(2, 9)))
     bad = Game(9, g.lines, (swap01,), "broken")
     with pytest.raises(LinePreservationError):
         is_transitive(bad)
 
 
 def test_is_transitive_identity_only():
-    g = Game(7, ExplicitLines(7, [0b111]), (Permutation.identity(7),), "static")
+    g = Game(7, ExplicitLines(7, [0b111]), (Permutation(tuple(range(7))),), "static")
     # identity preserves everything but moves nothing
     assert not is_transitive(g)
 
@@ -115,10 +125,11 @@ def test_find_fpf_involution_cycles():
     assert find_fpf_involution(g9) is None
 
 
-def test_find_fpf_involution_cap():
+def test_find_fpf_involution_cap(monkeypatch):
     g = pairs_game(5)
+    monkeypatch.setattr(core, "GROUP_WALK_BUDGET", 30)  # 3 elements of 10 points
     with pytest.raises(SearchCapExceeded):
-        find_fpf_involution(g, cap=3)
+        find_fpf_involution(g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,8 +138,8 @@ def test_find_fpf_involution_cap():
 def test_contains_line_monotone(s, t):
     g = torus(3, 2)
     small, big = frozenset(s), frozenset(s | t)
-    if contains_line(g, small):
-        assert contains_line(g, big)
+    if g.lines.contains_mask(mask_of(small)):
+        assert g.lines.contains_mask(mask_of(big))
 
 
 @settings(max_examples=40, deadline=None)

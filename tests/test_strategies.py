@@ -86,7 +86,7 @@ def test_pairs_direct_win_final_shape():
     while True:
         x, st = s.step(st, a, b, q)
         a |= 1 << x
-        if g.contains_line([i for i in range(10) if (a >> i) & 1]):
+        if g.lines.contains_mask(a):
             pytest.fail("strategy completed a line itself")
         if bin(a).count("1") == 5:
             break
@@ -94,7 +94,7 @@ def test_pairs_direct_win_final_shape():
         taken = a | b
         q = next(i for i in range(10) if not (taken >> i) & 1)
         b |= 1 << q
-        if g.contains_line([i for i in range(10) if (b >> i) & 1]):
+        if g.lines.contains_mask(b):
             break
     ours = {i for i in range(10) if (a >> i) & 1}
     assert {0, 1} <= ours           # doubled pair 0
@@ -376,13 +376,13 @@ def test_copy_mirror_never_emits_claimed_points():
                 x, st = strat.step(st, a, b, q)
                 assert not (taken >> x) & 1
                 a |= 1 << x
-                if game.contains_line([i for i in range(18) if (a >> i) & 1]):
+                if game.lines.contains_mask(a):
                     break
             else:
                 free = [i for i in range(18) if not (taken >> i) & 1]
                 q = rng.choice(free)
                 b |= 1 << q
-                if game.contains_line([i for i in range(18) if (b >> i) & 1]):
+                if game.lines.contains_mask(b):
                     break
 
 
