@@ -683,16 +683,12 @@ def spec_size(spec: str) -> int:
 def _from_spec(spec: str, role: str):
     """``CATALOG[head][role]`` on the spec's arguments."""
     spec = spec.strip()
-    depth, head = 0, None
-    for i, ch in enumerate(spec):
-        if ch == "(":
-            head = spec[:i]
-            break
-    if head is None or not spec.endswith(")"):
+    head, paren, _ = spec.partition("(")
+    if not paren or not spec.endswith(")"):
         raise GameError(f"malformed game spec {spec!r}")
     inner = spec[len(head) + 1:-1]
     args: list[str] = []
-    start = 0
+    depth = start = 0
     for i, ch in enumerate(inner):
         if ch == "(":
             depth += 1

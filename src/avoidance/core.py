@@ -56,10 +56,6 @@ class Player(Enum):
     ONE = 1
     TWO = 2
 
-    @property
-    def other(self) -> "Player":
-        return Player.TWO if self is Player.ONE else Player.ONE
-
 
 class Winner(Enum):
     PI_WIN = "PIWin"
@@ -190,46 +186,58 @@ class LineStore:
 class ExplicitLines(LineStore):
     """Lines held as a tuple of point masks, in the order given.
 
-    ``loses_after`` picks its method from the popcount c of the mask and
-    the per-point line count. In a family of uniform line size k, c == k is
-    one lookup in the set of line masks, and c > k looks up every k-subset
-    of the mask through the new point while there are few enough of them
-    (``comb(c-1, k-1)`` at most an eighth of the smallest per-point line
-    count). Otherwise, and always for mixed sizes, it scans the lines
-    through the point. ``check_preserved`` maps each line through the
-    permutation's ``mask_map`` and looks the image up in the same set.
+    Construction checks the family and builds only the mask set. In a
+    family of uniform line size k, ``loses_after`` answers popcount c == k
+    by one lookup in that set, and c > k by looking up every k-subset of
+    the mask through the new point while there are few (``comb(c-1, k-1)``
+    at most an eighth of the fewest lines through a point). Otherwise, and
+    always for mixed sizes, it scans the lines through the point; those
+    tuples and the cut-off are built when first needed. ``check_preserved``
+    looks up each line's image under the permutation's ``mask_map``.
     """
 
     def __init__(self, n: int, masks: Iterable[int]):
         self.n = n
         self.masks = masks = tuple(masks)
-        # lines through each point, for the incremental loss check
-        per_point: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
-        for lm in masks:
-            if lm == 0:
-                raise ValueError("empty line")
-            if lm < 0 or lm >> n:
-                raise ValueError("line point off the board")
-            if lm in seen:
-                raise ValueError(f"duplicate line {list(iter_bits(lm))}")
-            seen.add(lm)
+        self._mask_set = lines = frozenset(masks)
+        if lines and (min(lines) <= 0 or max(lines) >> n):
+            raise ValueError("empty line" if 0 in lines else "line point off the board")
+        if len(lines) < len(masks):
+            seen: set = set()  # name the first mask that repeats an earlier one
+            dup = next(lm for lm in masks if lm in seen or seen.add(lm))
+            raise ValueError(f"duplicate line {list(iter_bits(dup))}")
+        sizes = set(map(int.bit_count, lines))
+        self.min_line_size = min(sizes, default=n + 1)
+        self._k = sizes.pop() if len(sizes) == 1 else 0
+        # built by ``_index`` on first use; plain attributes, since the instance
+        # ``__dict__`` a cached_property needs slows ``loses_after`` (CPython 3.11).
+        # A reader that sees the tuples before the cut-off scans, which is exact.
+        self._by_point: Optional[list] = None
+        self._upto = 0
+
+    def _index(self) -> None:
+        # the lines through each point, in ``masks`` order, in one pass over
+        # each line's points (filtering every line per point is quadratic)
+        per_point: list[list[int]] = [[] for _ in range(self.n)]
+        for lm in self.masks:
             for x in iter_bits(lm):
                 per_point[x].append(lm)
-        self._mask_set = frozenset(seen)
         self._by_point = [tuple(v) for v in per_point]
-        sizes = set(map(int.bit_count, masks))
-        self.min_line_size = min(sizes, default=n + 1)
-        self._k = k = sizes.pop() if len(sizes) == 1 else 0
         # largest popcount c with 8 * comb(c-1, k-1) <= the fewest lines
         # through a point; subset lookups answer popcounts in (k, c]
-        self._lookup_upto = 0
+        c = k = self._k
         if k:
-            least = min(len(v) for v in self._by_point)
-            c = k
-            while c < n and 8 * comb(c, k - 1) <= least:
+            least = min(map(len, self._by_point))
+            while c < self.n and 8 * comb(c, k - 1) <= least:
                 c += 1
-            self._lookup_upto = c
+        self._upto = c
+
+    @property
+    def _lookup_upto(self) -> int:
+        """The subset-lookup cut-off, building the index if need be."""
+        if self._by_point is None:
+            self._index()
+        return self._upto
 
     def contains_mask(self, mask: int) -> bool:
         for lm in self.masks:  # a plain loop: cheaper than any() over a generator
@@ -241,7 +249,9 @@ class ExplicitLines(LineStore):
         c = mask.bit_count()
         if c == self._k:
             return mask in self._mask_set
-        if self._k < c <= self._lookup_upto:
+        if self._by_point is None:
+            self._index()
+        if self._k < c <= self._upto:
             # drop c-k of the other points: each k-subset through ``point``
             others = [1 << y for y in iter_bits(mask ^ (1 << point))]
             lines = self._mask_set

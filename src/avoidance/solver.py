@@ -543,6 +543,10 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
     table_of = _pairing_tables(strat, n)  # keyed by the state, by equality
     tstate, t = object(), None  # the last state the adversary faced, its table
     leaves = 0
+    try:  # ``step`` is pure: an owner that moves first opens the same way each time
+        opening = step(strat.initial, 0, 0, None) if first else None
+    except IllegalMoveError:
+        opening = -1, strat.initial
     for _ in range(samples):
         state, q = strat.initial, None
         mine = theirs = 0
@@ -555,8 +559,10 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
         while True:
             if owner_moves:
                 claimed = mine | theirs
-                # a paired reply is answered by t[q], and the state stays
-                if q is None or t is None or (x := t[q]) < 0 or (claimed >> x) & 1:
+                # the opening as taken once; t[q] answers a paired reply, state kept
+                if q is None:
+                    x, state = opening
+                elif t is None or (x := t[q]) < 0 or (claimed >> x) & 1:
                     try:
                         x, state = (step(state, mine, theirs, q) if first
                                     else step(state, theirs, mine, q))

@@ -121,6 +121,68 @@ def test_lookup_cutoff_keeps_sparse_families_on_the_scan():
     assert C.cycle_game(5).lines._lookup_upto == 2
 
 
+# every explicit catalog board up to 16 points, one of 18, and a superset
+LAZY_INDEX_SPECS = ["pairs(3)", "pairs(5)", "pairs(7)", "affine(11)", "affine(13)",
+                    "torus(3,2)", "torus(2,3)", "cycle(7)", "complete(5)", "matching(4)",
+                    "copies(pairs(3),3)", "superset(pairs(3),4)", "superset(pairs(5),6)"]
+
+
+def _lazy_index_stores():
+    mixed = ExplicitLines(7, map(mask_of, [{0, 1}, {1, 2, 3}, {0, 2, 4, 5}, {3, 4, 5, 6},
+                                           {6, 2}]))
+    return ([pytest.param(C.parse_game_spec(spec).lines, id=spec) for spec in LAZY_INDEX_SPECS]
+            + [pytest.param(mixed, id="mixed")])
+
+
+@pytest.mark.parametrize("store", _lazy_index_stores())
+def test_lazy_index_answers_like_the_oracle(store):
+    n, masks = store.n, store.masks
+    rng = random.Random(22)
+    queries = [(m, x) for c in range(store.min_line_size, n + 1)
+               for m in sorted({mask_of(rng.sample(range(n), c)) for _ in range(8)})
+               for x in iter_bits(m)]
+    want = [brute_loses_after(store, set_of(m), x) for m, x in queries]
+    fresh = ExplicitLines(n, masks)
+    assert fresh._by_point is None
+    assert [fresh.loses_after(m, x) for m, x in queries] == want
+    # a popcount above the line size (or any, for mixed sizes) built the index
+    assert fresh._by_point is not None
+    assert [fresh.loses_after(m, x) for m, x in queries] == want
+    for x in range(n):
+        assert fresh._by_point[x] == tuple(m for m in masks if m >> x & 1), x
+
+
+@pytest.mark.parametrize("spec", ["pairs(7)", "pairs(9)", "affine(13)"])
+def test_building_exporting_checking_and_solving_build_no_index(spec):
+    game = C.parse_game_spec(spec)
+    C.game_to_json(game)
+    for g in game.generators:
+        game.lines.check_preserved(g)
+    assert game.lines._by_point is None
+    if spec in ("pairs(7)", "affine(13)"):
+        # no player holds more than k points: every loss check is one set
+        # lookup (pairs(7) has k = 7 of 14 points; affine(13) has k = 6, and
+        # two disjoint allowed 6-sets would be needed to reach move 13)
+        cmd_id = "solve-pairs-7" if spec == "pairs(7)" else "solve-affine-13"
+        assert list(solve(game).principal_variation) == BENCH_PV[cmd_id][1]
+        assert game.lines._by_point is None
+
+
+def test_affine_13_builds_its_index_when_first_asked_for_the_cutoff():
+    lines = C.affine_game(13).lines
+    some_line = lines.masks[0]
+    x = next(iter_bits(some_line))
+    assert lines.loses_after(some_line, x)
+    assert lines._by_point is None
+    # a popcount above k = 6 asks for the cutoff, which needs the index;
+    # add the line's lowest free point
+    seven = some_line | (~some_line & (some_line + 1))
+    assert seven.bit_count() == lines.min_line_size + 1
+    assert lines.loses_after(seven, x)
+    assert lines._by_point is not None
+    assert lines._lookup_upto == 9
+
+
 def test_iter_bits_and_set_of():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b101001)) == [0, 3, 5]

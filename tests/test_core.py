@@ -71,6 +71,20 @@ def test_apply_move_flow():
         apply_move(g, pos, 17)
 
 
+@pytest.mark.parametrize("masks,message", [
+    ([0b11, 0], "empty line"),
+    ([0b11, -1], "line point off the board"),
+    ([0b11, 0b1 << 6], "line point off the board"),
+    ([0b11, 0b1100, 0b11], "duplicate line [0, 1]"),
+    # the first mask that repeats an earlier one is named
+    ([0b11, 0b1100, 0b1100, 0b11], "duplicate line [2, 3]"),
+])
+def test_explicit_lines_check_the_family_when_built(masks, message):
+    with pytest.raises(ValueError) as info:
+        ExplicitLines(6, masks)
+    assert str(info.value) == message
+
+
 def test_apply_move_detects_loss():
     g = Game(3, ExplicitLines(3, [0b11]), (), "tiny")
     pos = Position.initial()

@@ -11,10 +11,10 @@ import pytest
 
 from avoidance import constructions as C
 from avoidance import strategies as S
-from avoidance.core import Player, StrategyInvariantError
+from avoidance.core import IllegalMoveError, Player, StrategyInvariantError
 from avoidance.solver import Goal, verify_strategy
 
-from oracles import ref_verify
+from oracles import ref_verify, ref_verify_sampled
 
 
 class _NextPoint(S.Strategy):
@@ -213,3 +213,34 @@ def test_sampled_mode_refuses_a_table_that_is_no_pairing(table):
     with pytest.raises(StrategyInvariantError, match="pairing table"):
         verify_strategy(game, _BrokenTable(4, table), Player.TWO, Goal.NEVER_LOSE,
                         mode="sampled", samples=1)
+
+
+@pytest.mark.parametrize("spec,name", [("torus(3,2)", "torus-pairing"),
+                                       ("torus(3,3)", "torus-pairing")])
+def test_sampled_mode_takes_the_opening_once(spec, name):
+    # every reply is paired, so the opening is the only ``step`` call
+    game = C.parse_game_spec(spec)
+    strat = S.strategy_for(game, name)
+    counting = _Counting(strat)
+    got = verify_strategy(game, counting, Player.ONE, Goal.NEVER_LOSE, mode="sampled",
+                          samples=300, seed=5)
+    assert got.to_json() == ref_verify_sampled(game, strat, Player.ONE, Goal.NEVER_LOSE,
+                                               300, 5)
+    assert counting.calls == 1
+
+
+class _IllegalOpening(_NextPoint):
+    """Raises IllegalMoveError instead of opening."""
+
+    def step(self, state, a, b, q):
+        if q is None:
+            raise IllegalMoveError("no opening")
+        return super().step(state, a, b, q)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_an_illegal_opening_is_the_counterexample(mode):
+    game = C.parse_game_spec("pairs(3)")
+    report = verify_strategy(game, _IllegalOpening(game.n), Player.ONE, Goal.WIN,
+                             mode=mode, samples=50)
+    assert (report.counterexample, report.leaves) == ((-1,), 1 if mode == "sampled" else 0)
