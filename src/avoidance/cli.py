@@ -1,9 +1,9 @@
 """Command-line workbench.
 
 Commands: gen, check-transitive, solve, solve-plus, verify-strategy,
-verify-lemma, play, catalog. Reports are single JSON documents on stdout.
-Exit status: 0 = verified / succeeded, 1 = refuted (counterexample or
-failing suite), 2 = usage error or refusal.
+verify-lemma, earliest-loss, play, catalog. Reports are single JSON
+documents on stdout. Exit status: 0 = verified / succeeded, 1 = refuted
+(counterexample or failing suite), 2 = usage error or refusal.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Optional
 from . import pairset
 from .core import (Game, GameError, IllegalMoveError, Player, Position,
                    SearchCapExceeded, apply_move, is_transitive, iter_bits, orbit)
-from .constructions import (CATALOG, game_from_json, game_to_json, parse_game_spec,
-                            spec_size)
+from .constructions import (CATALOG, _catalog_game, game_from_json, game_to_json,
+                            parse_game_spec, spec_size)
 from .solver import (Goal, best_move, check_cap, earliest_forced_loss, solve, solve_plus,
                      verify_strategy)
 from .strategies import STRATEGY_NAMES, strategy_for
@@ -50,16 +50,13 @@ def cmd_gen(args) -> int:
     if "(" in args.construction:
         game = parse_game_spec(args.construction)
     else:
-        entry = CATALOG.get(args.construction)
-        if entry is None:
-            raise GameError(f"unknown construction {args.construction!r}")
-        params = []
-        for pname in entry["params"]:
-            val = getattr(args, pname, None)
-            if val is None:
-                raise GameError(f"construction {args.construction} needs --{pname}")
-            params.append(parse_game_spec(val) if pname == "base" else val)
-        game = entry["factory"](*params)
+        # an unknown name has no flags to check and is refused by the catalog
+        params = CATALOG.get(args.construction, {"params": []})["params"]
+        values = [getattr(args, pname, None) for pname in params]
+        if None in values:
+            raise GameError(f"construction {args.construction} needs "
+                            f"--{params[values.index(None)]}")
+        game = _catalog_game(args.construction, values)
     doc = game_to_json(game)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -107,9 +107,7 @@ def odd_composite(p: int, q: int) -> Game:
                        for b in buckets]
             yield from map(sum, itertools.product(*choices))
 
-    store = ImplicitLines(n, k, contains,
-                          spec=("odd_composite", {"p": p, "q": q}),
-                          w_iter=w_iter,
+    store = ImplicitLines(n, k, contains, w_iter=w_iter,
                           w_member=lambda w: w.bit_count() == k and profile_ok(w))
     bucket_cycle = Permutation(tuple(((i // p + 1) % q) * p + i % p for i in range(n)))
     in_bucket = Permutation(tuple((i + 1) % p if i < p else i for i in range(n)))
@@ -208,13 +206,13 @@ def even_general_rule(a: int, b: int) -> SimpleNamespace:
     return bin_rule(b, 1 << a, 0)
 
 
-def _bin_store(rule: SimpleNamespace, spec: tuple[str, dict]) -> ImplicitLines:
+def _bin_store(rule: SimpleNamespace) -> ImplicitLines:
     """The bin board's lines, the complements of the allowed sets: a mask
     of at least n/2 points holds one when its complement is extendable."""
     n, extendable = rule.b * rule.m, rule.extendable
     k, full = n // 2, (1 << n) - 1
     return ImplicitLines(n, k, lambda mask: mask.bit_count() >= k and extendable(full ^ mask),
-                         spec=spec, w_iter=rule.w_iter, w_member=rule.allowed)
+                         w_iter=rule.w_iter, w_member=rule.allowed)
 
 
 def _bin_generators(rule: SimpleNamespace) -> tuple[Permutation, Permutation]:
@@ -254,7 +252,7 @@ def pairs_game(b: int, store: str = "explicit") -> Game:
         full = (1 << n) - 1
         line_store: object = ExplicitLines(n, [full ^ w for w in rule.w_iter()])
     else:
-        line_store = _bin_store(rule, ("pairs", {"b": b}))
+        line_store = _bin_store(rule)
     return Game(n, line_store, _bin_generators(rule), f"pairs({b})",
                 meta={"construction": "pairs", "params": {"b": b},
                       "indexing": "(x, y) in Z_b x Z_2 -> 2x + y"},
@@ -280,7 +278,7 @@ def even_general(a: int, b: int) -> Game:
     """
     n = _even_general_size(a, b)
     rule = even_general_rule(a, b)
-    store = _bin_store(rule, ("even_general", {"a": a, "b": b}))
+    store = _bin_store(rule)
     return Game(n, store, _bin_generators(rule), f"even_general({a},{b})",
                 meta={"construction": "even_general", "params": {"a": a, "b": b},
                       "indexing": "(x, y) in Z_b x Z_m -> x*m + y"})
@@ -424,9 +422,7 @@ def superset_lines(g: Game, r: int) -> Game:
         store: object = ExplicitLines(n, lines)
     else:
         # a permutation preserving g's lines preserves the r-sets holding one
-        store = ImplicitLines(n, r, contains,
-                              spec=("superset", {"base": g.name, "r": r}),
-                              check=g.lines.check_preserved)
+        store = ImplicitLines(n, r, contains, check=g.lines.check_preserved)
     return Game(n, store, g.generators, f"superset({g.name},{r})",
                 meta={"construction": "superset", "params": {"base": g.name, "r": r},
                       "base": g})
@@ -741,9 +737,9 @@ def game_to_json(game: Game) -> dict:
     lines: dict
     if isinstance(game.lines, ExplicitLines):
         lines = {"explicit": [list(iter_bits(m)) for m in game.lines.masks]}
-    elif isinstance(game.lines, ImplicitLines):
-        name, params = game.lines.spec
-        lines = {"implicit": {"construction": name, "params": params}}
+    elif isinstance(game.lines, ImplicitLines) and "construction" in game.meta:
+        lines = {"implicit": {"construction": game.meta["construction"],
+                              "params": game.meta["params"]}}
     else:
         raise GameError("unknown line store")
     return {

@@ -22,8 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, islice
-from math import comb
+from itertools import islice
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional
 
 
@@ -187,13 +186,11 @@ class ExplicitLines(LineStore):
     """Lines held as a tuple of point masks, in the order given.
 
     Construction checks the family and builds only the mask set. In a
-    family of uniform line size k, ``loses_after`` answers popcount c == k
-    by one lookup in that set, and c > k by looking up every k-subset of
-    the mask through the new point while there are few (``comb(c-1, k-1)``
-    at most an eighth of the fewest lines through a point). Otherwise, and
-    always for mixed sizes, it scans the lines through the point; those
-    tuples and the cut-off are built when first needed. ``check_preserved``
-    looks up each line's image under the permutation's ``mask_map``.
+    family of uniform line size k, ``loses_after`` answers popcount k by
+    one lookup in that set; any other popcount, and every popcount of a
+    mixed-size family, scans the lines through the point, which are built
+    when first needed. ``check_preserved`` looks up each line's image
+    under the permutation's ``mask_map``.
     """
 
     def __init__(self, n: int, masks: Iterable[int]):
@@ -209,35 +206,9 @@ class ExplicitLines(LineStore):
         sizes = set(map(int.bit_count, lines))
         self.min_line_size = min(sizes, default=n + 1)
         self._k = sizes.pop() if len(sizes) == 1 else 0
-        # built by ``_index`` on first use; plain attributes, since the instance
-        # ``__dict__`` a cached_property needs slows ``loses_after`` (CPython 3.11).
-        # A reader that sees the tuples before the cut-off scans, which is exact.
+        # built on first use; a plain attribute, since the instance
+        # ``__dict__`` a cached_property needs slows ``loses_after`` (CPython 3.11)
         self._by_point: Optional[list] = None
-        self._upto = 0
-
-    def _index(self) -> None:
-        # the lines through each point, in ``masks`` order, in one pass over
-        # each line's points (filtering every line per point is quadratic)
-        per_point: list[list[int]] = [[] for _ in range(self.n)]
-        for lm in self.masks:
-            for x in iter_bits(lm):
-                per_point[x].append(lm)
-        self._by_point = [tuple(v) for v in per_point]
-        # largest popcount c with 8 * comb(c-1, k-1) <= the fewest lines
-        # through a point; subset lookups answer popcounts in (k, c]
-        c = k = self._k
-        if k:
-            least = min(map(len, self._by_point))
-            while c < self.n and 8 * comb(c, k - 1) <= least:
-                c += 1
-        self._upto = c
-
-    @property
-    def _lookup_upto(self) -> int:
-        """The subset-lookup cut-off, building the index if need be."""
-        if self._by_point is None:
-            self._index()
-        return self._upto
 
     def contains_mask(self, mask: int) -> bool:
         for lm in self.masks:  # a plain loop: cheaper than any() over a generator
@@ -246,16 +217,16 @@ class ExplicitLines(LineStore):
         return False
 
     def loses_after(self, mask: int, point: int) -> bool:
-        c = mask.bit_count()
-        if c == self._k:
+        if mask.bit_count() == self._k:
             return mask in self._mask_set
         if self._by_point is None:
-            self._index()
-        if self._k < c <= self._upto:
-            # drop c-k of the other points: each k-subset through ``point``
-            others = [1 << y for y in iter_bits(mask ^ (1 << point))]
-            lines = self._mask_set
-            return any(mask - sum(t) in lines for t in combinations(others, c - self._k))
+            # the lines through each point, in ``masks`` order, in one pass over
+            # each line's points (filtering every line per point is quadratic)
+            per_point: list[list[int]] = [[] for _ in range(self.n)]
+            for lm in self.masks:
+                for x in iter_bits(lm):
+                    per_point[x].append(lm)
+            self._by_point = [tuple(v) for v in per_point]
         for lm in self._by_point[point]:
             if mask & lm == lm:
                 return True
@@ -279,37 +250,30 @@ PRESERVE_CHECK_BUDGET = 1 << 20
 class ImplicitLines(LineStore):
     """Line family given by predicates instead of an enumeration.
 
-    ``contains_fn`` must answer containment for arbitrary point masks; it
-    is cross-checked against k-subset enumeration at desk sizes by the test
-    suite before being trusted. Every line has ``min_line_size`` = k
-    points; there is no line test by set, as a set is a line exactly when
-    it has k points and ``contains_mask`` holds for it. Generators are validated
-    by ``check`` when given (a derived family delegates to its base's
-    check), else through ``w_iter``/``w_member``, the complementary family
-    of allowed sets as point masks, each mapped by the generator's
-    ``mask_map``; past ``PRESERVE_CHECK_BUDGET`` sets that check raises
-    SearchCapExceeded.
+    ``contains_fn`` is the store's ``contains_mask`` and, through the
+    default, its ``loses_after``: it must answer containment for arbitrary
+    point masks, and is cross-checked against k-subset enumeration at desk
+    sizes by the test suite before being trusted. Every line has
+    ``min_line_size`` = k points; there is no line test by set, as a set
+    is a line exactly when it has k points and ``contains_mask`` holds for
+    it. Generators are validated by ``check`` when given (a derived family
+    delegates to its base's check), else through ``w_iter``/``w_member``,
+    the complementary family of allowed sets as point masks, each mapped by
+    the generator's ``mask_map``; past ``PRESERVE_CHECK_BUDGET`` sets that
+    check raises SearchCapExceeded.
     """
 
     def __init__(self, n: int, k: int,
                  contains_fn: Callable[[int], bool],
-                 spec: tuple[str, dict],
                  w_iter: Optional[Callable[[], Iterable[int]]] = None,
                  w_member: Optional[Callable[[int], bool]] = None,
                  check: Optional[Callable[[Permutation], None]] = None):
         self.n = n
         self.min_line_size = k
-        self._contains = contains_fn
-        self.spec = spec
+        self.contains_mask = contains_fn
         self._w_iter = w_iter
         self._w_member = w_member
         self._check = check
-
-    def contains_mask(self, mask: int) -> bool:
-        return self._contains(mask)
-
-    def loses_after(self, mask: int, point: int) -> bool:
-        return self._contains(mask)
 
     def check_preserved(self, perm: Permutation) -> None:
         if self._check is not None:

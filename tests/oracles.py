@@ -158,8 +158,7 @@ def reversed_points(game) -> Game:
         return int(format(mask, f"0{n}b")[::-1], 2)
 
     contains = game.lines.contains_mask
-    lines = ImplicitLines(n, game.lines.min_line_size, lambda m: contains(rev(m)),
-                          spec=("reversed", {}))
+    lines = ImplicitLines(n, game.lines.min_line_size, lambda m: contains(rev(m)))
     canonical = game.canonical
     return Game(n, lines, (), f"reversed {game.name}", canonical=None if canonical is None
                 else lambda mine, theirs: canonical(rev(mine), rev(theirs)))

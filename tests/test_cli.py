@@ -15,6 +15,7 @@ from avoidance import cli
 from avoidance.cli import main
 from avoidance.constructions import game_to_json, parse_game_spec
 from avoidance.core import ExplicitLines
+from avoidance.solver import solve_plus
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +43,25 @@ def test_gen_missing_param_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, "gen", "pairs")
     assert rc == 2
     assert "needs --b" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["martian"], "unknown construction 'martian'"),
+    (["copies", "--base", "pairs", "--c", "3"],
+     "copies argument base must be a game spec, got 'pairs'"),
+])
+def test_gen_flags_are_checked_by_the_catalog(capsys, argv, message):
+    rc, out, err = run_cli(capsys, "gen", *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_solve_plus_reports_the_in_process_solve(capsys):
+    rc, out, _ = run_cli(capsys, "solve-plus", "--game", "pairs(3)")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["outcome"], doc["loss_time"], doc["states"]) == ("PIIWin", 5, 148)
+    assert doc == {"game": "pairs(3)", **solve_plus(parse_game_spec("pairs(3)")).to_json()}
 
 
 def test_solve_torus_draw(capsys):
@@ -115,13 +135,20 @@ def test_malformed_game_file_is_refused(tmp_path, capsys, doc):
     ("hand", [[0, 1], [2, 3], [1, 0]], "duplicate line [0, 1]"),
     # a named document is compared with the rebuilt game instead
     ("pairs(3)", [[-1, 2, 3]], "the lines or generators of the document differ"),
+    # rows that give a dict replace those fields of the document instead
+    ("hand", {"lines": {"implicit": {"construction": "martian", "params": {}}}},
+     "unknown implicit construction 'martian'"),
+    ("hand", {"lines": {"implicit": {"construction": "pairs"}}},
+     "implicit lines need a construction and a params object"),
+    ("hand", {"generators": [[1, 0]]}, "a generator does not permute 6 points"),
 ])
 def test_game_file_with_a_bad_line_is_refused(tmp_path, capsys, name, lines, message):
     # the points are checked before any line mask is built: 1 << -1 raises
     # "negative shift count", and a huge point would build a huge mask
+    fields = lines if isinstance(lines, dict) else {"lines": {"explicit": lines}}
     path = tmp_path / "game.json"
-    path.write_text(json.dumps({"n": 6, "name": name, "lines": {"explicit": lines},
-                                "generators": []}))
+    path.write_text(json.dumps({"n": 6, "name": name, "lines": {"explicit": [[0, 1]]},
+                                "generators": [], **fields}))
     rc, out, err = run_cli(capsys, "solve", "--game-file", str(path))
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {message}")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -681,7 +682,7 @@ def test_game_spec_nesting_is_bounded_before_recursing():
 
 @pytest.mark.parametrize("spec", ["pairs(3)", "torus(3,2)", "cycle(5)",
                                   "odd_composite(3,3)", "even_general(2,3)",
-                                  "copies(pairs(3),3)"])
+                                  "copies(pairs(3),3)", "superset(odd_composite(3,3),5)"])
 def test_json_round_trip(spec):
     g = C.parse_game_spec(spec)
     doc = json.loads(json.dumps(C.game_to_json(g)))
@@ -692,6 +693,14 @@ def test_json_round_trip(spec):
         s = frozenset(x for x in range(g.n) if rng.random() < 0.5)
         assert g.lines.contains_mask(mask_of(s)) == g2.lines.contains_mask(mask_of(s))
     assert [p.image for p in g2.generators] == [p.image for p in g.generators]
+
+
+def test_an_implicit_store_is_written_by_the_construction_its_game_names():
+    game = C.pairs_game(5, "implicit")
+    assert C.game_to_json(game)["lines"] == {
+        "implicit": {"construction": "pairs", "params": {"b": 5}}}
+    with pytest.raises(GameError, match="unknown line store"):
+        C.game_to_json(dataclasses.replace(game, meta={}))
 
 
 def test_json_load_refuses_a_document_that_differs_from_its_name():

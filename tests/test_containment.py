@@ -1,13 +1,16 @@
 """Line containment against brute force, and solve work counts pinned.
 
-``loses_after`` and ``contains_mask`` pick fast paths by popcount (set
-lookups, popcount predicates); every path must agree with subset
-enumeration. The solve counts pin the search itself: a faster loop must
-visit the same states and report the same principal variation. They are
-pinned twice, for the plain-key search (the game with ``canonical=None``)
-and for the canonical-key search, which share every principal variation.
-The benchmark's in-process twins run here too, so a change to the library
-calls they make fails a test before it fails a benchmark run.
+An explicit store's ``loses_after`` answers a mask of line size by one
+set lookup and any other mask by a scan of the lines through the new
+point; an implicit store answers both calls with its predicate. Each
+route must agree with subset enumeration on every mask of the small
+boards and on random masks of the larger ones. The solve counts pin the
+search itself: a faster loop must visit the same states and report the
+same principal variation. They are pinned twice, for the plain-key
+search (the game with ``canonical=None``) and for the canonical-key
+search, which share every principal variation. The benchmark's
+in-process twins run here too, so a change to the library calls they
+make fails a test before it fails a benchmark run.
 """
 
 import dataclasses
@@ -113,14 +116,6 @@ def test_even_allowed_matches_enumerated_allowed_sets_at_m8():
         assert is_allowed(moved) == (moved in allowed), (sorted(set_of(w)), x, y)
 
 
-def test_lookup_cutoff_keeps_sparse_families_on_the_scan():
-    # torus(3,3) has 13 lines through a point: any popcount above k scans
-    assert C.torus(3, 3).lines._lookup_upto == 3
-    # affine(13) has 612: popcounts up to 9 use subset lookups
-    assert C.affine_game(13).lines._lookup_upto == 9
-    assert C.cycle_game(5).lines._lookup_upto == 2
-
-
 # every explicit catalog board up to 16 points, one of 18, and a superset
 LAZY_INDEX_SPECS = ["pairs(3)", "pairs(5)", "pairs(7)", "affine(11)", "affine(13)",
                     "torus(3,2)", "torus(2,3)", "cycle(7)", "complete(5)", "matching(4)",
@@ -145,7 +140,7 @@ def test_lazy_index_answers_like_the_oracle(store):
     fresh = ExplicitLines(n, masks)
     assert fresh._by_point is None
     assert [fresh.loses_after(m, x) for m, x in queries] == want
-    # a popcount above the line size (or any, for mixed sizes) built the index
+    # a popcount other than the line size (or any, for mixed sizes) built the index
     assert fresh._by_point is not None
     assert [fresh.loses_after(m, x) for m, x in queries] == want
     for x in range(n):
@@ -168,19 +163,18 @@ def test_building_exporting_checking_and_solving_build_no_index(spec):
         assert game.lines._by_point is None
 
 
-def test_affine_13_builds_its_index_when_first_asked_for_the_cutoff():
+def test_affine_13_builds_its_index_on_the_first_popcount_other_than_k():
     lines = C.affine_game(13).lines
     some_line = lines.masks[0]
     x = next(iter_bits(some_line))
     assert lines.loses_after(some_line, x)
     assert lines._by_point is None
-    # a popcount above k = 6 asks for the cutoff, which needs the index;
-    # add the line's lowest free point
+    # a popcount above k = 6 scans the lines through x, which needs the
+    # index; add the line's lowest free point
     seven = some_line | (~some_line & (some_line + 1))
     assert seven.bit_count() == lines.min_line_size + 1
     assert lines.loses_after(seven, x)
     assert lines._by_point is not None
-    assert lines._lookup_upto == 9
 
 
 def test_iter_bits_and_set_of():

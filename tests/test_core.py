@@ -6,7 +6,7 @@ from avoidance import core
 from avoidance.core import (
     ExplicitLines, Game, IllegalMoveError, LinePreservationError, Outcome,
     Permutation, Player, Position, SearchCapExceeded, Winner, apply_move,
-    find_fpf_involution, is_transitive, mask_of, orbit,
+    check_line_preservation, find_fpf_involution, is_transitive, mask_of, orbit,
 )
 from avoidance.constructions import odd_composite, pairs_game, torus
 
@@ -117,6 +117,14 @@ def test_is_transitive_flags_bad_generator():
     bad = Game(9, g.lines, (swap01,), "broken")
     with pytest.raises(LinePreservationError):
         is_transitive(bad)
+
+
+def test_check_line_preservation_refuses_a_generator_of_another_size():
+    cycle = Permutation.cycle(5)
+    with pytest.raises(LinePreservationError) as info:
+        check_line_preservation(Game(9, torus(3, 2).lines, (cycle,), "resized"))
+    assert str(info.value) == "generator size 5 != board size 9"
+    assert info.value.perm is cycle and info.value.witness == frozenset()
 
 
 def test_is_transitive_identity_only():

@@ -294,6 +294,16 @@ def test_verify_strategy_role_mismatch():
         verify_strategy(C.pairs_game(3), pairs_strategy(3), Player.TWO, Goal.WIN)
 
 
+@pytest.mark.parametrize("strategy,mode,message", [
+    (pairs_strategy(5), "exhaustive", "strategy board size differs from the game"),
+    (pairs_strategy(3), "random", "unknown mode 'random'"),
+])
+def test_verify_strategy_refuses_a_mismatched_call(strategy, mode, message):
+    with pytest.raises(GameError) as info:
+        verify_strategy(C.pairs_game(3), strategy, Player.ONE, Goal.WIN, mode=mode)
+    assert str(info.value) == message
+
+
 def test_verify_strategy_sampled_reproducible():
     g = C.pairs_game(3)
     r1 = verify_strategy(g, pairs_strategy(3), Player.ONE, Goal.WIN,
