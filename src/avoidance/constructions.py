@@ -40,7 +40,7 @@ def _require(cond: bool, msg: str) -> None:
 
 # Work a construction may do, checked on a size estimate before anything is
 # built. A unit is about a microsecond or a machine word: a digit operation
-# of ``torus_lines`` (torus(16,2) is at the budget, about 0.3 s), a word of a
+# of ``torus_lines`` (torus(16,2) is at the budget, about 0.2 s), a word of a
 # board and its line store (``_require_board``), or a candidate line.
 CONSTRUCTION_WORK_BUDGET = 1 << 21
 
@@ -287,30 +287,21 @@ def even_general(a: int, b: int) -> Game:
 # ---------------------------------------------------------------------------
 # torus boards
 
-def _torus_index(coords: Sequence[int], q: int) -> int:
-    v = 0
-    for c in coords:
-        v = v * q + c
-    return v
-
-
-def _torus_coords(idx: int, q: int, d: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(d):
-        out.append(idx % q)
-        idx //= q
-    return tuple(reversed(out))
+def _torus_points(q: int, d: int) -> tuple[list, dict]:
+    """The points of Z_q^d as coordinate tuples in index order, and each
+    tuple's index."""
+    coords = list(itertools.product(range(q), repeat=d))
+    return coords, {c: i for i, c in enumerate(coords)}
 
 
 def torus_lines(q: int, d: int) -> list[int]:
     """The line masks of ``torus(q, d)``, deduplicated, by point list."""
-    n = q ** d
-    coords = [_torus_coords(i, q, d) for i in range(n)]
+    coords, index = _torus_points(q, d)
     seen = set()
     for yc in coords[1:]:
         # step[i] is the index of point i + y
-        step = [_torus_index([(a + b) % q for a, b in zip(xc, yc)], q) for xc in coords]
-        for x in range(n):
+        step = [index[tuple((a + b) % q for a, b in zip(xc, yc))] for xc in coords]
+        for x in range(len(coords)):
             line, p = 0, x
             for _ in range(q):
                 line |= 1 << p
@@ -338,22 +329,13 @@ def torus(q: int, d: int) -> Game:
     """
     n = _torus_size(q, d)
     store = ExplicitLines(n, torus_lines(q, d))
-    gens = []
-    for axis in range(d):
-        step = [0] * d
-        step[axis] = 1
-        gens.append(Permutation(tuple(
-            _torus_index(tuple((c + s) % q for c, s in
-                               zip(_torus_coords(i, q, d), step)), q)
-            for i in range(n))))
+    coords, index = _torus_points(q, d)
+    images = [[c[:a] + ((c[a] + 1) % q,) + c[a + 1:] for c in coords] for a in range(d)]
     if d > 1:
-        gens.append(Permutation(tuple(
-            _torus_index(_torus_coords(i, q, d)[1:] + _torus_coords(i, q, d)[:1], q)
-            for i in range(n))))
-    gens.append(Permutation(tuple(
-        _torus_index(tuple((-c) % q for c in _torus_coords(i, q, d)), q)
-        for i in range(n))))
-    return Game(n, store, tuple(gens), f"torus({q},{d})",
+        images.append([c[1:] + c[:1] for c in coords])
+    images.append([tuple(-x % q for x in c) for c in coords])
+    gens = tuple(Permutation(tuple(map(index.__getitem__, im))) for im in images)
+    return Game(n, store, gens, f"torus({q},{d})",
                 meta={"construction": "torus", "params": {"q": q, "d": d},
                       "indexing": "coords are base-q digits, most significant first"})
 
@@ -455,7 +437,6 @@ def _superset_scan(masks: Sequence[int], n: int, r: int) -> list[int]:
 
 
 def _product_torus_size(d: int) -> int:
-    _require(d >= 1, f"d must be >= 1, got {d}")
     return 6 * _torus_size(3, d)
 
 
@@ -775,11 +756,11 @@ def game_from_json(doc: dict) -> Game:
     document's lines and generators; a mismatch is refused, never swapped,
     and so is a document of any other shape.
     """
-    if not (isinstance(doc, dict) and type(doc.get("n")) is int and doc["n"] >= 0
+    if not (isinstance(doc, dict) and type(doc.get("n")) is int and doc["n"] >= 1
             and isinstance(doc.get("name", ""), str) and isinstance(doc.get("lines"), dict)
             and _point_lists(doc.get("generators"))):
-        raise GameError("a game document is an object with an integer n, a string "
-                        "name, a lines object and generators as lists of points")
+        raise GameError("a game document is an object with a positive integer n, a "
+                        "string name, a lines object and generators as lists of points")
     n, name, lines = doc["n"], doc.get("name", "game"), doc["lines"]
     if "explicit" in lines:
         if not _point_lists(lines["explicit"]):

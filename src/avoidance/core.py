@@ -164,25 +164,7 @@ def set_of(mask: int) -> frozenset:
     return frozenset(iter_bits(mask))
 
 
-class LineStore:
-    """Interface shared by explicit and implicit line families."""
-
-    n: int
-    min_line_size: int
-
-    def contains_mask(self, mask: int) -> bool:
-        raise NotImplementedError
-
-    def loses_after(self, mask: int, point: int) -> bool:
-        """Did adding ``point`` (already set in ``mask``) complete a line?"""
-        return self.contains_mask(mask)
-
-    def check_preserved(self, perm: Permutation) -> None:
-        """Raise LinePreservationError if ``perm`` maps some line off the family."""
-        raise NotImplementedError
-
-
-class ExplicitLines(LineStore):
+class ExplicitLines:
     """Lines held as a tuple of point masks, in the order given.
 
     Construction checks the family and builds only the mask set. In a
@@ -247,11 +229,11 @@ class ExplicitLines(LineStore):
 PRESERVE_CHECK_BUDGET = 1 << 20
 
 
-class ImplicitLines(LineStore):
+class ImplicitLines:
     """Line family given by predicates instead of an enumeration.
 
-    ``contains_fn`` is the store's ``contains_mask`` and, through the
-    default, its ``loses_after``: it must answer containment for arbitrary
+    ``contains_fn`` is the store's ``contains_mask``, which ``loses_after``
+    calls too: it must answer containment for arbitrary
     point masks, and is cross-checked against k-subset enumeration at desk
     sizes by the test suite before being trusted. Every line has
     ``min_line_size`` = k points; there is no line test by set, as a set
@@ -274,6 +256,10 @@ class ImplicitLines(LineStore):
         self._w_iter = w_iter
         self._w_member = w_member
         self._check = check
+
+    def loses_after(self, mask: int, point: int) -> bool:
+        """Did adding ``point`` (already set in ``mask``) complete a line?"""
+        return self.contains_mask(mask)
 
     def check_preserved(self, perm: Permutation) -> None:
         if self._check is not None:
@@ -309,7 +295,7 @@ class Game:
     """
 
     n: int
-    lines: LineStore
+    lines: ExplicitLines | ImplicitLines
     generators: tuple[Permutation, ...]
     name: str
     meta: Mapping[str, object] = field(default_factory=dict)
@@ -369,13 +355,14 @@ def apply_move(game: Game, pos: Position, x: int) -> tuple[Position, bool]:
 
 
 def orbit(generators: Iterable[Permutation], x: int) -> frozenset:
-    """Closure of {x} under the generators and their inverses."""
+    """Closure of {x} under the generators (a permutation's inverse is one
+    of its powers, so the inverses add nothing)."""
     gens = list(generators)
     if gens:
         sizes = {g.n for g in gens}
         if len(sizes) != 1:
             raise ValueError("generators act on different board sizes")
-    maps = [g.image for g in gens] + [g.inverse().image for g in gens]
+    maps = [g.image for g in gens]
     seen = {x}
     queue = deque([x])
     while queue:
@@ -400,8 +387,6 @@ def check_line_preservation(game: Game) -> None:
 def is_transitive(game: Game) -> bool:
     """Single point orbit under the (validated) shipped generators."""
     check_line_preservation(game)
-    if not game.generators:
-        return game.n == 1
     return len(orbit(game.generators, 0)) == game.n
 
 

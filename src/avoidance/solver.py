@@ -443,25 +443,21 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
             # a memoized subtree passed, so its owner set holds no line and
             # its board is not full: the probe may skip both checks below
             memo_key = nm | nt << n | asid << n2
-            if memo_key in memo:
-                if paired:
-                    done |= bit
-                continue
-            if owner_may_lose and loses_after(nm, x):
-                return [q, x]
-            if nm | nt == full:
-                leaves += 1
-                if win:
+            if memo_key not in memo:
+                if owner_may_lose and loses_after(nm, x):
                     return [q, x]
-                continue
-            if paired:
-                sub = replies(nm, nt, after, asid, t, sleep | done)
-            else:  # an unchanged state keeps its table
+                if nm | nt == full:
+                    leaves += 1
+                    if win:
+                        return [q, x]
+                    continue
+                # an unchanged state keeps its table
                 sub = replies(nm, nt, after, asid,
-                              t if after is state else table_of(after, asid), 0)
-            if sub is not None:
-                return [q, x] + sub
-            memo.add(memo_key)
+                              t if after is state else table_of(after, asid),
+                              sleep | done if paired else 0)
+                if sub is not None:
+                    return [q, x] + sub
+                memo.add(memo_key)
             if paired:
                 done |= bit
         return None

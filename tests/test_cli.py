@@ -141,6 +141,9 @@ def test_malformed_game_file_is_refused(tmp_path, capsys, doc):
     ("hand", {"lines": {"implicit": {"construction": "pairs"}}},
      "implicit lines need a construction and a params object"),
     ("hand", {"generators": [[1, 0]]}, "a generator does not permute 6 points"),
+    # a board of no points has no point 0 to open or orbit
+    ("hand", {"n": 0, "lines": {"explicit": []}},
+     "a game document is an object with a positive integer n"),
 ])
 def test_game_file_with_a_bad_line_is_refused(tmp_path, capsys, name, lines, message):
     # the points are checked before any line mask is built: 1 << -1 raises

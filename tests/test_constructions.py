@@ -308,15 +308,39 @@ def test_even_general_extendability_brute_cross_check():
 
 # --- torus -------------------------------------------------------------------
 
+def _torus_coords(q: int, d: int) -> list:
+    """Each point's coordinates: its base-q digits, most significant first."""
+    return [tuple(i // q ** (d - 1 - a) % q for a in range(d)) for i in range(q ** d)]
+
+
 def test_torus_counts_and_negation_closure():
     g = C.torus(3, 2)
     assert len(g.lines.masks) == 12
     assert all(m.bit_count() == 3 for m in g.lines.masks)
+    coords = _torus_coords(3, 2)
     lines = set(map(set_of, g.lines.masks))
     for l in lines:
-        neg = frozenset(C._torus_index(tuple((-c) % 3 for c in C._torus_coords(x, 3, 2)), 3)
-                        for x in l)
+        neg = frozenset(coords.index(tuple((-c) % 3 for c in coords[x])) for x in l)
         assert neg in lines
+
+
+@pytest.mark.parametrize("q,d", [(2, 3), (4, 2), (3, 1), (5, 2)])
+def test_torus_generators_and_lines_follow_the_coordinates(q, d):
+    g = C.torus(q, d)
+    coords = _torus_coords(q, d)
+    index = {c: i for i, c in enumerate(coords)}
+    # a translation per axis, the rotation of the axes when d > 1, negation
+    maps = [lambda c, a=a: tuple((x + (b == a)) % q for b, x in enumerate(c))
+            for a in range(d)]
+    maps += [lambda c: c[1:] + c[:1]] if d > 1 else []
+    maps += [lambda c: tuple((-x) % q for x in c)]
+    assert [p.image for p in g.generators] == \
+        [tuple(index[f(c)] for c in coords) for f in maps]
+    # the sets {x + t*y : t in Z_q} for y != 0, ordered by point list
+    lines = {frozenset(index[tuple((x + t * y) % q for x, y in zip(xc, yc))]
+                       for t in range(q))
+             for xc in coords for yc in coords if any(yc)}
+    assert [set_of(m) for m in g.lines.masks] == sorted(lines, key=sorted)
 
 
 def test_torus_31_single_line():
