@@ -18,9 +18,6 @@ from .core import (Game, GameError, IllegalMoveError, Player, Position,
                    SearchCapExceeded, apply_move, is_transitive, iter_bits, orbit)
 from .constructions import (CATALOG, _catalog_game, game_from_json, game_to_json,
                             parse_game_spec, spec_size)
-from .solver import (Goal, best_move, check_cap, earliest_forced_loss, solve, solve_plus,
-                     verify_strategy)
-from .strategies import STRATEGY_NAMES, strategy_for
 
 
 def _load_game(args, search: Optional[str] = None) -> Game:
@@ -37,6 +34,7 @@ def _load_game(args, search: Optional[str] = None) -> Game:
         return game_from_json(doc)
     if getattr(args, "game", None):
         if search is not None:
+            from .solver import check_cap
             check_cap(spec_size(args.game), args.cap, search)
         return parse_game_spec(args.game)
     raise GameError("provide --game or --game-file")
@@ -90,6 +88,7 @@ def cmd_check_transitive(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .solver import solve
     game = _load_game(args, "solve")
     report = solve(game, cap=args.cap, root_symmetry=args.root_symmetry)
     _emit({"game": game.name, **report.to_json()})
@@ -97,6 +96,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_solve_plus(args) -> int:
+    from .solver import solve_plus
     game = _load_game(args, "plus-solve")
     report = solve_plus(game, cap=args.cap)
     _emit({"game": game.name, **report.to_json()})
@@ -104,6 +104,8 @@ def cmd_solve_plus(args) -> int:
 
 
 def cmd_verify_strategy(args) -> int:
+    from .solver import Goal, verify_strategy
+    from .strategies import strategy_for
     game = _load_game(args)
     strat = strategy_for(game, args.strategy)
     goal = Goal.WIN if args.goal == "win" else Goal.NEVER_LOSE
@@ -122,6 +124,7 @@ def cmd_verify_lemma(args) -> int:
 
 
 def cmd_earliest_loss(args) -> int:
+    from .solver import earliest_forced_loss
     game = _load_game(args, "solve")
     value = earliest_forced_loss(game, cap=args.cap)
     _emit({"game": game.name, "earliest_forced_loss": value})
@@ -129,6 +132,7 @@ def cmd_earliest_loss(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .strategies import STRATEGY_NAMES
     _emit({
         "constructions": {
             name: {"params": entry["params"], "ranges": entry["ranges"]}
@@ -141,6 +145,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_play(args) -> int:
+    from .solver import best_move
+    from .strategies import strategy_for
     by_solver = not args.strategy or args.strategy == "solver"
     game = _load_game(args, "solve" if by_solver else None)
     opponent = None
@@ -269,7 +275,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (GameError, pairset.PairSetError, ValueError, OSError) as exc:
+    except (GameError, ValueError, OSError) as exc:
         message = f"error: {exc}"
     except Exception as exc:  # a crash must not exit 1, which means "refuted"
         message = f"error: unexpected {type(exc).__name__}: {exc}"

@@ -62,8 +62,46 @@ class Winner(Enum):
     DRAW = "Draw"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Record:
+    """A record whose fields are its ``__slots__``, with the field-wise
+    ``repr`` and equality a dataclass generates but no code generated at
+    import. Each subclass writes its own ``__init__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FrozenRecord(Record):
+    """A read-only, hashable ``Record``; its ``__init__`` sets fields by ``_set``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+_set = object.__setattr__
+
+
+class Outcome(FrozenRecord):
     """Result of a completed or solved game.
 
     ``loss_time`` is the 1-based index of the move on which the loser first
@@ -71,20 +109,21 @@ class Outcome:
     its parity identifies the loser (odd = Player I, even = Player II).
     """
 
-    winner: Winner
-    loss_time: Optional[int] = None
+    __slots__ = ("winner", "loss_time")
 
-    def __post_init__(self):
-        if self.winner is Winner.DRAW:
-            if self.loss_time is not None:
+    def __init__(self, winner: Winner, loss_time: Optional[int] = None):
+        _set(self, "winner", winner)
+        _set(self, "loss_time", loss_time)
+        if winner is Winner.DRAW:
+            if loss_time is not None:
                 raise ValueError("a drawn game has no loss_time")
             return
-        if self.loss_time is None:
+        if loss_time is None:
             raise ValueError("a decided game needs a loss_time")
-        loser_is_one = self.winner is Winner.PII_WIN
-        if loser_is_one != (self.loss_time % 2 == 1):
+        loser_is_one = winner is Winner.PII_WIN
+        if loser_is_one != (loss_time % 2 == 1):
             raise ValueError(
-                f"loss_time {self.loss_time} has the wrong parity for {self.winner.value}"
+                f"loss_time {loss_time} has the wrong parity for {winner.value}"
             )
 
 
@@ -96,15 +135,14 @@ def is_fpf_partial_involution(t) -> bool:
     return all(y < 0 or (y < n and y != q and t[y] == q) for q, y in enumerate(t))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(FrozenRecord):
     """A bijection on 0..n-1, stored as its image tuple."""
 
-    image: tuple[int, ...]
+    __slots__ = ("image",)
 
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(n)):
+    def __init__(self, image: tuple[int, ...]):
+        _set(self, "image", image)
+        if sorted(image) != list(range(len(image))):
             raise ValueError("image is not a bijection on [0, n)")
 
     @property
@@ -113,12 +151,6 @@ class Permutation:
 
     def __call__(self, x: int) -> int:
         return self.image[x]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
 
     def mask_map(self) -> Callable[[int], int]:
         """The image of a point mask under this permutation, as a function
@@ -307,20 +339,20 @@ class Game:
         return (1 << self.n) - 1
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(FrozenRecord):
     """Claimed point masks of Player I (``a``) and Player II (``b``).
 
     Player I moves first, so the side to move follows from the counts.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a & self.b:
+    def __init__(self, a: int, b: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        if a & b:
             raise ValueError("player point sets overlap")
-        diff = self.a.bit_count() - self.b.bit_count()
+        diff = a.bit_count() - b.bit_count()
         if diff not in (0, 1):
             raise ValueError(f"|a|-|b|={diff}: Player I moves first and players alternate")
 

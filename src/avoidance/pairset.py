@@ -32,11 +32,10 @@ reads 256 entries of it and fills 12864 masks of each kernel cache.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .core import iter_bits
+from .core import FrozenRecord, Record, _set, iter_bits
 
 
 class PairSetError(ValueError):
@@ -204,8 +203,7 @@ def partial_masks(m: int) -> Iterator[int]:
     return filter(None, map(sum, itertools.product(*choices)))
 
 
-@dataclass(frozen=True)
-class KeyParams:
+class KeyParams(FrozenRecord):
     """Window parameters (s, t, z1, z2) for steering a completion's maximum.
 
     Filling the free points of [z1, z1+m/4) forces the maximal point of any
@@ -213,13 +211,14 @@ class KeyParams:
     into [t, t+m/2-s). Both windows are cyclic.
     """
 
-    s: int
-    t: int
-    z1: int
-    z2: int
+    __slots__ = ("s", "t", "z1", "z2")
 
-    def __post_init__(self):
-        if self.s < 0:
+    def __init__(self, s: int, t: int, z1: int, z2: int):
+        _set(self, "s", s)
+        _set(self, "t", t)
+        _set(self, "z1", z1)
+        _set(self, "z2", z2)
+        if s < 0:
             raise PairSetError("s must be nonnegative")
 
 
@@ -287,13 +286,12 @@ def key_params_hold(m: int, mask: int, p: KeyParams) -> bool:
 # ---------------------------------------------------------------------------
 # exhaustive verification suites (driven by the CLI)
 
-@dataclass
-class SuiteReport:
-    name: str
-    m: int
-    checked: int
-    failures: list
-    notes: dict
+class SuiteReport(Record):
+    __slots__ = ("name", "m", "checked", "failures", "notes")
+
+    def __init__(self, name: str, m: int, checked: int, failures: list, notes: dict):
+        self.name, self.m, self.checked = name, m, checked
+        self.failures, self.notes = failures, notes
 
     @property
     def passed(self) -> bool:

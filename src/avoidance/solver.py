@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -35,6 +34,7 @@ from .core import (
     IllegalMoveError,
     Outcome,
     Player,
+    Record,
     SearchCapExceeded,
     StrategyInvariantError,
     Winner,
@@ -47,12 +47,13 @@ from .core import (
 WIN, DRAW, LOSS = 1, 0, -1
 
 
-@dataclass
-class SolveReport:
-    outcome: Outcome
-    principal_variation: tuple
-    states_visited: int
-    table_size: int
+class SolveReport(Record):
+    __slots__ = ("outcome", "principal_variation", "states_visited", "table_size")
+
+    def __init__(self, outcome: Outcome, principal_variation: tuple,
+                 states_visited: int, table_size: int):
+        self.outcome, self.principal_variation = outcome, principal_variation
+        self.states_visited, self.table_size = states_visited, table_size
 
     def to_json(self) -> dict:
         return {
@@ -307,15 +308,17 @@ class Goal(Enum):
     NEVER_LOSE = "neverlose"
 
 
-@dataclass
-class VerifyReport:
-    verdict: str                       # "pass" or "counterexample"
-    counterexample: Optional[tuple]    # move history replaying to the violation
-    leaves: int
-    mode: str
-    seed: Optional[int] = None
-    samples: Optional[int] = None
-    memo: Optional[int] = None         # exhaustive mode: memo entries, not in to_json
+class VerifyReport(Record):
+    # verdict: "pass" or "counterexample"; counterexample: the move history
+    # replaying to the violation; memo: exhaustive mode's memo entries, not in to_json
+    __slots__ = ("verdict", "counterexample", "leaves", "mode", "seed", "samples", "memo")
+
+    def __init__(self, verdict: str, counterexample: Optional[tuple], leaves: int, mode: str,
+                 seed: Optional[int] = None, samples: Optional[int] = None,
+                 memo: Optional[int] = None):
+        self.verdict, self.counterexample, self.leaves, self.mode = (
+            verdict, counterexample, leaves, mode)
+        self.seed, self.samples, self.memo = seed, samples, memo
 
     @property
     def passed(self) -> bool:

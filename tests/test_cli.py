@@ -336,7 +336,7 @@ def test_earliest_loss(capsys):
 def test_memory_exhaustion_exits_2_not_1(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
-    monkeypatch.setattr("avoidance.cli.verify_strategy", exhausted)
+    monkeypatch.setattr("avoidance.solver.verify_strategy", exhausted)
     rc, out, err = run_cli(capsys, "verify-strategy", "--game", "pairs(3)",
                            "--strategy", "pairs", "--goal", "win")
     assert (rc, out) == (2, "")
@@ -473,6 +473,31 @@ def test_closed_output_pipes_never_exit_with_a_verdict():
     finally:
         os.close(write)
     assert proc.returncode not in (0, 1)
+
+
+def test_cli_import_loads_no_search_module_and_generates_no_dataclass():
+    # what every command pays before it starts: ``import avoidance.cli``
+    # leaves the solver and the strategies to the commands that use them
+    # (not gen, check-transitive or verify-lemma), and only ``Game`` is a
+    # dataclass
+    import avoidance
+    src = os.path.dirname(os.path.dirname(avoidance.__file__))
+    probe = ("import contextlib, dataclasses, io, sys\n"
+             "import avoidance.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    for argv in (['gen', 'pairs(3)'], ['check-transitive', '--game', 'pairs(3)'],\n"
+             "                 ['verify-lemma', 'all', '--m', '4']):\n"
+             "        assert avoidance.cli.main(argv) == 0, argv\n"
+             "print(sorted(m for m in sys.modules if m in "
+             "('avoidance.solver', 'avoidance.strategies')))\n"
+             "from avoidance import core, pairset, solver\n"
+             "print([dataclasses.is_dataclass(c) for c in (core.Game, core.Outcome, "
+             "core.Permutation, core.Position, pairset.KeyParams, pairset.SuiteReport, "
+             "solver.SolveReport, solver.VerifyReport)])\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", str([True] + [False] * 7)]
 
 
 # the child prints its own peak resident set on stderr after the CLI returns;

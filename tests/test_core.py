@@ -1,3 +1,6 @@
+import copy
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,8 @@ from avoidance.core import (
     check_line_preservation, find_fpf_involution, is_transitive, mask_of, orbit,
 )
 from avoidance.constructions import odd_composite, pairs_game, torus
+from avoidance.pairset import KeyParams, PairSetError, SuiteReport
+from avoidance.solver import SolveReport, VerifyReport
 
 
 def test_permutation_rejects_non_bijection():
@@ -17,10 +22,65 @@ def test_permutation_rejects_non_bijection():
 
 
 def test_permutation_compose_inverse():
+    def inverse(p):  # inverse[p(x)] = x
+        return Permutation(tuple(sorted(range(p.n), key=p)))
+
     for p in [Permutation.cycle(5), Permutation((2, 0, 4, 1, 3))]:
-        inv = p.inverse()
+        inv = inverse(p)
         assert all(inv(p(x)) == x and p(inv(x)) == x for x in range(5))
-    assert Permutation.cycle(5).inverse()(0) == 4
+    assert inverse(Permutation.cycle(5))(0) == 4
+
+
+# each record type: a construction (positional fields, then keywords past
+# left-out defaults), its repr, whether it is a read-only hashable value, and a
+# call its validation refuses with the exception and message it gave as a dataclass
+RECORDS = [
+    (Outcome, (Winner.DRAW,), {}, "Outcome(winner=<Winner.DRAW: 'Draw'>, loss_time=None)",
+     True, (lambda: Outcome(Winner.PI_WIN, 3), ValueError,
+            "loss_time 3 has the wrong parity for PIWin")),
+    (Permutation, ((1, 0),), {}, "Permutation(image=(1, 0))", True,
+     (lambda: Permutation((0, 0)), ValueError, "image is not a bijection on [0, n)")),
+    (Position, (1, 0), {}, "Position(a=1, b=0)", True,
+     (lambda: Position(1, 1), ValueError, "player point sets overlap")),
+    (KeyParams, (0, 3, 3, 3), {}, "KeyParams(s=0, t=3, z1=3, z2=3)", True,
+     (lambda: KeyParams(s=-1, t=3, z1=3, z2=3), PairSetError, "s must be nonnegative")),
+    (SuiteReport, ("key-lemma", 8, 5, [], {}), {},
+     "SuiteReport(name='key-lemma', m=8, checked=5, failures=[], notes={})", False, None),
+    (SolveReport, (Outcome(Winner.PII_WIN, 3), (0, 1, 2), 4, 2), {},
+     "SolveReport(outcome=Outcome(winner=<Winner.PII_WIN: 'PIIWin'>, loss_time=3), "
+     "principal_variation=(0, 1, 2), states_visited=4, table_size=2)", False, None),
+    (VerifyReport, ("pass", None, 7, "exhaustive"), {"memo": 3},
+     "VerifyReport(verdict='pass', counterexample=None, leaves=7, mode='exhaustive', "
+     "seed=None, samples=None, memo=3)", False, None),
+]
+
+
+@pytest.mark.parametrize("cls, args, kwargs, text, value, refused", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_types_keep_their_dataclass_behaviour(cls, args, kwargs, text, value, refused):
+    rec = cls(*args, **kwargs)
+    assert repr(rec) == text
+    fields = inspect.signature(cls).bind(*args, **kwargs).arguments
+    twin = cls(**fields)
+    assert all(getattr(twin, name) == v for name, v in fields.items())
+    assert rec == twin and rec is not twin and rec != object()
+    assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
+    if value:
+        assert hash(rec) == hash(twin) and {rec: 1}[twin] == 1
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        assert repr(rec) == text
+    else:
+        with pytest.raises(TypeError):
+            hash(rec)  # a mutable record stays unhashable
+    if refused is not None:
+        call, exc, message = refused
+        with pytest.raises(exc) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_package_exports_resolve():
