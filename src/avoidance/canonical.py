@@ -19,12 +19,11 @@ from __future__ import annotations
 from .core import Permutation, mask_of
 
 
-def odd_composite_canonical(p: int, q: int):
+def odd_composite_canonical(buckets: list):
     """Key of a position's orbit under every bucket-preserving permutation
     of ``odd_composite(p, q)`` (S_p wr S_q), which are automorphisms since
     its lines depend only on per-bucket counts: the sorted profile of
-    (mine, theirs) counts per bucket."""
-    buckets = [((1 << p) - 1) << (j * p) for j in range(q)]
+    (mine, theirs) counts per bucket, ``buckets`` the q bucket masks."""
 
     def canonical(mine: int, theirs: int) -> tuple:
         return tuple(sorted([((mine & bk).bit_count(), (theirs & bk).bit_count())

@@ -24,7 +24,7 @@ def _load_game(args, search: Optional[str] = None) -> Game:
     """The game of ``--game-file`` or ``--game``. A ``--game`` spec for a
     ``search`` (its name in the cap message) is refused over ``--cap``
     before it is built."""
-    if getattr(args, "game_file", None):
+    if args.game_file is not None:
         with open(args.game_file, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -32,12 +32,10 @@ def _load_game(args, search: Optional[str] = None) -> Game:
                 raise GameError("the game file nests too deeply to be a game "
                                 "document") from None
         return game_from_json(doc)
-    if getattr(args, "game", None):
-        if search is not None:
-            from .solver import check_cap
-            check_cap(spec_size(args.game), args.cap, search)
-        return parse_game_spec(args.game)
-    raise GameError("provide --game or --game-file")
+    if search is not None:
+        from .solver import check_cap
+        check_cap(spec_size(args.game), args.cap, search)
+    return parse_game_spec(args.game)
 
 
 def _emit(doc: dict) -> None:
@@ -208,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_game_args(p):
-        p.add_argument("--game", help="game spec, e.g. pairs(3) or copies(pairs(3),3)")
-        p.add_argument("--game-file", help="path to a game JSON document")
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--game", help="game spec, e.g. pairs(3) or copies(pairs(3),3)")
+        src.add_argument("--game-file", help="path to a game JSON document")
 
     g = sub.add_parser("gen", help="build a game and emit its JSON")
     g.add_argument("construction", help="construction name or full spec string")

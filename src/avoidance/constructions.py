@@ -109,12 +109,12 @@ def odd_composite(p: int, q: int) -> Game:
 
     store = ImplicitLines(n, k, contains, w_iter=w_iter,
                           w_member=lambda w: w.bit_count() == k and profile_ok(w))
-    bucket_cycle = Permutation(tuple(((i // p + 1) % q) * p + i % p for i in range(n)))
+    bucket_cycle = Permutation.cycle(n, p)
     in_bucket = Permutation(tuple((i + 1) % p if i < p else i for i in range(n)))
     return Game(n, store, (bucket_cycle, in_bucket), f"odd_composite({p},{q})",
                 meta={"construction": "odd_composite", "params": {"p": p, "q": q},
                       "indexing": "point i -> (bucket i//p, offset i%p)"},
-                canonical=odd_composite_canonical(p, q))
+                canonical=odd_composite_canonical(buckets))
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +132,22 @@ def bin_rule(b: int, m: int, offset: int) -> SimpleNamespace:
     ``offset``, into [0, m/2) mod m.
 
     Over all bins at once, ``lo & hi`` marks doubled pairs and the pairs in
-    neither half are empty, each pair named by its low point. A bin word's
-    maximal point and a point's window are found on first use and kept, so
-    nothing sized by n is built up front.
+    neither half are empty, each pair named by its low point. A transversal
+    holds one point of every pair, so each bin word is a full pair set,
+    whose maximal point ``pairset``'s table gives by its choice bits. A
+    point's window is found on first use and kept, so nothing sized by n
+    is built up front.
     """
     n, half, mp, bp = b * m, m // 2, m // 4, (b - 1) // 2
-    binmask, pair = (1 << m) - 1, 1 | 1 << half
-    low = ((1 << half) - 1) * (((1 << n) - 1) // binmask)  # first half of each bin
-    maxima: dict = {}
+    binmask, pair, choice_mask = (1 << m) - 1, 1 | 1 << half, (1 << half) - 1
+    low = choice_mask * (((1 << n) - 1) // binmask)  # first half of each bin
+    table = _ps._full_maxima(m)
     windows: dict = {}
 
     def transversal_ok(w: int) -> bool:
         total = offset
         for j in range(0, n, m):
-            word = (w >> j) & binmask
-            x = maxima.get(word)
-            if x is None:
-                x = maxima[word] = _ps.maximal_point(m, word)
-            total += x
+            total += table[(w >> j + half) & choice_mask]
         return total % m < half
 
     def window(x: int) -> int:
@@ -175,7 +173,7 @@ def bin_rule(b: int, m: int, offset: int) -> SimpleNamespace:
         return w.bit_count() == n // 2 and extendable(w)
 
     def w_iter() -> Iterator[int]:
-        transversals = [(t, _ps.maximal_point(m, t)) for t in _ps.extension_masks(m, 0)]
+        transversals = [(t, table[t >> half]) for t in _ps.extension_masks(m, 0)]
         for combo in itertools.product(transversals, repeat=b):
             if (offset + sum(mx for _, mx in combo)) % m < half:
                 yield sum(t << j * m for j, (t, _) in enumerate(combo))
@@ -220,7 +218,7 @@ def _bin_generators(rule: SimpleNamespace) -> tuple[Permutation, Permutation]:
     (rotation amounts summing to zero)."""
     m = rule.m
     n = rule.b * m
-    bin_cycle = Permutation(tuple((i + m) % n for i in range(n)))
+    bin_cycle = Permutation.cycle(n, m)
     balanced_rot = Permutation(tuple((i + 1) % m if i < m else m + (i - 1) % m
                                      if i < 2 * m else i for i in range(n)))
     return bin_cycle, balanced_rot
@@ -360,8 +358,7 @@ def disjoint_copies(g: Game, c: int) -> Game:
     for base_gen in g.generators:
         gens.append(Permutation(tuple(
             (i // g.n) * g.n + base_gen(i % g.n) for i in range(n))))
-    gens.append(Permutation(tuple(
-        ((i // g.n + 1) % c) * g.n + i % g.n for i in range(n))))
+    gens.append(Permutation.cycle(n, g.n))
     return Game(n, ExplicitLines(n, lines), tuple(gens),
                 f"copies({g.name},{c})",
                 meta={"construction": "copies", "params": {"base": g.name, "c": c},
@@ -552,7 +549,7 @@ def affine_game(n: int, bases: Optional[Iterable[Iterable[int]]] = None) -> Game
     lines = [m for m in map(sum, itertools.combinations([1 << x for x in range(n)], k))
              if m not in w]
     g = _primitive_root(n)
-    shift = Permutation(tuple((x + 1) % n for x in range(n)))
+    shift = Permutation.cycle(n)
     scale = Permutation(tuple((g * x) % n for x in range(n)))
     return Game(n, ExplicitLines(n, lines), (shift, scale), f"affine({n})",
                 meta={"construction": "affine", "params": {"n": n},

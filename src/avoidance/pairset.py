@@ -251,19 +251,14 @@ def key_params(m: int, mask: int) -> KeyParams:
     def out(s: int, t: int, z1: int, z2: int) -> KeyParams:
         return KeyParams(s, (t + u_star) % m, (z1 + u_star) % m, (z2 + u_star) % m)
 
-    x3 = _lift(max_of(3), 2 * mp, m)
-    if x3 == m:
+    x = [0, 0, 0, _lift(max_of(3), 2 * mp, m), m]
+    if x[3] == m:
         # the maximum of every completion of the first quarter fill is pinned
         return out(0, 0, 0, 0)
-    x2 = _lift(max_of(2), x3 - 2 * mp, m)
-    if m - x2 < 2 * mp:
-        return out(x3 - x2, x3 % m, 3 * mp, 0)
-    x1 = _lift(max_of(1), x2 - 2 * mp, m)
-    if x3 - x1 < 2 * mp:
-        return out(x2 - x1, x2 % m, 2 * mp, 3 * mp)
-    x0 = _lift(max_of(0), x1 - 2 * mp, m)
-    if x2 - x0 < 2 * mp:
-        return out(x1 - x0, x1 % m, mp, 2 * mp)
+    for k in (2, 1, 0):
+        x[k] = _lift(max_of(k), x[k + 1] - 2 * mp, m)
+        if x[k + 2] - x[k] < 2 * mp:
+            return out(x[k + 1] - x[k], x[k + 1] % m, (k + 1) * mp, (k + 2) * mp % m)
     # remaining case: the two quarters around the maximum are entirely free
     # and every completion of the first quarter fill keeps its maximum at 0
     return out(0, 0, 0, 0)

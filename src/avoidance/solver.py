@@ -80,7 +80,7 @@ def solve(game: Game, cap: int = 16, root_symmetry: bool = False) -> SolveReport
         raise GameError("root_symmetry requires a transitive game")
     moves = _point_moves(game)
     with _negamax(game) as (search, table, stats):
-        if root_symmetry and game.n > 0:
+        if root_symmetry:
             stats["visited"] += 1
             ((_, lost),) = moves(0, 1)  # the opening at point 0
             root_val = LOSS if lost else -search(0, 1)
@@ -496,25 +496,22 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
 
 def _pairing_tables(strat, n: int):
     """``table_of(state, key)``: the pairing table of ``state``, fetched
-    from ``strat`` and checked once per ``key``."""
+    from ``strat`` once per ``key`` and checked to be a fixed-point-free
+    partial involution on ``n`` points (negative entries are holes)."""
     tables: dict = {}
 
     def table_of(state, key):
         try:
             return tables[key]
         except KeyError:
-            t = tables[key] = _checked_pairing(strat.pairing(state), n)
+            t = strat.pairing(state)
+            if t is not None and (len(t) != n or not is_fpf_partial_involution(t)):
+                raise StrategyInvariantError(
+                    "pairing table is no fixed-point-free partial involution")
+            tables[key] = t
             return t
 
     return table_of
-
-
-def _checked_pairing(t: Optional[tuple], n: int) -> Optional[tuple]:
-    """``t`` itself, once it is a fixed-point-free partial involution on
-    ``n`` points (negative entries are holes)."""
-    if t is not None and (len(t) != n or not is_fpf_partial_involution(t)):
-        raise StrategyInvariantError("pairing table is no fixed-point-free partial involution")
-    return t
 
 
 def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,

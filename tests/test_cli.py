@@ -112,6 +112,33 @@ def test_game_file_swapped_lines_is_refusal(tmp_path, capsys):
     assert "differ" in err
 
 
+GAME_COMMANDS = [["check-transitive"], ["solve"], ["solve-plus"], ["earliest-loss"], ["play"],
+                 ["verify-strategy", "--strategy", "pairs", "--goal", "win"]]
+
+
+@pytest.mark.parametrize("command", GAME_COMMANDS, ids=lambda c: c[0])
+def test_game_and_game_file_together_are_a_usage_error(tmp_path, capsys, command):
+    # one source of the game, never the file's game in place of the spec's
+    path = tmp_path / "pairs3.json"
+    path.write_text(json.dumps(game_to_json(parse_game_spec("pairs(3)"))))
+    rc, out, err = run_cli(capsys, *command, "--game", "cycle(5)", "--game-file", str(path))
+    assert rc == 2 and out == ""
+    assert "usage:" in err and "--game-file: not allowed with argument --game" in err
+
+
+@pytest.mark.parametrize("command", GAME_COMMANDS, ids=lambda c: c[0])
+def test_a_game_command_without_a_game_is_a_usage_error(capsys, command):
+    rc, out, err = run_cli(capsys, *command)
+    assert rc == 2 and out == ""
+    assert "usage:" in err and "one of the arguments --game --game-file is required" in err
+
+
+def test_an_empty_game_file_name_is_a_missing_file(capsys):
+    rc, out, err = run_cli(capsys, "solve", "--game-file", "")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: [Errno 2] No such file or directory")
+
+
 def implicit(construction, params):
     return {"n": 6, "name": "x", "generators": [],
             "lines": {"implicit": {"construction": construction, "params": params}}}

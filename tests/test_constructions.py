@@ -266,6 +266,30 @@ def test_even_general_transversal_membership_is_three_max_calls():
         assert member(mask_of(pts)) == (total % 4 < 2)
 
 
+@pytest.mark.parametrize("rule", [(C.pairs_rule, 3), (C.pairs_rule, 5),
+                                  (C.even_general_rule, 2, 3), (C.even_general_rule, 2, 5),
+                                  (C.even_general_rule, 3, 3)],
+                         ids=lambda r: f"{r[0].__name__}{r[1:]}")
+def test_bin_rule_transversals_follow_their_bins_maximal_points(rule):
+    # every transversal, against the definition: the bins' maximal points
+    # plus the offset fall into [0, m/2) mod m
+    rule = rule[0](*rule[1:])
+    m = rule.m
+    words = list(ps.extension_masks(m, 0))
+
+    def check():
+        for combo in itertools.product(words, repeat=rule.b):
+            w = sum(t << j * m for j, t in enumerate(combo))
+            total = rule.offset + sum(ps.maximal_point(m, t) for t in combo)
+            assert rule.allowed(w) == (total % m < m // 2), sorted(set_of(w))
+
+    ps._fresh_full_maxima(m)
+    check()
+    if m >= 4:
+        ps.run_suite("not-top", m)  # refills the table the rule reads
+    check()
+
+
 def test_even_general_contains_matches_bruteforce_random():
     g = C.even_general(2, 3)
     rng = random.Random(3)

@@ -208,6 +208,22 @@ def test_key_params_kernel_matches_the_pair_set_construction(m):
         assert key_params(m, a) == brute_key_params(set_of(a), m), sorted(set_of(a))
 
 
+# From the m = 32 census (tests/key_params_census.py): the exit at x_k
+# fills the quarters at (k + 1)m/4 and (k + 2)m/4 past u*, the maximal
+# point of the set with its free points added.
+@pytest.mark.parametrize("mask,k", [(0x3264cc99, 1), (0x3298cc66, 1),
+                                    (0x2ca4d25b, 2), (0x3264cc9b, 2)],
+                         ids=lambda v: hex(v) if v > 2 else f"x{v}")
+def test_key_params_exits_at_x2_and_x1_at_m_32(mask, k):
+    m = 32
+    u_star = maximal_point(m, mask | ps._free_mask(m, mask))
+    kp = key_params(m, mask)
+    assert ((kp.z1 - u_star) % m, (kp.z2 - u_star) % m) == ((k + 1) * m // 4,
+                                                            (k + 2) * m // 4 % m)
+    assert kp == brute_key_params(set_of(mask), m)
+    assert key_params_hold(m, mask, kp)
+
+
 def test_kernel_caches_are_bounded():
     # ``verify-lemma all --m 16`` fills 12864 entries of each; all must fit
     for cache in (ps._base_word, ps._max_point_info):
