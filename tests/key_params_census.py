@@ -18,16 +18,14 @@ run takes about 20 s on two workers of a 2-vCPU VM.
 
 Run from the repository root:
 
-    python tests/key_params_census.py            # m = 32, 2 workers
-    python tests/key_params_census.py --m 16 --workers 1
+    python tests/key_params_census.py
 
 It prints the count of each exit and its first masks, and exits 1 when a
-guarantee fails or, at m = 32, a count differs from the pinned census.
+guarantee fails or a count differs from the pinned census.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import multiprocessing
 from pathlib import Path
@@ -37,7 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from avoidance.pairset import (_free_mask, key_params, key_params_hold,  # noqa: E402
                                maximal_point)
 
-EXPECTED = {32: {"pinned": 1342165, "x2": 3006, "x1": 39, "x0": 0, "fallback": 0}}
+M, WORKERS = 32, 2
+EXPECTED = {"pinned": 1342165, "x2": 3006, "x1": 39, "x0": 0, "fallback": 0}
 CHUNK = 4096
 
 
@@ -92,15 +91,11 @@ def chunks(m: int):
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--m", type=int, default=32, choices=(4, 8, 16, 32))
-    ap.add_argument("--workers", type=int, default=2, choices=(1, 2))
-    args = ap.parse_args()
-    counts = {"pinned": 0, "x2": 0, "x1": 0, "x0": 0, "fallback": 0}
+    counts = dict.fromkeys(EXPECTED, 0)
     examples: dict = {}
     broken = []
-    with multiprocessing.get_context("spawn").Pool(args.workers) as pool:
-        for result in pool.imap(classify, chunks(args.m)):
+    with multiprocessing.get_context("spawn").Pool(WORKERS) as pool:
+        for result in pool.imap(classify, chunks(M)):
             for name, mask, holds in result:
                 counts[name] += 1
                 if len(examples.setdefault(name, [])) < 4:
@@ -108,16 +103,15 @@ def main() -> int:
                 if not holds:
                     broken.append(mask)
     total = sum(counts.values())
-    print(f"m = {args.m}: {total} pair sets with u* = 0")
+    print(f"m = {M}: {total} pair sets with u* = 0")
     for name, count in counts.items():
         shown = " ".join(hex(x) for x in examples.get(name, []))
         print(f"  {name:8} {count:8}  {shown}")
     if broken:
         print(f"key_params_hold fails on {len(broken)}: "
               + " ".join(hex(x) for x in broken[:10]))
-    expected = EXPECTED.get(args.m)
-    if expected is not None and counts != expected:
-        print(f"counts differ from the census: {expected}")
+    if counts != EXPECTED:
+        print(f"counts differ from the census: {EXPECTED}")
         return 1
     return 1 if broken else 0
 
