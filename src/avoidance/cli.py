@@ -183,12 +183,12 @@ def cmd_play(args) -> int:
                 continue
             last = x
         else:
+            # ``Position`` is by seat; strategies and the solver read (mover's, other's)
+            mine, theirs = (pos.a, pos.b) if pos.to_move is Player.ONE else (pos.b, pos.a)
             if opponent is not None:
-                x, state = opponent.step(state, pos.a, pos.b, last)
-            elif pos.to_move is Player.ONE:
-                x = best_move(game, pos.a, pos.b, args.cap)
+                x, state = opponent.step(state, mine, theirs, last)
             else:
-                x = best_move(game, pos.b, pos.a, args.cap)
+                x = best_move(game, mine, theirs, args.cap)
             print(f"opponent plays {x}")
             newpos, lost = apply_move(game, pos, x)
         if lost:

@@ -26,7 +26,7 @@ A full pair set F is named by its choice bits ``(F >> m/2) & (2^(m/2) - 1)``,
 so Z_m has 2^(m/2) of them; ``_full_maxima(m)`` keeps their maximal points,
 and a completion of a partial pair set (its fixed choice bits OR-ed with a
 submask of its free-pair bits) costs one lookup. ``verify-lemma all --m 16``
-reads 256 entries of it and fills 12864 masks of each kernel cache.
+reads 256 entries of it and fills 12864 masks of the kernel cache.
 """
 
 from __future__ import annotations
@@ -46,13 +46,12 @@ class MaximalityTieError(PairSetError):
     """Two rotations compared equal where a unique maximum was required."""
 
 
-# Both caches hold one entry per distinct mask; ``verify-lemma all --m 16``
-# fills 12864 of each (and 256 entries of the full-pair-set table), which
-# the bound keeps.
+# The kernel cache holds one entry per distinct mask; ``verify-lemma all
+# --m 16`` fills 12864 of it (and 256 entries of the full-pair-set table),
+# which the bound keeps.
 _CACHE_SIZE = 1 << 14
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _base_word(m: int, mask: int) -> int:
     """Pack the indicator of ``mask`` into an int, position 0 at the MSB:
     the m bits of ``mask`` reversed, read off its binary string below a

@@ -362,7 +362,7 @@ def verify_strategy(game: Game, strategy, owner: Player, goal: Goal,
 def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyReport:
     """Depth-first over adversary replies.
 
-    Masks are owner-relative; the strategy sees (Player I's, Player II's).
+    Masks are owner-relative, as ``step`` reads them: (owner's, adversary's).
     A reply ``q`` is *paired* when the state's pairing table gives a
     partner ``t[q]`` that is unclaimed: the answer is ``t[q]`` and the
     state stays, with no ``step`` call; every other reply calls ``step``.
@@ -436,7 +436,7 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
             else:
                 paired = False
                 try:
-                    x, after = step(state, mine, nt, q) if first else step(state, nt, mine, q)
+                    x, after = step(state, mine, nt, q)
                 except IllegalMoveError:
                     return [q, -1]
                 if not 0 <= x < n or ((mine | nt) >> x) & 1:
@@ -560,8 +560,7 @@ def _verify_sampled(game: Game, strat, owner: Player, goal: Goal,
                     x, state = opening
                 elif t is None or (x := t[q]) < 0 or (claimed >> x) & 1:
                     try:
-                        x, state = (step(state, mine, theirs, q) if first
-                                    else step(state, theirs, mine, q))
+                        x, state = step(state, mine, theirs, q)
                     except IllegalMoveError:
                         x = -1
                 history.append(x)

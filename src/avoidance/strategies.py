@@ -1,18 +1,18 @@
 """Scripted strategies as pure transitions.
 
 Interface: a strategy has an immutable, hashable ``initial`` state and a
-method ``step(state, a, b, q) -> (x, state')``. ``a`` and ``b`` are the
-position bitmasks (Player I's, Player II's) on the owner's turn, after
-the adversary's move ``q`` (``None`` when the owner opens); ``x`` is the
-owner's answer. ``step`` never mutates the strategy object, and when the
-move changes nothing it returns the input state object itself. The state
-is the whole memory of the strategy, so the verifier merges
-transpositions on (position, state) and branches by passing states
-around, with no copies.
+method ``step(state, own, adv, q) -> (x, state')``. ``own`` and ``adv``
+are the point masks of the owner and of the adversary, whichever seat
+the owner has, on the owner's turn after the adversary's move ``q``
+(``None`` when the owner opens); ``x`` is the owner's answer. ``step``
+never mutates the strategy object, and when the move changes nothing it
+returns the input state object itself. The state is the whole memory of
+the strategy, so the verifier merges transpositions on (position, state)
+and branches by passing states around, with no copies.
 
 A strategy may also expose a pairing table per state,
 ``pairing(state) -> t``: ``t[q] >= 0`` promises that whenever point
-``t[q]`` is unclaimed after adversary move ``q``, ``step(state, a, b, q)``
+``t[q]`` is unclaimed after adversary move ``q``, ``step(state, own, adv, q)``
 returns ``(t[q], state)`` with the same state object, and ``-1`` means
 "ask ``step``". ``t`` is a fixed-point-free partial involution
 (``t[q] != q`` and ``t[t[q]] == q``), so two paired answers commute. The
@@ -41,8 +41,9 @@ class Strategy:
     n: int = 0
     initial = None
 
-    def step(self, state, a: int, b: int, q: Optional[int]):
-        """(owner's move answering adversary move ``q``, next state)."""
+    def step(self, state, own: int, adv: int, q: Optional[int]):
+        """(owner's move answering adversary move ``q``, next state), given
+        the owner's points ``own`` and the adversary's ``adv``."""
         raise NotImplementedError
 
     def pairing(self, state) -> Optional[tuple]:
@@ -61,8 +62,8 @@ class LowestFreeStrategy(Strategy):
         self.role = role
         self.n = n
 
-    def step(self, state, a, b, q):
-        free = ((1 << self.n) - 1) & ~(a | b)
+    def step(self, state, own, adv, q):
+        free = ((1 << self.n) - 1) & ~(own | adv)
         return (free & -free).bit_length() - 1, state
 
 
@@ -88,9 +89,9 @@ class OddBucketStrategy(Strategy):
         self.n = p * q
         self.buckets = tuple(((1 << p) - 1) << (j * p) for j in range(q))
 
-    def step(self, state, a, b, q):
-        taken = a | b
-        counts = [(a & bucket).bit_count() for bucket in self.buckets]
+    def step(self, state, own, adv, q):
+        taken = own | adv
+        counts = [(own & bucket).bit_count() for bucket in self.buckets]
         if q is not None and 1 <= counts[q // self.p] < self.pp:
             free = self.buckets[q // self.p] & ~taken
             if free:
@@ -152,20 +153,20 @@ class BinMirrorStrategy(Strategy):
         self.binmask = (1 << m) - 1
         self.opp = tuple(x - x % m + (x % m + self.half) % m for x in range(self.n))
 
-    def step(self, state, a, b, q):
+    def step(self, state, own, adv, q):
         phase, extra, forbidden = state[0], state[1], state[2]
         if phase == DIRECT:
             # answer q with its opposite if that is free and allowed (q is
             # the adversary's, so we hold no point of that pair)
             if q is not None:
                 back = self.opp[q]
-                if not ((a | b) >> back) & 1 and back != forbidden:
+                if not ((own | adv) >> back) & 1 and back != forbidden:
                     return back, state
             # else the lowest point that is neither forbidden nor opposite
             # one we hold (swapping each bin's low and high halves maps a
             # mask to the mask of opposite points)
             low, half = self.low, self.half
-            free = self.full & ~(a | b | ((a & low) << half) | ((a >> half) & low)
+            free = self.full & ~(own | adv | ((own & low) << half) | ((own >> half) & low)
                                  | (1 << forbidden))
             if not free:
                 raise StrategyInvariantError("direct mode found no admissible point")
@@ -179,7 +180,7 @@ class BinMirrorStrategy(Strategy):
                 return self.opp[extra], (DIRECT, None, self.opp[q]) + rest
             if q != self.opp[extra]:
                 return self.opp[q], state  # mirror; extra unchanged
-        return self._claim(state, a, b)
+        return self._claim(state, own, adv)
 
     def pairing(self, state):
         """Opposite points, except where ``step`` may leave the mirror: the
@@ -197,35 +198,34 @@ class BinMirrorStrategy(Strategy):
             t[q] = -1
         return tuple(t)
 
-    def _guess_terms(self, a: int, upto: int) -> int:
+    def _guess_terms(self, own: int, upto: int) -> int:
         """``offset`` plus the final maxima of bins < upto plus the window
         centres beyond, mod m."""
         total = self.offset
         for j in range(self.b):
-            mine = (a >> (j * self.m)) & self.binmask
+            mine = (own >> (j * self.m)) & self.binmask
             if j < upto:
                 total += _ps.maximal_point(self.m, mine)
             elif j > upto:
                 total += _ps.key_params(self.m, mine).t
         return total % self.m
 
-    def _close_finished_bins(self, a, taken, cur_bin, fill_z, r_bin, guess, t_cur):
+    def _close_finished_bins(self, own, taken, cur_bin, fill_z, r_bin, guess, t_cur):
         """(cur_bin, fill_z, guess, t_cur) after closing every complete bin."""
         binmask = self.binmask
         while cur_bin is not None and cur_bin < self.b \
                 and ((taken >> (cur_bin * self.m)) & binmask) == binmask:
-            mine = (a >> (cur_bin * self.m)) & binmask
+            mine = (own >> (cur_bin * self.m)) & binmask
             u = _ps.maximal_point(self.m, mine)
             if guess is not None:
-                t = t_cur
-                if t is None:
-                    t = _ps.key_params(self.m, mine).t
+                # a bin closed without our claim holds a full pair set, whose key_params t is u
+                t = u if t_cur is None else t_cur
                 guess = (guess + u - t) % self.m
                 if guess >= self.half:
                     raise StrategyInvariantError(
                         f"guess {guess} left [0, {self.half}) at bin close")
             elif cur_bin == r_bin:
-                guess = (self._guess_terms(a, r_bin) + u) % self.m
+                guess = (self._guess_terms(own, r_bin) + u) % self.m
                 if guess >= self.half:
                     raise StrategyInvariantError(
                         f"initial guess {guess} outside [0, {self.half})")
@@ -234,10 +234,10 @@ class BinMirrorStrategy(Strategy):
             t_cur = None
         return cur_bin, fill_z, guess, t_cur
 
-    def _claim(self, state, a, b):
+    def _claim(self, state, own, adv):
         """The move off the mirror: open bins below b', then the endgame fill."""
         phase, _, forbidden, cur_bin, fill_z, r_bin, guess, t_cur = state
-        taken = a | b
+        taken = own | adv
         if phase == NORMAL:
             free = self.full & ~taken
             if not free:
@@ -253,17 +253,17 @@ class BinMirrorStrategy(Strategy):
                 raise StrategyInvariantError("endgame entered with no empty bin")
             r_bin = max(empty_bins)
         cur_bin, fill_z, guess, t_cur = self._close_finished_bins(
-            a, taken, cur_bin, fill_z, r_bin, guess, t_cur)
+            own, taken, cur_bin, fill_z, r_bin, guess, t_cur)
         if cur_bin is None or cur_bin >= self.b:
             raise StrategyInvariantError("free choice after all bins closed")
         j = cur_bin
         if fill_z is None and j == r_bin:
             # the least u with c + u in [m/4, m/2) mod m: a bin maximum in
             # the window [u-m/4, u] then lands the guess inside [0, m/2)
-            c, quarter = self._guess_terms(a, r_bin), self.half // 2
+            c, quarter = self._guess_terms(own, r_bin), self.half // 2
             fill_z = 0 if quarter <= c < self.half else (quarter - c) % self.m
         elif fill_z is None and guess is not None:
-            kp = _ps.key_params(self.m, (a >> (j * self.m)) & self.binmask)
+            kp = _ps.key_params(self.m, (own >> (j * self.m)) & self.binmask)
             t_cur = kp.t
             fill_z = kp.z1 if (guess - kp.s) % self.m < self.half else kp.z2
         free = ~(taken >> (j * self.m)) & self.binmask
@@ -306,13 +306,13 @@ class PairingStrategy(Strategy):
         self.table = _pairing_table(self.partner, 1 if role is Player.ONE else 0)
         self.opening = self.table.index(-1) if role is Player.ONE else None
 
-    def step(self, state, a, b, q):
+    def step(self, state, own, adv, q):
         if q is None:
             if self.opening is None:
                 raise StrategyInvariantError("no adversary move to answer")
             return self.opening, state
         x = self.table[q]
-        if x < 0 or ((a | b) >> x) & 1:
+        if x < 0 or ((own | adv) >> x) & 1:
             raise StrategyInvariantError(f"the partner of {q} is not free")
         return x, state
 
@@ -345,10 +345,10 @@ class CopyMirrorStrategy(Strategy):
         # the answer to each point of copies 1.., in point order
         self.mirror = tuple(self.f[i] * n0 + v for i in range(1, len(f)) for v in range(n0))
 
-    def step(self, state, a, b, q):
+    def step(self, state, own, adv, q):
         if q is None or q < self.n0:
             lo = (1 << self.n0) - 1
-            return self.base.step(state, a & lo, b & lo, q)
+            return self.base.step(state, own & lo, adv & lo, q)
         return self.mirror[q - self.n0], state
 
     def pairing(self, state):

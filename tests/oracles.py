@@ -383,8 +383,7 @@ def ref_verify(game, strat, owner, goal) -> dict:
 
     def answer(state, mine, theirs, q):
         try:
-            return strat.step(state, mine, theirs, q) if first else \
-                strat.step(state, theirs, mine, q)
+            return strat.step(state, mine, theirs, q)
         except IllegalMoveError:
             return -1, state
 
@@ -466,8 +465,7 @@ def ref_verify_sampled(game, strat, owner, goal, samples: int, seed: int) -> dic
         while True:
             if owner_moves:
                 try:
-                    x, state = (strat.step(state, mine, theirs, q) if first
-                                else strat.step(state, theirs, mine, q))
+                    x, state = strat.step(state, mine, theirs, q)
                 except IllegalMoveError:
                     x = -1
                 history.append(x)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from avoidance import cli
 from avoidance.cli import main
 from avoidance.constructions import game_to_json, parse_game_spec
-from avoidance.core import ExplicitLines
+from avoidance.core import ExplicitLines, Player
 from avoidance.solver import solve_plus
 
 
@@ -420,6 +420,55 @@ def test_play_against_the_solver_opponent(monkeypatch, capsys):
     assert [l for l in out.splitlines() if l.startswith("opponent plays")] == [
         f"opponent plays {x}" for x in (0, 1, 2, 6, 8)]
     assert out.splitlines()[-1] == "Player II completed a line and loses on move 10"
+
+
+def test_play_against_a_second_player_strategy(monkeypatch, capsys):
+    # the involution pairing answers 0 with its partner 2; the human's 3
+    # then completes the line {0, 3}
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n3\n"))
+    rc = main(["play", "--game", "torus(2,2)", "--strategy", "involution-pairing",
+               "--side", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert [l for l in out.splitlines() if l.startswith("opponent plays")] == [
+        "opponent plays 2"]
+    assert out.splitlines()[-1] == "Player I completed a line and loses on move 3"
+
+
+def test_a_second_player_strategy_reads_its_own_points_first(monkeypatch, capsys):
+    from avoidance import strategies
+    seen = []
+
+    class Recording(strategies.LowestFreeStrategy):
+        def step(self, state, own, adv, q):
+            seen.append((own, adv, q))
+            return super().step(state, own, adv, q)
+
+    monkeypatch.setattr(strategies, "strategy_for",
+                        lambda game, name: Recording(game.n, Player.TWO))
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n3\n"))
+    rc = main(["play", "--game", "cycle(6)", "--strategy", "lowest", "--side", "1"])
+    assert rc == 0
+    assert seen == [(0, 0b1, 0), (0b10, 0b1001, 3)]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "Player II completed a line and loses on move 4")
+
+
+def test_play_against_the_solver_as_player_two_to_a_draw(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n3\n"))
+    rc = main(["play", "--game", "matching(2)", "--side", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert [l for l in out.splitlines() if l.startswith("opponent plays")] == [
+        "opponent plays 1", "opponent plays 2"]
+    assert out.splitlines()[-1] == "board full: draw"
+
+
+def test_play_refuses_a_strategy_on_the_humans_side(capsys):
+    rc, out, err = run_cli(capsys, "play", "--game", "pairs(3)", "--strategy", "pairs",
+                           "--side", "1")
+    assert (rc, out) == (2, "")
+    assert err == "strategy pairs(3) plays side ONE; pick the other side\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -51,7 +51,7 @@ class _XorPairing(S.Strategy):
 
 class _Counting(S.Strategy):
     """Passes ``step`` and ``pairing`` through, counting ``step`` calls and
-    recording each node a ``step`` leads to: (Player I's mask, Player II's
+    recording each node a ``step`` leads to: (owner's mask, adversary's
     mask, state), the adversary to move."""
 
     def __init__(self, inner):
@@ -61,13 +61,10 @@ class _Counting(S.Strategy):
         self.calls = 0
         self.nodes = {(0, 0, inner.initial)} if inner.role is Player.TWO else set()
 
-    def step(self, state, a, b, q):
+    def step(self, state, own, adv, q):
         self.calls += 1
-        x, after = self.inner.step(state, a, b, q)
-        if self.role is Player.ONE:
-            self.nodes.add((a | 1 << x, b, after))
-        else:
-            self.nodes.add((a, b | 1 << x, after))
+        x, after = self.inner.step(state, own, adv, q)
+        self.nodes.add((own | 1 << x, adv, after))
         return x, after
 
     def pairing(self, state):
@@ -127,23 +124,21 @@ def test_pairing_tables_say_what_step_does(spec, name):
     counting = _Counting(strat)
     # a pass: no node the loop reached holds a line of the owner's
     assert ref_verify(game, counting, strat.role, Goal.NEVER_LOSE)["verdict"] == "pass"
-    owner_one = strat.role is Player.ONE
     tables: dict = {}
     paired = 0
-    for a, b, state in counting.nodes:
+    for own, adv, state in counting.nodes:
         if state not in tables:
             t = tables[state] = strat.pairing(state)
             assert t is None or len(t) == game.n
             assert t is None or all(y < 0 or (y != q and t[y] == q) for q, y in enumerate(t))
         t = tables[state]
-        if t is None or a | b == game.full_mask:
+        if t is None or own | adv == game.full_mask:
             continue
         for q, y in enumerate(t):
-            if ((a | b) >> q) & 1 or y < 0 or ((a | b) >> y) & 1:
+            if ((own | adv) >> q) & 1 or y < 0 or ((own | adv) >> y) & 1:
                 continue
-            after_q = (a, b | 1 << q) if owner_one else (a | 1 << q, b)
-            x, after = strat.step(state, *after_q, q)
-            assert x == y and after is state, (a, b, state, q)
+            x, after = strat.step(state, own, adv | 1 << q, q)
+            assert x == y and after is state, (own, adv, state, q)
             paired += 1
     assert paired > 0
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -225,9 +227,8 @@ def test_key_params_exits_at_x2_and_x1_at_m_32(mask, k):
 
 
 def test_kernel_caches_are_bounded():
-    # ``verify-lemma all --m 16`` fills 12864 entries of each; all must fit
-    for cache in (ps._base_word, ps._max_point_info):
-        assert 12864 < cache.cache_info().maxsize < float("inf")
+    # ``verify-lemma all --m 16`` fills 12864 entries; all must fit
+    assert 12864 < ps._max_point_info.cache_info().maxsize < float("inf")
 
 
 def test_key_params_spec_case():
@@ -242,6 +243,17 @@ def test_key_params_full_set_is_pinned():
     kp = key_params(8, a)
     assert kp.s == 0 and kp.t == maximal_point(8, a)
     assert key_params_hold(8, a, kp)
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 32])
+def test_key_params_of_a_full_pair_set_is_pinned_at_its_maximal_point(m):
+    # the bin mirror closes a bin it did not claim in with t = u on this ground
+    half = m // 2
+    choices = range(1 << half) if m <= 16 else random.Random(m).sample(range(1 << half), 300)
+    for choice in choices:
+        full = choice << half | ((1 << half) - 1) & ~choice
+        u = maximal_point(m, full)
+        assert key_params(m, full) == KeyParams(0, u, u, u), full
 
 
 def test_verify_key_params_degenerate_s():
@@ -304,8 +316,7 @@ def test_base_word_reverses_the_bits(m):
             w = (w << 1) | ((mask >> i) & 1)
         return w
 
-    base_word = ps._base_word.__wrapped__  # keep the cache out of it
-    assert all(base_word(m, mask) == loop(mask) for mask in range(1 << m))
+    assert all(ps._base_word(m, mask) == loop(mask) for mask in range(1 << m))
 
 
 def test_run_suite_rejects_unknown():
