@@ -11,7 +11,8 @@ point x as the most significant bit. Integer order is then lexicographic
 order with "present beats absent": the word with a 1 at the earliest
 differing position is the greater one. An ``r``-maximal point is an x
 whose window [x, x+r) is greatest over all m rotations; ``maximal_point``
-is the m-maximal point.
+is the m-maximal point. No word is built: ``_max_starts`` finds the
+r-maximal points by narrowing a mask of candidate starts, one offset at a time.
 
 All interval arithmetic is mod m. [lo, hi) is half-open of length
 (hi - lo) mod m; [lo, hi] additionally includes the endpoint.
@@ -52,28 +53,31 @@ class MaximalityTieError(PairSetError):
 _CACHE_SIZE = 1 << 14
 
 
-def _base_word(m: int, mask: int) -> int:
-    """Pack the indicator of ``mask`` into an int, position 0 at the MSB:
-    the m bits of ``mask`` reversed, read off its binary string below a
-    sentinel bit m."""
-    return int(bin(mask | 1 << m)[:2:-1], 2)
+def _max_starts(m: int, mask: int, r: int) -> int:
+    """Mask of the starts x whose window [x, x+r) is greatest, 1 <= r <= m.
 
-
-def _rotation_words(m: int, mask: int) -> list[int]:
-    """Packed words of the windows [x, x+m), indexed by x, cut from
-    one doubled word; integer order = lex order."""
-    w = _base_word(m, mask)
-    doubled = (w << m) | w
-    full = (1 << m) - 1
-    return [(doubled >> (m - x)) & full for x in range(m)]
+    The candidates are narrowed one offset at a time: they start as the
+    points of ``mask`` (every point when it is empty), and at offset d keep
+    those that hold point x + d, if any does. This is the comparison that
+    least-rotation algorithms make, done bit-parallel; it stops when one
+    candidate is left. Bit x of ``doubled >> d`` is point x + d mod m.
+    """
+    doubled = mask | mask << m
+    cand = mask or (1 << m) - 1
+    for d in range(1, r):
+        if not cand & (cand - 1):
+            break
+        hit = cand & doubled >> d
+        if hit:
+            cand = hit
+    return cand
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _max_point_info(m: int, mask: int) -> tuple[int, bool]:
     """(first maximal rotation start, whether it is unique)."""
-    words = _rotation_words(m, mask)
-    top = max(words)
-    return words.index(top), words.count(top) == 1
+    c = _max_starts(m, mask, m)
+    return (c & -c).bit_length() - 1, not c & (c - 1)
 
 
 class _FullMaxima(dict):
@@ -154,17 +158,9 @@ def maximal_point(m: int, mask: int) -> int:
     return x
 
 
-def _windows(m: int, mask: int, r: int) -> list[int]:
-    """Packed words of the windows [x, x+r) of ``mask``, indexed by x."""
-    shift = m - r
-    return [w >> shift for w in _rotation_words(m, mask)]
-
-
 def _r_maximal_points(m: int, mask: int, r: int) -> list[int]:
     """Every x whose window [x, x+r) is a greatest length-r window of ``mask``."""
-    words = _windows(m, mask, r)
-    top = max(words)
-    return [x for x, w in enumerate(words) if w == top]
+    return list(iter_bits(_max_starts(m, mask, r)))
 
 
 def _interval_mask(m: int, x: int, r: int) -> int:
@@ -317,16 +313,16 @@ def verify_unique_max(m: int) -> SuiteReport:
 def verify_not_min(m: int) -> SuiteReport:
     """Full pair set with 0 maximal: no point of [0, r] is r-minimal, r < m/2."""
     checked, failures = 0, []
+    ring = (1 << m) - 1
     for mask, mx in _full_pair_sets(m):
         if mx != 0:
             continue
         for r in range(1, m // 2):
-            words = _windows(m, mask, r)
-            low = min(words)
-            for x in range(r + 1):
-                checked += 1
-                if words[x] == low:
-                    failures.append((sorted(iter_bits(mask)), x, r))
+            # the least windows of mask are the greatest of its complement
+            least = _max_starts(m, ring ^ mask, r)
+            checked += r + 1
+            for x in iter_bits(least & _interval_mask(m, 0, r + 1)):
+                failures.append((sorted(iter_bits(mask)), x, r))
     return SuiteReport("not-min", m, checked, failures, {})
 
 

@@ -270,6 +270,22 @@ def word_string(members, m: int, x: int, r: int) -> str:
     return "".join("1" if (x + i) % m in members else "0" for i in range(r))
 
 
+def ref_windows(m: int, mask: int, r: int) -> list:
+    """Packed words of the windows [x, x+r) of ``mask``, indexed by x, point
+    x at the most significant bit: the m bits of ``mask`` reversed through
+    their binary string, doubled, and cut at each start."""
+    w = int(format(mask, f"0{m}b")[::-1], 2)
+    doubled = w << m | w
+    return [(doubled >> (2 * m - r - x)) & ((1 << r) - 1) for x in range(m)]
+
+
+def ref_max_starts(m: int, mask: int, r: int) -> int:
+    """Mask of the starts of the greatest words in ``ref_windows``."""
+    words = ref_windows(m, mask, r)
+    top = max(words)
+    return sum(1 << x for x, w in enumerate(words) if w == top)
+
+
 def ref_maximal_points(members, m: int) -> list:
     """All starts whose full rotation string is maximal (string comparison)."""
     words = {x: word_string(members, m, x, m) for x in range(m)}

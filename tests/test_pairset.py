@@ -11,7 +11,8 @@ from avoidance.pairset import (
 )
 
 from oracles import (brute_key_params, ref_earliest_latest_count, ref_fill, ref_free_points,
-                     ref_is_r_maximal, ref_maximal_points, word_string)
+                     ref_is_r_maximal, ref_max_starts, ref_maximal_points, ref_windows,
+                     word_string)
 
 
 def test_superset_word_compares_geq():
@@ -19,7 +20,7 @@ def test_superset_word_compares_geq():
     m = 8
     for a in partial_masks(m):
         bigger = a | ps._free_mask(m, a)
-        small, big = ps._windows(m, a, 4), ps._windows(m, bigger, 4)
+        small, big = ref_windows(m, a, 4), ref_windows(m, bigger, 4)
         for x in (0, 3):
             assert small[x] <= big[x]
 
@@ -30,7 +31,7 @@ def test_opposite_shift_property_full_sets():
     m = 8
     for a in extension_masks(m, 0):
         comp = ((1 << m) - 1) ^ a
-        words, comp_words = ps._windows(m, a, m), ps._windows(m, comp, m)
+        words, comp_words = ref_windows(m, a, m), ref_windows(m, comp, m)
         for x in range(m):
             assert comp_words[x] == words[(x + m // 2) % m]
             assert comp_words[x] == ((1 << m) - 1) ^ words[x]
@@ -43,6 +44,44 @@ def test_is_r_maximal_matches_oracle():
         for r in (1, 2, 4, 8):
             assert ps._r_maximal_points(m, a, r) == [
                 x for x in range(m) if ref_is_r_maximal(set_of(a), m, x, r)]
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_max_starts_matches_the_word_route_on_every_mask(m):
+    rs = range(1, m + 1) if m <= 8 else (4, 16)
+    for mask in range(1 << m):
+        for r in rs:
+            assert ps._max_starts(m, mask, r) == ref_max_starts(m, mask, r), (mask, r)
+
+
+@pytest.mark.parametrize("m", [32, 64, 128])
+def test_max_starts_matches_the_word_route_on_seeded_masks(m):
+    # dense masks leave one candidate within a few offsets; sparse ones
+    # (three draws AND-ed) narrow deep into the window
+    rng = random.Random(m)
+    for i in range(300):
+        mask = rng.getrandbits(m)
+        if i % 2:
+            mask &= rng.getrandbits(m) & rng.getrandbits(m)
+        for r in (1, 2, m // 4, m // 2 + 1, m):
+            assert ps._max_starts(m, mask, r) == ref_max_starts(m, mask, r), (hex(mask), r)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+def test_max_starts_ties_on_mask_0_and_periodic_masks(m):
+    full = (1 << m) - 1
+    assert all(ps._max_starts(m, 0, r) == full for r in range(1, m + 1))
+    rng = random.Random(m)
+    p = 1
+    while p < m:
+        # a mask of period p: the greatest rotations come in classes mod p
+        for unit in rng.sample(range(1, 1 << p), min(40, (1 << p) - 1)):
+            mask = sum(unit << k * p for k in range(m // p))
+            got = ps._max_starts(m, mask, m)
+            assert got == ref_max_starts(m, mask, m), hex(mask)
+            assert got == ((got >> p) | (got << (m - p))) & full and got.bit_count() >= m // p
+            assert not ps._max_point_info(m, mask)[1]
+        p *= 2
 
 
 def test_r_maximal_downward():
@@ -280,7 +319,7 @@ def test_opposite_flip_full_sets():
     m = 8
     for a in extension_masks(m, 0):
         for r in (1, 2, 3, 4, 8):
-            words = ps._windows(m, a, r)
+            words = ref_windows(m, a, r)
             top, low = max(words), min(words)
             for x in range(m):
                 assert (words[x] == top) == (words[(x + m // 2) % m] == low)
@@ -308,17 +347,6 @@ def test_earliest_latest_checks_what_the_double_loop_counts(m, checked):
     assert run_suite("earliest-latest", m).checked == ref_earliest_latest_count(m) == checked
 
 
-@pytest.mark.parametrize("m", [4, 8, 16])
-def test_base_word_reverses_the_bits(m):
-    def loop(mask):
-        w = 0
-        for i in range(m):
-            w = (w << 1) | ((mask >> i) & 1)
-        return w
-
-    assert all(ps._base_word(m, mask) == loop(mask) for mask in range(1 << m))
-
-
 def test_run_suite_rejects_unknown():
     with pytest.raises(ps.PairSetError):
         run_suite("no-such-suite", 8)
@@ -329,7 +357,7 @@ def test_run_suite_rejects_unknown():
        st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=8))
 def test_lex_order_matches_string_order(a, x, y, r):
     # packed window words compare as their indicator strings
-    words, members = ps._windows(8, a, r), set_of(a)
+    words, members = ref_windows(8, a, r), set_of(a)
     u, v = word_string(members, 8, x, r), word_string(members, 8, y, r)
     assert (words[x] < words[y]) == (u < v)
     assert (words[x] == words[y]) == (u == v)

@@ -244,6 +244,23 @@ def test_even_strategy_places_the_r_bin_window_from_later_bins_t():
     assert (x, state[4]) == (m, 0)
 
 
+@pytest.mark.parametrize("a", [3, 4], ids=["m8", "m16"])
+def test_bin_closed_without_our_claim_moves_the_guess_by_key_params_t(a):
+    # no exhaustive or seeded verify at m >= 8 closes a bin we never
+    # claimed in after the guess is set, so build that state: bin 1 is
+    # current and full, holding a full pair set of ours, the guess is set
+    # and no t was taken (t_cur None)
+    s = S.even_general_strategy(a, 3)
+    m, half = s.m, s.m // 2
+    for choice in range(1 << half):
+        mine = choice << half | ((1 << half) - 1) & ~choice
+        own, adv = mine << m, (mine ^ s.binmask) << m
+        u, t = pairset.maximal_point(m, mine), pairset.key_params(m, mine).t
+        for guess in range(half):
+            got = s._close_finished_bins(own, own | adv, 1, 5, 0, guess, None)
+            assert got == (2, None, (guess + u - t) % m, None), (bin(mine), guess)
+
+
 @pytest.mark.parametrize("strat,m", [(S.pairs_strategy(5), 2), (S.even_general_strategy(3, 3), 8)],
                          ids=["pairs", "even-general"])
 def test_direct_mode_matches_the_point_scan(strat, m):
@@ -427,7 +444,8 @@ def test_step_is_a_pure_transition(name):
         a = b = 0
         while a | b != full:
             if (a.bit_count() == b.bit_count()) == owner_one:
-                args = (state, a, b, q)
+                own, adv = (a, b) if owner_one else (b, a)
+                args = (state, own, adv, q)
                 x, after = got = s.step(*args)
                 assert s.step(*args) == got == twin.step(*args)
                 assert seen.setdefault(args, got) == got
