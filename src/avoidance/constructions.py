@@ -365,17 +365,17 @@ def disjoint_copies(g: Game, c: int) -> Game:
                       "base": g, "indexing": "(copy i, base point v) -> i*n_base + v"})
 
 
-def _superset_size(n: int, r: int) -> int:
+def _superset_size(n: int, r: int, max_line: int) -> int:
     _require(r <= n, f"r={r} is larger than the base board of {n} points")
+    _require(r >= max_line, f"r={r} smaller than a line of the base game")
     return n
 
 
 def superset_lines(g: Game, r: int) -> Game:
     """Same board as ``g``; lines are the r-sets containing a line of ``g``."""
-    n = _superset_size(g.n, r)
     max_line = (max(m.bit_count() for m in g.lines.masks)
                 if isinstance(g.lines, ExplicitLines) else g.lines.min_line_size)
-    _require(r >= max_line, f"r={r} smaller than a line of the base game")
+    n = _superset_size(g.n, r, max_line)
 
     def contains(mask: int) -> bool:
         return mask.bit_count() >= r and g.lines.contains_mask(mask)
@@ -607,31 +607,38 @@ def matching_game(k: int) -> Game:
 
 # "size" checks a spec's parameters and work budget as the factory does
 # first, and gives its board size without building it (a base taken as its
-# size). The copies and product_torus factories also budget the lines of
-# the games they are built from, which only building can count.
+# size and longest line). "line" gives the longest line of a spec that
+# "size" has passed (a base taken as its longest line). The copies and
+# product_torus factories also budget the lines of the games they are
+# built from, which only building can count.
 CATALOG = {
     "odd_composite": {"factory": odd_composite, "params": ["p", "q"],
-                      "ranges": "p, q odd >= 3", "size": _odd_composite_size},
+                      "ranges": "p, q odd >= 3", "size": _odd_composite_size,
+                      "line": lambda p, q: (p + 1) * (q + 1) // 4},
     "pairs": {"factory": pairs_game, "params": ["b"], "ranges": "b odd >= 3",
-              "size": _pairs_size},
+              "size": _pairs_size, "line": lambda b: b},
     "even_general": {"factory": even_general, "params": ["a", "b"],
-                     "ranges": "a >= 2, b odd > 1", "size": _even_general_size},
+                     "ranges": "a >= 2, b odd > 1", "size": _even_general_size,
+                     "line": lambda a, b: b << a - 1},
     "torus": {"factory": torus, "params": ["q", "d"],
-              "ranges": "q >= 2, d >= 1, q^(2d+1) * d <= 2^21", "size": _torus_size},
+              "ranges": "q >= 2, d >= 1, q^(2d+1) * d <= 2^21", "size": _torus_size,
+              "line": lambda q, d: q},
     "product_torus": {"factory": product_torus, "params": ["d"], "ranges": "d >= 1",
-                      "size": _product_torus_size},
+                      "size": _product_torus_size, "line": lambda d: 3},
     "affine": {"factory": affine_game, "params": ["n"], "ranges": "n in {11, 13}",
-               "size": _affine_default_size},
+               "size": _affine_default_size, "line": lambda n: (n - 1) // 2},
     "cycle": {"factory": cycle_game, "params": ["n"], "ranges": "n >= 3",
-              "size": _cycle_size},
+              "size": _cycle_size, "line": lambda n: 2},
     "complete": {"factory": complete_graph_game, "params": ["n"], "ranges": "n >= 3",
-                 "size": _complete_size},
+                 "size": _complete_size, "line": lambda n: 2},
     "matching": {"factory": matching_game, "params": ["k"], "ranges": "k >= 2",
-                 "size": _matching_size},
+                 "size": _matching_size, "line": lambda k: 2},
     "copies": {"factory": disjoint_copies, "params": ["base", "c"], "ranges": "c odd >= 1",
-               "size": _copies_size},
+               "size": lambda base, c: _copies_size(base[0], c), "line": lambda line, c: line},
     "superset": {"factory": superset_lines, "params": ["base", "r"],
-                 "ranges": "r >= max base line size", "size": _superset_size},
+                 "ranges": "r >= max base line size",
+                 "size": lambda base, r: _superset_size(base[0], r, base[1]),
+                 "line": lambda line, r: r},
 }
 
 
@@ -689,9 +696,11 @@ def _int_token(token: str):
 
 
 def _catalog_game(head: str, args: list, role: str = "factory", **options):
-    """``CATALOG[head][role]`` (the factory, or the size check) on ``args``,
-    after checking their count and kinds: a base is a game spec string,
-    taken in the same role, and every other argument an int."""
+    """``CATALOG[head][role]`` (the factory, the size check or the longest
+    line) on ``args``, after checking their count and kinds: a base is a
+    game spec string, taken in the same role (for "size", with its longest
+    line too), and every other argument an int. A game built on a base
+    passes the size checks of the whole spec before anything is built."""
     entry = CATALOG.get(head)
     if entry is None:
         raise GameError(f"unknown construction {head!r}")
@@ -699,10 +708,13 @@ def _catalog_game(head: str, args: list, role: str = "factory", **options):
     if len(args) != len(params):
         raise GameError(f"{head} takes {len(params)} argument(s) ({', '.join(params)}), "
                         f"got {len(args)}")
+    if role == "factory" and "base" in params:
+        _catalog_game(head, args, "size", **options)
     values: list = []
     for name, arg in zip(params, args):
         if name == "base" and isinstance(arg, str) and "(" in arg:
-            values.append(_from_spec(arg, role))
+            base = _from_spec(arg, role)
+            values.append((base, _from_spec(arg, "line")) if role == "size" else base)
         elif name != "base" and type(arg) is int:
             values.append(arg)
         else:

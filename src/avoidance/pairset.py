@@ -26,8 +26,9 @@ construction is cross-checked exhaustively by ``verify_key_lemma``.
 A full pair set F is named by its choice bits ``(F >> m/2) & (2^(m/2) - 1)``,
 so Z_m has 2^(m/2) of them; ``_full_maxima(m)`` keeps their maximal points,
 and a completion of a partial pair set (its fixed choice bits OR-ed with a
-submask of its free-pair bits) costs one lookup. ``verify-lemma all --m 16``
-reads 256 entries of it and fills 12864 masks of the kernel cache.
+submask of its free-pair bits) costs one lookup. That table is the module's
+one cache; ``verify-lemma all --m 16`` reads 256 entries of it. Sets of
+maximal points are handed around as point masks, like every other point set.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ class MaximalityTieError(PairSetError):
     """Two rotations compared equal where a unique maximum was required."""
 
 
-# The kernel cache holds one entry per distinct mask; ``verify-lemma all
-# --m 16`` fills 12864 of it (and 256 entries of the full-pair-set table),
-# which the bound keeps.
+# The full-pair-set table is emptied when it reaches this many entries:
+# ``verify-lemma all --m 16`` reads 256, a bin of m = 64 has 2^32.
 _CACHE_SIZE = 1 << 14
 
 
@@ -73,17 +73,23 @@ def _max_starts(m: int, mask: int, r: int) -> int:
     return cand
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _max_point_info(m: int, mask: int) -> tuple[int, bool]:
-    """(first maximal rotation start, whether it is unique)."""
+def maximal_point(m: int, mask: int) -> int:
+    """The unique m-maximal point of ``mask``.
+
+    Unique for every nonempty pair set (and for a pair set with its free
+    points added); a tie on other inputs raises MaximalityTieError.
+    """
     c = _max_starts(m, mask, m)
-    return (c & -c).bit_length() - 1, not c & (c - 1)
+    if c & (c - 1):
+        raise MaximalityTieError(
+            f"maximal rotation of {sorted(iter_bits(mask))} in Z_{m} is not unique")
+    return c.bit_length() - 1
 
 
 class _FullMaxima(dict):
     """The maximal point of each full pair set of Z_m by its choice bits (bit
     p set: it holds p + m/2, not p), made on first lookup through
-    ``_max_point_info``, so a tie raises MaximalityTieError. On demand, as
+    ``maximal_point``, so a tie raises MaximalityTieError. On demand, as
     the strategies steer bins of m = 64 and more, whose 2^(m/2) full pair
     sets no table could hold; emptied when it reaches the cache bound."""
 
@@ -93,11 +99,7 @@ class _FullMaxima(dict):
 
     def __missing__(self, choice: int) -> int:
         half = self.m // 2
-        full = choice << half | ((1 << half) - 1) & ~choice
-        x, unique = _max_point_info(self.m, full)
-        if not unique:
-            raise MaximalityTieError(
-                f"full pair set {sorted(iter_bits(full))} of Z_{self.m} has no unique maximum")
+        x = maximal_point(self.m, choice << half | ((1 << half) - 1) & ~choice)
         if len(self) >= _CACHE_SIZE:
             self.clear()
         self[choice] = x
@@ -128,39 +130,21 @@ def _full_pair_sets(m: int) -> Iterator[tuple[int, int]]:
         yield choice << half | low & ~choice, table[choice]
 
 
-def _completion_maxima(m: int, mask: int) -> Iterator[int]:
-    """The maximal point of each full pair set containing the pair set
-    ``mask``. A completion's choice bits are the fixed choice bits of
-    ``mask`` OR-ed with a submask of its free-pair bits."""
+def _completion_maxima(m: int, mask: int) -> int:
+    """The maximal points of the full pair sets containing the pair set
+    ``mask``, as a mask. A completion's choice bits are the fixed choice
+    bits of ``mask`` OR-ed with a submask of its free-pair bits."""
     table = _full_maxima(m)
     half = m // 2
     low = (1 << half) - 1
     fixed = (mask >> half) & low
     free = low & ~(mask | mask >> half)
-    sub = free
+    maxima, sub = 0, free
     while True:
-        yield table[fixed | sub]
+        maxima |= 1 << table[fixed | sub]
         if not sub:
-            return
+            return maxima
         sub = (sub - 1) & free
-
-
-def maximal_point(m: int, mask: int) -> int:
-    """The unique m-maximal point of ``mask``.
-
-    Unique for every nonempty pair set (and for a pair set with its free
-    points added); a tie on other inputs raises MaximalityTieError.
-    """
-    x, unique = _max_point_info(m, mask)
-    if not unique:
-        raise MaximalityTieError(
-            f"maximal rotation of {sorted(iter_bits(mask))} in Z_{m} is not unique")
-    return x
-
-
-def _r_maximal_points(m: int, mask: int, r: int) -> list[int]:
-    """Every x whose window [x, x+r) is a greatest length-r window of ``mask``."""
-    return list(iter_bits(_max_starts(m, mask, r)))
 
 
 def _interval_mask(m: int, x: int, r: int) -> int:
@@ -260,16 +244,18 @@ def key_params(m: int, mask: int) -> KeyParams:
 
 
 def key_params_hold(m: int, mask: int, p: KeyParams) -> bool:
-    """Brute-force check of both window guarantees over all completions."""
+    """Brute-force check of both window guarantees over all completions: a
+    window [lo, lo + width) holds no point when width < 1 and all of them
+    when width >= m."""
     mp = m // 4
     checks = (
         (p.z1, (p.t - p.s) % m, p.s + 1),
         (p.z2, p.t, 2 * mp - p.s),
     )
     for z, lo, width in checks:
-        for mx in _completion_maxima(m, _fill_mask(m, mask, _interval_mask(m, z, mp))):
-            if (mx - lo) % m >= width:
-                return False
+        maxima = _completion_maxima(m, _fill_mask(m, mask, _interval_mask(m, z, mp)))
+        if width < 1 or maxima & ~_interval_mask(m, lo, min(width, m)):
+            return False
     return True
 
 
@@ -304,8 +290,8 @@ def verify_unique_max(m: int) -> SuiteReport:
     checked, failures = 0, []
     for mask in partial_masks(m):
         checked += 1
-        _, unique = _max_point_info(m, mask)
-        if not unique:
+        c = _max_starts(m, mask, m)
+        if c & (c - 1):
             failures.append(sorted(iter_bits(mask)))
     return SuiteReport("unique-max", m, checked, failures, {})
 
@@ -330,7 +316,7 @@ def verify_not_top(m: int) -> SuiteReport:
     """Full pair set, x m/4-maximal: the maximal point lies in (x - m/2, x]."""
     checked, failures = 0, []
     for mask, mx in _full_pair_sets(m):
-        for x in _r_maximal_points(m, mask, m // 4):
+        for x in iter_bits(_max_starts(m, mask, m // 4)):
             checked += 1
             if (x - mx) % m >= m // 2:
                 failures.append((sorted(iter_bits(mask)), x))
@@ -341,11 +327,11 @@ def verify_least_max(m: int) -> SuiteReport:
     """With 0 m/4-maximal, the maximum is the first m/4-maximal point in (m/2, m]."""
     checked, failures = 0, []
     for mask, mx in _full_pair_sets(m):
-        top = _r_maximal_points(m, mask, m // 4)
-        if top[0] != 0:
+        top = _max_starts(m, mask, m // 4)
+        if not top & 1:
             continue
         checked += 1
-        first = next((x for x in top if x > m // 2), 0)
+        first = next((x for x in iter_bits(top) if x > m // 2), 0)
         if mx != first:
             failures.append((sorted(iter_bits(mask)), first))
     return SuiteReport("least-max", m, checked, failures, {})
@@ -372,7 +358,8 @@ def verify_earliest_latest(m: int) -> SuiteReport:
     checked, failures = 0, []
     for mask in partial_masks(m):
         free = _free_mask(m, mask)
-        maximal_in_amax = _r_maximal_points(m, mask | free, mp)
+        top = _max_starts(m, mask | free, mp)  # the m/4-maximal points of A_max
+        maximal_in_amax = list(iter_bits(top))
         # an x admits the y from x up to its first free point at or after
         # x, or every y when nothing is free; visit the union of these runs
         ys = 0
@@ -390,10 +377,9 @@ def verify_earliest_latest(m: int) -> SuiteReport:
                 checked += 1
                 maxima = ext_maxima.get(upper)
                 if maxima is None:
-                    maxima = ext_maxima[upper] = sum(
-                        {1 << mx for mx in _completion_maxima(m, upper)})
+                    maxima = ext_maxima[upper] = _completion_maxima(m, upper)
                 ok_a = (x - xp) % m < m // 2
-                ok_b = xp in maximal_in_amax
+                ok_b = bool(top >> xp & 1)
                 dv = (xp - (y - mp)) % m
                 in_yx = 0 < dv <= (x - (y - mp)) % m
                 ok_c = in_yx or not free & interval[xp][(y - mp - xp) % m]

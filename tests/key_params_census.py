@@ -20,14 +20,16 @@ Run from the repository root:
 
     python tests/key_params_census.py
 
-It prints the count of each exit and its first masks, and exits 1 when a
-guarantee fails or a count differs from the pinned census.
+It prints the count of each exit and its first masks, then its wall time
+on the last line, and exits 1 when a guarantee fails or a count differs
+from the pinned census.
 """
 
 from __future__ import annotations
 
 import sys
 import multiprocessing
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -91,6 +93,7 @@ def chunks(m: int):
 
 
 def main() -> int:
+    start = time.perf_counter()
     counts = dict.fromkeys(EXPECTED, 0)
     examples: dict = {}
     broken = []
@@ -112,8 +115,8 @@ def main() -> int:
               + " ".join(hex(x) for x in broken[:10]))
     if counts != EXPECTED:
         print(f"counts differ from the census: {EXPECTED}")
-        return 1
-    return 1 if broken else 0
+    print(f"wall time {time.perf_counter() - start:.1f} s")
+    return 1 if broken or counts != EXPECTED else 0
 
 
 if __name__ == "__main__":

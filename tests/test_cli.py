@@ -330,6 +330,24 @@ def test_superset_above_its_board_size_is_refused_before_building(capsys, monkey
     assert err == "error: r=7 is larger than the base board of 6 points\n"
 
 
+@pytest.mark.parametrize("argv", [["check-transitive", "--game", "superset(pairs(15),2)"],
+                                  ["solve", "--game", "superset(pairs(15),2)"],
+                                  ["gen", "superset", "--base", "pairs(15)", "--r", "2"]])
+def test_superset_below_its_longest_base_line_is_refused_before_building(
+        capsys, monkeypatch, argv):
+    # the base pairs(15) has 876544 lines of 15 points; building them took
+    # about 1.4 s before the refusal
+    def unbuildable(self, *args):
+        raise AssertionError("a line store was built")
+
+    monkeypatch.setattr(ExplicitLines, "__init__", unbuildable)
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert rc == 2 and out == ""
+    assert err == "error: r=2 smaller than a line of the base game\n"
+
+
 def test_verify_lemma_all(capsys):
     rc, out, _ = run_cli(capsys, "verify-lemma", "all", "--m", "4")
     assert rc == 0

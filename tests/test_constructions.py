@@ -571,6 +571,19 @@ def test_superset_scan_is_charged_against_the_work_budget():
     assert C.game_from_json(doc).lines.masks == (0b11,)
 
 
+def test_an_undersized_implicit_superset_document_is_refused_before_building(monkeypatch):
+    # the catalog route of a game document checks the whole spec first too
+    def unbuildable(self, *args):
+        raise AssertionError("a line store was built")
+
+    monkeypatch.setattr(ExplicitLines, "__init__", unbuildable)
+    doc = {"n": 30, "name": "s", "generators": [],
+           "lines": {"implicit": {"construction": "superset",
+                                  "params": {"base": "pairs(15)", "r": 2}}}}
+    with pytest.raises(GameError, match="r=2 smaller than a line of the base game"):
+        C.game_from_json(doc)
+
+
 @pytest.mark.parametrize("k,r", [(40, 38), (100, 98)])
 def test_superset_of_a_dense_base_draws_each_r_set_at_most_once(monkeypatch, k, r):
     # filling each of complete(100)'s 4950 edges up to 98 points would draw
@@ -660,9 +673,18 @@ def test_game_spec_parser_errors():
                                   "torus(3,2)", "affine(13)", "cycle(5)", "complete(4)",
                                   "matching(3)", "superset(pairs(5),6)",
                                   "superset(odd_composite(3,3),5)", "copies(pairs(3),3)",
-                                  "product_torus(1)", "superset(copies(pairs(3),3),5)"])
+                                  "product_torus(1)", "superset(copies(pairs(3),3),5)",
+                                  "torus(4,2)", "copies(superset(pairs(3),4),3)",
+                                  "superset(pairs(3),4)", "superset(pairs(9),12)",
+                                  "superset(odd_composite(3,3),4)"])
 def test_spec_size_is_the_size_of_the_built_board(spec):
-    assert C.spec_size(spec) == C.parse_game_spec(spec).n
+    # and the longest line, which the superset guard reads before the base
+    # is built; every superset spec of Tier-1 that builds is here
+    g = C.parse_game_spec(spec)
+    assert C.spec_size(spec) == g.n
+    longest = (max(m.bit_count() for m in g.lines.masks)
+               if isinstance(g.lines, ExplicitLines) else g.lines.min_line_size)
+    assert C._from_spec(spec, "line") == longest
 
 
 @pytest.mark.parametrize("spec", ["nope(3)", "pairs(3", "pairs(4)", "pairs(x)", "torus(1,2)",
@@ -671,6 +693,7 @@ def test_spec_size_is_the_size_of_the_built_board(spec):
                                   "affine(5)", "affine(7)", "cycle(2)", "matching(1)",
                                   "complete(3000)", "odd_composite(3,4)",
                                   "superset(pairs(4),6)", "superset(pairs(3),7)",
+                                  "superset(pairs(3),2)",
                                   "copies(pairs(3),3,1)", "copies(pairs(3),2)",
                                   "product_torus(0)", "product_torus(9)"])
 def test_spec_size_refuses_what_the_factories_refuse_first(spec):
@@ -709,8 +732,8 @@ def _junk_specs(draw):
 @settings(max_examples=300, deadline=None)
 @given(_junk_specs())
 def test_spec_parser_raises_only_game_errors_and_sizes_what_it_builds(spec):
-    # sizing need not imply building: superset(pairs(3),2) sizes to 6, but
-    # its base's lines are longer than 2
+    # sizing need not imply building: copies(even_general(2,3),3) sizes to
+    # 36, but its base's lines are implicit
     try:
         n = C.spec_size(spec)
     except GameError:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidance import pairset as ps
-from avoidance.core import mask_of, set_of
+from avoidance.core import iter_bits, mask_of, set_of
 from avoidance.pairset import (
     KeyParams, MaximalityTieError, extension_masks, key_params, key_params_hold,
     maximal_point, partial_masks, run_suite,
@@ -15,35 +15,28 @@ from oracles import (brute_key_params, ref_earliest_latest_count, ref_fill, ref_
                      word_string)
 
 
-def test_superset_word_compares_geq():
-    # on a fixed interval, a superset's word never loses
-    m = 8
-    for a in partial_masks(m):
-        bigger = a | ps._free_mask(m, a)
-        small, big = ref_windows(m, a, 4), ref_windows(m, bigger, 4)
-        for x in (0, 3):
-            assert small[x] <= big[x]
+def _rotate(m: int, mask: int, k: int) -> int:
+    """``mask`` with bit x moved to bit x - k mod m."""
+    return (mask >> k | mask << (m - k)) & ((1 << m) - 1)
 
 
 def test_opposite_shift_property_full_sets():
-    # complement of a full pair set = the set shifted by m/2, so its word
-    # at x is the bitwise NOT of the original's word at x
+    # the complement of a full pair set is the set shifted by m/2, so its
+    # greatest windows start m/2 away from the set's own
     m = 8
+    ring = (1 << m) - 1
     for a in extension_masks(m, 0):
-        comp = ((1 << m) - 1) ^ a
-        words, comp_words = ref_windows(m, a, m), ref_windows(m, comp, m)
-        for x in range(m):
-            assert comp_words[x] == words[(x + m // 2) % m]
-            assert comp_words[x] == ((1 << m) - 1) ^ words[x]
-            assert comp_words[x] == int(word_string(set_of(comp), m, x, m), 2)
+        assert ring ^ a == _rotate(m, a, m // 2)
+        for r in range(1, m + 1):
+            assert ps._max_starts(m, ring ^ a, r) == _rotate(m, ps._max_starts(m, a, r), m // 2)
 
 
 def test_is_r_maximal_matches_oracle():
     m = 8
     for a in partial_masks(m):
         for r in (1, 2, 4, 8):
-            assert ps._r_maximal_points(m, a, r) == [
-                x for x in range(m) if ref_is_r_maximal(set_of(a), m, x, r)]
+            assert ps._max_starts(m, a, r) == mask_of(
+                x for x in range(m) if ref_is_r_maximal(set_of(a), m, x, r))
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16])
@@ -80,7 +73,8 @@ def test_max_starts_ties_on_mask_0_and_periodic_masks(m):
             got = ps._max_starts(m, mask, m)
             assert got == ref_max_starts(m, mask, m), hex(mask)
             assert got == ((got >> p) | (got << (m - p))) & full and got.bit_count() >= m // p
-            assert not ps._max_point_info(m, mask)[1]
+            with pytest.raises(MaximalityTieError):
+                maximal_point(m, mask)
         p *= 2
 
 
@@ -88,20 +82,20 @@ def test_r_maximal_downward():
     # an r-maximal point is r'-maximal for every r' <= r
     m = 8
     for a in partial_masks(m):
-        for x in ps._r_maximal_points(m, a, m):
-            assert all(x in ps._r_maximal_points(m, a, r) for r in range(1, m))
+        top = ps._max_starts(m, a, m)
+        assert all(top & ~ps._max_starts(m, a, r) == 0 for r in range(1, m))
 
 
 def test_composition_of_maximal_windows():
     # x r-maximal and x+r r'-maximal imply x (r+r')-maximal, any subset
     m = 8
     for a in range(1, 1 << m):
-        tops = {r: set(ps._r_maximal_points(m, a, r)) for r in range(1, m + 1)}
+        tops = {r: ps._max_starts(m, a, r) for r in range(1, m + 1)}
         for r in range(1, m):
-            for x in tops[r]:
+            for x in iter_bits(tops[r]):
                 for rp in range(1, m - r + 1):
-                    if (x + r) % m in tops[rp]:
-                        assert x in tops[r + rp]
+                    if tops[rp] >> (x + r) % m & 1:
+                        assert tops[r + rp] >> x & 1
 
 
 def test_maximal_point_examples():
@@ -165,23 +159,26 @@ def test_mask_fills_and_window_maxima_match_the_set_versions():
         amax = members | ref_free_points(members, m)
         amax_mask = mask_of(amax)
         assert amax_mask == a | ps._free_mask(m, a)
-        assert ps._r_maximal_points(m, amax_mask, mp) == \
-            [x for x in range(m) if ref_is_r_maximal(amax, m, x, mp)]
+        assert ps._max_starts(m, amax_mask, mp) == \
+            mask_of(x for x in range(m) if ref_is_r_maximal(amax, m, x, mp))
 
 
 def test_earliest_latest_keeps_the_tie_check(monkeypatch):
-    monkeypatch.setattr(ps, "_max_point_info", lambda m, mask: (0, False))
+    ps.verify_earliest_latest(4)  # a table filled before the patch is emptied
+    monkeypatch.setattr(ps, "_max_starts", lambda m, mask, r: (1 << m) - 1)
     with pytest.raises(MaximalityTieError):
         ps.verify_earliest_latest(4)
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
 def test_table_completion_maxima_match_the_extension_route(m):
-    # one table lookup per completion, against _max_point_info on each
-    # mask extension_masks builds
+    # one table lookup per completion, against maximal_point on each mask
+    # extension_masks builds
     for a in (0, *partial_masks(m)):
-        assert sorted(ps._completion_maxima(m, a)) == sorted(
-            ps._max_point_info(m, e)[0] for e in extension_masks(m, a))
+        want = 0
+        for e in extension_masks(m, a):
+            want |= 1 << maximal_point(m, e)
+        assert ps._completion_maxima(m, a) == want
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
@@ -196,16 +193,16 @@ def test_half_interval_fills_are_full_pair_sets(m):
 
 
 def _tie_on_full_pair_sets(monkeypatch):
-    """Make _max_point_info report a tie on every full pair set only, so
-    the tie can reach a suite through the table alone."""
-    real = ps._max_point_info
+    """Make _max_starts report a tie of the whole ring on every full pair
+    set only, so the tie can reach a suite through the table alone."""
+    real = ps._max_starts
 
-    def info(m, mask):
+    def starts(m, mask, r):
         if mask.bit_count() == m // 2 and not ps._free_mask(m, mask):
-            return 0, False
-        return real(m, mask)
+            return (1 << m) - 1
+        return real(m, mask, r)
 
-    monkeypatch.setattr(ps, "_max_point_info", info)
+    monkeypatch.setattr(ps, "_max_starts", starts)
 
 
 def test_key_lemma_keeps_the_tie_check_of_the_table(monkeypatch):
@@ -265,11 +262,6 @@ def test_key_params_exits_at_x2_and_x1_at_m_32(mask, k):
     assert key_params_hold(m, mask, kp)
 
 
-def test_kernel_caches_are_bounded():
-    # ``verify-lemma all --m 16`` fills 12864 entries; all must fit
-    assert 12864 < ps._max_point_info.cache_info().maxsize < float("inf")
-
-
 def test_key_params_spec_case():
     kp = key_params(4, 0b0001)
     assert key_params_hold(4, 0b0001, kp)
@@ -299,6 +291,30 @@ def test_verify_key_params_degenerate_s():
     # s = m makes the first window the whole circle: vacuously fine;
     # the second window has negative width and must fail
     assert not key_params_hold(8, 0b0011, KeyParams(8, 0, 0, 0))
+    assert not key_params_hold(8, 0b0011, KeyParams(9, 0, 0, 0))  # first wider than m
+    # s = m/2 leaves the second window [t, t) empty, though the first,
+    # [t - m/2, t], holds the one maximum of a full pair set pinned at t
+    a = mask_of([1, 2, 4, 7])
+    u = maximal_point(8, a)
+    assert key_params_hold(8, a, KeyParams(3, u, u, u))
+    assert not key_params_hold(8, a, KeyParams(4, u, u, u))
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_key_params_hold_matches_the_windows_point_by_point(m):
+    # every s from 0 to m + 1 (a first window of width 1 to m + 2) and every
+    # t, against the maxima of the completions tested one at a time
+    mp = m // 4
+    for a in partial_masks(m):
+        kp = key_params(m, a)
+        fills = [ps._fill_mask(m, a, ps._interval_mask(m, z, mp)) for z in (kp.z1, kp.z2)]
+        maxima = [[maximal_point(m, e) for e in extension_masks(m, f)] for f in fills]
+        for s in range(m + 2):
+            for t in range(m):
+                windows = (((t - s) % m, s + 1), (t, 2 * mp - s))
+                want = all((x - lo) % m < width
+                           for (lo, width), xs in zip(windows, maxima) for x in xs)
+                assert key_params_hold(m, a, KeyParams(s, t, kp.z1, kp.z2)) == want, (a, s, t)
 
 
 def test_verify_key_params_rejects_corrupted_t():
@@ -315,14 +331,17 @@ def test_verify_key_params_rejects_corrupted_t():
 
 
 def test_opposite_flip_full_sets():
-    # x r-maximal iff x + m/2 r-minimal, for full pair sets
+    # x r-maximal iff x + m/2 r-minimal, for full pair sets; not-min reads
+    # the least windows of any mask as the greatest of its complement
     m = 8
-    for a in extension_masks(m, 0):
+    ring = (1 << m) - 1
+    for a in range(1 << m):
         for r in (1, 2, 3, 4, 8):
             words = ref_windows(m, a, r)
-            top, low = max(words), min(words)
-            for x in range(m):
-                assert (words[x] == top) == (words[(x + m // 2) % m] == low)
+            least = mask_of(x for x in range(m) if words[x] == min(words))
+            assert ps._max_starts(m, ring ^ a, r) == least
+            if a.bit_count() == m // 2 and not ps._free_mask(m, a):
+                assert _rotate(m, least, m // 2) == ps._max_starts(m, a, r)
 
 
 SUITE_CHECKED = {
@@ -356,11 +375,24 @@ def test_run_suite_rejects_unknown():
 @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=7),
        st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=8))
 def test_lex_order_matches_string_order(a, x, y, r):
-    # packed window words compare as their indicator strings
-    words, members = ref_windows(8, a, r), set_of(a)
-    u, v = word_string(members, 8, x, r), word_string(members, 8, y, r)
-    assert (words[x] < words[y]) == (u < v)
-    assert (words[x] == words[y]) == (u == v)
+    # the greatest windows are those with the greatest indicator strings
+    members = set_of(a)
+    strings = [word_string(members, 8, z, r) for z in range(8)]
+    top = ps._max_starts(8, a, r)
+    for z in (x, y):
+        assert top >> z & 1 == (strings[z] == max(strings))
+
+
+# A check of the reference itself: the word route in tests/oracles.py.
+
+def test_superset_word_compares_geq():
+    # on a fixed interval, a superset's word never loses
+    m = 8
+    for a in partial_masks(m):
+        bigger = a | ps._free_mask(m, a)
+        small, big = ref_windows(m, a, 4), ref_windows(m, bigger, 4)
+        for x in (0, 3):
+            assert small[x] <= big[x]
 
 
 @settings(max_examples=60, deadline=None)
