@@ -212,9 +212,9 @@ def key_params(m: int, mask: int) -> KeyParams:
     Rotate so 0 is the maximal point of the set-with-frees-added, examine
     the maxima x_k of the completions that fill two adjacent quarter
     intervals, and exit at the first window pair [x_k, x_{k+1}],
-    [x_{k+1}, x_{k+2}] of combined length under m/2. The fallback cases
-    (maximum already pinned, or a fully periodic free zone) return zero
-    width. Output is exhaustively validated by ``verify_key_lemma``.
+    [x_{k+1}, x_{k+2}] of combined length under m/2; zero width when the
+    maximum is already pinned, ``PairSetError`` when no pair qualifies.
+    Output is exhaustively validated by ``verify_key_lemma``.
     """
     mp = m // 4
     u_star = maximal_point(m, mask | _free_mask(m, mask))
@@ -238,9 +238,7 @@ def key_params(m: int, mask: int) -> KeyParams:
         x[k] = _lift(max_of(k), x[k + 1] - 2 * mp, m)
         if x[k + 2] - x[k] < 2 * mp:
             return out(x[k + 1] - x[k], x[k + 1] % m, (k + 1) * mp, (k + 2) * mp % m)
-    # remaining case: the two quarters around the maximum are entirely free
-    # and every completion of the first quarter fill keeps its maximum at 0
-    return out(0, 0, 0, 0)
+    raise PairSetError(f"key_params found no window pair for {mask:#x} at m = {m}")
 
 
 def key_params_hold(m: int, mask: int, p: KeyParams) -> bool:

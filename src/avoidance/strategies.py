@@ -131,6 +131,10 @@ class BinMirrorStrategy(Strategy):
     produced by ``key_params``) that keeps the guess there. An adversary
     move into the rule's window of our unmatched point's pair wins
     outright: we double that pair, and the window holds an empty pair.
+    From then on (direct mode) a point is admissible when it is free, not
+    ``forbidden`` and not opposite one of ours; we answer q with its
+    opposite when that is admissible, else with the lowest admissible
+    point.
 
     State: (phase, extra, forbidden, cur_bin, fill_z, r_bin, guess, t_cur);
     ``extra`` is our one unmatched point, ``forbidden`` the point we must
@@ -156,21 +160,17 @@ class BinMirrorStrategy(Strategy):
     def step(self, state, own, adv, q):
         phase, extra, forbidden = state[0], state[1], state[2]
         if phase == DIRECT:
-            # answer q with its opposite if that is free and allowed (q is
-            # the adversary's, so we hold no point of that pair)
-            if q is not None:
-                back = self.opp[q]
-                if not ((own | adv) >> back) & 1 and back != forbidden:
-                    return back, state
-            # else the lowest point that is neither forbidden nor opposite
-            # one we hold (swapping each bin's low and high halves maps a
-            # mask to the mask of opposite points)
+            # the admissible points: free, not forbidden, not opposite one
+            # we hold (swapping each bin's low and high halves maps a mask
+            # to the mask of opposite points)
             low, half = self.low, self.half
-            free = self.full & ~(own | adv | ((own & low) << half) | ((own >> half) & low)
-                                 | (1 << forbidden))
-            if not free:
+            ok = self.full & ~(own | adv | ((own & low) << half) | ((own >> half) & low)
+                               | (1 << forbidden))
+            if q is not None and ok >> self.opp[q] & 1:
+                return self.opp[q], state
+            if not ok:
                 raise StrategyInvariantError("direct mode found no admissible point")
-            return (free & -free).bit_length() - 1, state
+            return (ok & -ok).bit_length() - 1, state
         if q is not None and extra is not None:
             if self.window(extra) >> q & 1:
                 # double our unmatched point's pair; q's opposite is off limits.
@@ -210,72 +210,54 @@ class BinMirrorStrategy(Strategy):
                 total += _ps.key_params(self.m, mine).t
         return total % self.m
 
-    def _close_finished_bins(self, own, taken, cur_bin, fill_z, r_bin, guess, t_cur):
-        """(cur_bin, fill_z, guess, t_cur) after closing every complete bin."""
-        binmask = self.binmask
-        while cur_bin is not None and cur_bin < self.b \
-                and ((taken >> (cur_bin * self.m)) & binmask) == binmask:
-            mine = (own >> (cur_bin * self.m)) & binmask
-            u = _ps.maximal_point(self.m, mine)
-            if guess is not None:
-                # a bin closed without our claim holds a full pair set, whose key_params t is u
-                t = u if t_cur is None else t_cur
-                guess = (guess + u - t) % self.m
-                if guess >= self.half:
-                    raise StrategyInvariantError(
-                        f"guess {guess} left [0, {self.half}) at bin close")
-            elif cur_bin == r_bin:
-                guess = (self._guess_terms(own, r_bin) + u) % self.m
-                if guess >= self.half:
-                    raise StrategyInvariantError(
-                        f"initial guess {guess} outside [0, {self.half})")
-            cur_bin += 1
-            fill_z = None
-            t_cur = None
-        return cur_bin, fill_z, guess, t_cur
-
     def _claim(self, state, own, adv):
         """The move off the mirror: open bins below b', then the endgame fill."""
         phase, _, forbidden, cur_bin, fill_z, r_bin, guess, t_cur = state
-        taken = own | adv
+        taken, m, binmask = own | adv, self.m, self.binmask
         if phase == NORMAL:
             free = self.full & ~taken
             if not free:
                 raise StrategyInvariantError("free choice on a full board")
             point = (free & -free).bit_length() - 1
-            if point // self.m < self.bp:
+            if point // m < self.bp:
                 return point, (phase, point) + state[2:]
             phase = ENDGAME
             cur_bin = self.bp
-            empty_bins = [j for j in range(self.b)
-                          if not (taken >> (j * self.m)) & self.binmask]
+            empty_bins = [j for j in range(self.b) if not (taken >> (j * m)) & binmask]
             if not empty_bins:
                 raise StrategyInvariantError("endgame entered with no empty bin")
             r_bin = max(empty_bins)
-        cur_bin, fill_z, guess, t_cur = self._close_finished_bins(
-            own, taken, cur_bin, fill_z, r_bin, guess, t_cur)
-        if cur_bin is None or cur_bin >= self.b:
+        # close every full bin (past the last bin the shifted board is empty):
+        # closing r_bin sets the guess, and each later close moves it by u - t,
+        # where a bin closed without our claim holds a full pair set, whose t is u
+        while not (free := ~(taken >> (cur_bin * m)) & binmask):
+            u = _ps.maximal_point(m, (own >> (cur_bin * m)) & binmask)
+            if guess is not None:
+                guess = (guess + u - (u if t_cur is None else t_cur)) % m
+            elif cur_bin == r_bin:
+                guess = (self._guess_terms(own, r_bin) + u) % m
+            if guess is not None and guess >= self.half:
+                raise StrategyInvariantError(
+                    f"guess {guess} left [0, {self.half}) at the close of bin {cur_bin}")
+            cur_bin, fill_z, t_cur = cur_bin + 1, None, None
+        if cur_bin >= self.b:
             raise StrategyInvariantError("free choice after all bins closed")
-        j = cur_bin
-        if fill_z is None and j == r_bin:
+        if fill_z is None and cur_bin == r_bin:
             # the least u with c + u in [m/4, m/2) mod m: a bin maximum in
             # the window [u-m/4, u] then lands the guess inside [0, m/2)
             c, quarter = self._guess_terms(own, r_bin), self.half // 2
-            fill_z = 0 if quarter <= c < self.half else (quarter - c) % self.m
+            fill_z = 0 if quarter <= c < self.half else (quarter - c) % m
         elif fill_z is None and guess is not None:
-            kp = _ps.key_params(self.m, (own >> (j * self.m)) & self.binmask)
+            kp = _ps.key_params(m, (own >> (cur_bin * m)) & binmask)
             t_cur = kp.t
-            fill_z = kp.z1 if (guess - kp.s) % self.m < self.half else kp.z2
-        free = ~(taken >> (j * self.m)) & self.binmask
-        if not free:
-            raise StrategyInvariantError("current bin closed unexpectedly")
+            fill_z = kp.z1 if (guess - kp.s) % m < self.half else kp.z2
         y = (free & -free).bit_length() - 1
         if fill_z is not None:
             # free points of the window at fill_z, rotated down to bit 0
-            window = ((free >> fill_z) | (free << (self.m - fill_z))) & self.fill_mask
+            window = ((free >> fill_z) | (free << (m - fill_z))) & self.fill_mask
             if window:
-                y = (fill_z + (window & -window).bit_length() - 1) % self.m
-        point = j * self.m + y
+                y = (fill_z + (window & -window).bit_length() - 1) % m
+        point = cur_bin * m + y
         return point, (phase, point, forbidden, cur_bin, fill_z, r_bin, guess, t_cur)
 
 

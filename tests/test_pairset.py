@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avoidance import pairset as ps
+from avoidance import cli, pairset as ps
 from avoidance.core import iter_bits, mask_of, set_of
 from avoidance.pairset import (
     KeyParams, MaximalityTieError, extension_masks, key_params, key_params_hold,
@@ -260,6 +260,18 @@ def test_key_params_exits_at_x2_and_x1_at_m_32(mask, k):
                                                             (k + 2) * m // 4 % m)
     assert kp == brute_key_params(set_of(mask), m)
     assert key_params_hold(m, mask, kp)
+
+
+def test_key_params_raises_when_no_window_pair_qualifies(monkeypatch, capsys):
+    # lifting each maximum just past its bound makes every window pair
+    # m - 2 long, so no exit fires; the chain must refuse rather than
+    # return a zero width that key_params_hold rejects
+    monkeypatch.setattr(ps, "_lift", lambda residue, lo_exclusive, m: lo_exclusive + 1)
+    for m in (4, 8, 16, 32):
+        with pytest.raises(ps.PairSetError, match="no window pair"):
+            key_params(m, 1)
+    assert cli.main(["verify-lemma", "key-lemma", "--m", "4"]) == 2
+    assert "no window pair" in capsys.readouterr().err
 
 
 def test_key_params_spec_case():

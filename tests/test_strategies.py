@@ -249,16 +249,21 @@ def test_bin_closed_without_our_claim_moves_the_guess_by_key_params_t(a):
     # no exhaustive or seeded verify at m >= 8 closes a bin we never
     # claimed in after the guess is set, so build that state: bin 1 is
     # current and full, holding a full pair set of ours, the guess is set
-    # and no t was taken (t_cur None)
+    # and no t was taken (t_cur None); bin 2 holds one point of ours, since
+    # key_params of an empty bin ties
     s = S.even_general_strategy(a, 3)
     m, half = s.m, s.m // 2
+    nxt = pairset.key_params(m, 1)
     for choice in range(1 << half):
         mine = choice << half | ((1 << half) - 1) & ~choice
-        own, adv = mine << m, (mine ^ s.binmask) << m
+        own, adv = mine << m | 1 << 2 * m, (mine ^ s.binmask) << m
         u, t = pairset.maximal_point(m, mine), pairset.key_params(m, mine).t
         for guess in range(half):
-            got = s._close_finished_bins(own, own | adv, 1, 5, 0, guess, None)
-            assert got == (2, None, (guess + u - t) % m, None), (bin(mine), guess)
+            x, state = s.step((S.ENDGAME, None, None, 1, 5, 0, guess, None), own, adv, None)
+            assert (state[3], state[6]) == (2, (guess + u - t) % m), (bin(mine), guess)
+            # the close cleared fill_z and t_cur, so bin 2 took its own
+            assert state[4] in (nxt.z1, nxt.z2) and state[7] == nxt.t
+            assert x // m == 2
 
 
 @pytest.mark.parametrize("strat,m", [(S.pairs_strategy(5), 2), (S.even_general_strategy(3, 3), 8)],
