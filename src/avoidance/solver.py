@@ -9,16 +9,19 @@ kernel serves every single-point solver: by default it is three-valued
 winning move, and ``earliest_forced_loss`` gives it a table of loss values.
 
 ``verify_strategy`` plays a scripted strategy against every adversary
-reply (or a seeded random sample), memoizing on (position, strategy
-state) packed into one integer, with the state as a small id interned by
-equality; only passing subtrees are cached so a failure always carries a
-replayable history. Both modes answer paired replies from the
-strategy's pairing table; exhaustive mode also skips, by sleep sets,
-those whose child it has already verified.
+reply (or a seeded random sample), merging on (position, strategy state)
+packed into one integer, with the state as a small id interned by
+equality. Exhaustive mode goes level by level, by points claimed, and
+holds two levels at once; where that fails it reruns depth first,
+caching only passing subtrees, so a failure always carries a replayable
+history. Both modes answer paired replies from the strategy's pairing
+table; exhaustive mode also skips, by sleep sets, those whose child it
+already holds.
 
-Subtrees may be searched concurrently against a shared write-once table
-without changing any result; the implementation here is single-threaded
-and deterministic.
+A level's nodes depend only on the level before, so they could be
+expanded concurrently into a shared next level, but the sleep sets rely
+on each level being expanded in the order it was filled; the
+implementation here is single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -310,15 +313,17 @@ class Goal(Enum):
 
 class VerifyReport(Record):
     # verdict: "pass" or "counterexample"; counterexample: the move history
-    # replaying to the violation; memo: exhaustive mode's memo entries, not in to_json
-    __slots__ = ("verdict", "counterexample", "leaves", "mode", "seed", "samples", "memo")
+    # replaying to the violation; memo and frontier: exhaustive mode's distinct
+    # nodes and the most of them held at once, not in to_json
+    __slots__ = ("verdict", "counterexample", "leaves", "mode", "seed", "samples", "memo",
+                 "frontier")
 
     def __init__(self, verdict: str, counterexample: Optional[tuple], leaves: int, mode: str,
                  seed: Optional[int] = None, samples: Optional[int] = None,
-                 memo: Optional[int] = None):
+                 memo: Optional[int] = None, frontier: Optional[int] = None):
         self.verdict, self.counterexample, self.leaves, self.mode = (
             verdict, counterexample, leaves, mode)
-        self.seed, self.samples, self.memo = seed, samples, memo
+        self.seed, self.samples, self.memo, self.frontier = seed, samples, memo, frontier
 
     @property
     def passed(self) -> bool:
@@ -359,38 +364,47 @@ def verify_strategy(game: Game, strategy, owner: Player, goal: Goal,
     raise GameError(f"unknown mode {mode!r}")
 
 
-def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyReport:
-    """Depth-first over adversary replies.
+def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal,
+                       route: Optional[str] = None) -> Optional[VerifyReport]:
+    """Every adversary reply, level by level, and depth first where that
+    route fails.
 
     Masks are owner-relative, as ``step`` reads them: (owner's, adversary's).
     A reply ``q`` is *paired* when the state's pairing table gives a
     partner ``t[q]`` that is unclaimed: the answer is ``t[q]`` and the
     state stays, with no ``step`` call; every other reply calls ``step``.
 
-    The memo holds each passing node (owner's set, adversary's set, state)
-    as one int, ``nm | nt << n | sid << 2n``, where ``sid`` numbers the
+    A node (owner's set, adversary's set, state), the adversary to move,
+    is one int, ``nm | nt << n | sid << 2n``, where ``sid`` numbers the
     distinct states in order of first sight, interned by equality in
-    ``ids``. The key is injective, since ``nm, nt < 2**n``, so the memo
+    ``ids``. The key is injective, since ``nm, nt < 2**n``, so the search
     merges exactly what a memo of tuples would, in about a third less
     memory. A paired reply keeps its parent's state and so its id; a
     stepped reply looks its id up only when ``step`` returned a new state
-    object.
+    object. A position only gains points, so each node lies on one level,
+    and the level route holds two levels at once. Where it fails or
+    raises, the depth-first route reruns from the root with a memo of the
+    nodes whose subtree passed, so a failure carries the history, leaves
+    and exception of a depth-first search. ``memo`` counts the distinct
+    nodes below the root and ``frontier`` the most nodes held at once.
 
     Sleep sets (Godefroid's partial-order reduction) skip paired replies
-    whose child is already in the memo. Two paired replies commute, since
+    whose child is already known. Two paired replies commute, since
     the state and so the table stay, and ``t`` is an involution: from a
     node N, q1 then q2 and q2 then q1 reach the same position. So once
-    N's child by q1 has passed, its own reply q2 led to that position
-    and put it in the memo, unless the move ended the game; ``sleep``
-    carries q1 into N's child by a later paired q2 (a point claimed on the
-    way stays claimed, so ``sleep`` needs no masking). Slept replies are
-    skipped only at nodes where no reply can end the game: the adversary
-    cannot complete a line there, and at least 3 points are unclaimed, so
-    no child board is full. Elsewhere a slept reply takes the memo probe
-    like any other. Then every skipped reply is a memo hit that one
-    ``step`` per reply would also make, so the memo, the leaves, the
-    containment calls and the first counterexample are those of the plain
-    loop.
+    N's child by q1 is known, its own reply q2 leads to that position,
+    unless the move ended the game; ``sleep`` carries q1 into N's child by
+    a later paired q2 (a point claimed on the way stays claimed, so
+    ``sleep`` needs no masking). Slept replies are skipped only at nodes
+    where no reply can end the game: the adversary cannot complete a line
+    there, and at least 3 points are unclaimed, so no child board is full.
+    Elsewhere a slept reply takes the probe like any other. Then every
+    skipped reply is a probe hit that one ``step`` per reply would also
+    make, so the memo, the leaves, the containment calls and the first
+    counterexample are those of the plain loop.
+
+    ``route`` "levels" runs the level route alone, None where it would
+    fall back, and "depth" the depth-first route alone.
     """
     full = game.full_mask
     n = game.n
@@ -400,21 +414,26 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
     win = goal is Goal.WIN
     step = strat.step
     n2 = 2 * n
-    memo: set = set()
+    memo: set = set()  # the depth-first route's passing nodes
+    nxt = masks = None  # the level route's next level, and its sleep masks by value
     ids: dict = {}  # state -> its id, by equality
     table_of = _pairing_tables(strat, n)  # keyed by state id
-    leaves = 0
+    leaves = nodes = frontier = 0
 
     def replies(mine: int, theirs: int, state, sid: int, t, sleep: int) -> Optional[list]:
         """Adversary to move against strategy ``state`` (id ``sid``) with
         pairing table ``t``, game not over; ``sleep`` holds paired replies
-        whose child is in the memo. None = subtree passes."""
+        whose child is known. A new child goes into the level ``nxt``, or,
+        where ``nxt`` is None, is searched at once and goes into ``memo``
+        once it passes. None = every reply passes."""
         nonlocal leaves
+        seen = memo if nxt is None else nxt
         claimed = mine | theirs
         unclaimed = full & ~claimed
         may_lose = theirs.bit_count() + 1 >= minline
         owner_may_lose = mine.bit_count() + 1 >= minline
-        if sleep and not may_lose and unclaimed.bit_count() >= 3:
+        left = unclaimed.bit_count()  # 1: a reply fills the board, 2: its answer does
+        if sleep and not may_lose and left >= 3:
             unclaimed &= ~sleep  # no reply here can end the game
         done = 0  # paired replies finished without ending the game
         while unclaimed:
@@ -425,7 +444,7 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
             if may_lose and loses_after(nt, q):
                 leaves += 1
                 continue  # adversary contained a line first: fine for both goals
-            if mine | nt == full:
+            if left == 1:
                 leaves += 1
                 if win:
                     return [q]  # adversary escaped with a draw
@@ -443,55 +462,95 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal) -> VerifyRe
                     return [q, x]
                 asid = sid if after is state else ids.setdefault(after, len(ids))
             nm = mine | 1 << x
-            # a memoized subtree passed, so its owner set holds no line and
-            # its board is not full: the probe may skip both checks below
+            # a known child passed or waits in a level, so its owner set holds
+            # no line and its board is not full: the probe may skip both checks
             memo_key = nm | nt << n | asid << n2
-            if memo_key not in memo:
+            if memo_key not in seen:
                 if owner_may_lose and loses_after(nm, x):
                     return [q, x]
-                if nm | nt == full:
+                if left == 2:
                     leaves += 1
                     if win:
                         return [q, x]
                     continue
-                # an unchanged state keeps its table
-                sub = replies(nm, nt, after, asid,
-                              t if after is state else table_of(after, asid),
-                              sleep | done if paired else 0)
-                if sub is not None:
-                    return [q, x] + sub
-                memo.add(memo_key)
+                s = sleep | done if paired else 0
+                if nxt is not None:  # the first insertion sets the sleep mask
+                    nxt[memo_key] = masks.setdefault(s, s) if s else 0
+                else:  # an unchanged state keeps its table
+                    sub = replies(nm, nt, after, asid,
+                                  t if after is state else table_of(after, asid), s)
+                    if sub is not None:
+                        return [q, x] + sub
+                    memo.add(memo_key)
             if paired:
                 done |= bit
         return None
 
-    state = strat.initial
+    def levels(root: int) -> bool:
+        """Expand level k (the nodes with k points claimed) into level
+        k + 1 in insertion order, then drop it; True = every node passes.
+
+        Sound by induction over levels and, within one, insertion order:
+        when a node N sleeps q1, its child by q1 is already in the next
+        level. N came from P by a paired q2, and q1 was a paired reply P
+        finished before q2, or one P slept, as the guard that lets N sleep
+        held at P too. Either way P's child C by q1 entered N's level before
+        N and was expanded before it. C's reply q2, slept or not, reaches
+        N's child by q1 with the same state, and ends the game only where
+        N's reply q1 does, which the guard rules out.
+        """
+        nonlocal nxt, masks, nodes, frontier
+        level = {root: 0}
+        while level:
+            states = list(ids)  # in id order
+            nxt, masks = {}, {}
+            sid = -1
+            for key, sleep in level.items():
+                if key >> n2 != sid:  # siblings by paired replies share a state
+                    sid = key >> n2
+                    state = states[sid]
+                    t = table_of(state, sid)
+                if replies(key & full, key >> n & full, state, sid, t, sleep) is not None:
+                    return False
+            nodes += len(nxt)
+            frontier = max(frontier, len(level) + len(nxt))
+            level = nxt
+        return True
+
+    state, mine, cx = strat.initial, 0, None
     try:
-        if not first:
-            ids[state] = 0
-            cx = replies(0, 0, state, 0, table_of(state, 0), 0)
-        else:  # the owner opens: the same checks as an answer in ``replies``
+        if first:  # the owner opens: the same checks as an answer in ``replies``
             try:
                 x, state = step(state, 0, 0, None)
             except IllegalMoveError:
                 x = -1
             if not 0 <= x < n or (minline <= 1 and loses_after(1 << x, x)):
                 cx = [x]
-            elif 1 << x == full:
+            elif (mine := 1 << x) == full:
                 leaves += 1
                 cx = [x] if win else None
-            else:
-                ids[state] = 0
-                cx = replies(1 << x, 0, state, 0, table_of(state, 0), 0)
-                if cx is not None:
+        if cx is None and mine != full:
+            ids[state] = 0
+            try:
+                passed = route != "depth" and levels(mine)
+            except Exception:  # the rerun raises it where a depth-first search does
+                passed = False
+            if not passed:
+                if route == "levels":
+                    return None
+                nxt = masks = None  # frees the level route's last level
+                leaves = 0
+                cx = replies(mine, 0, state, 0, table_of(state, 0), 0)
+                if cx is not None and first:
                     cx = [x] + cx
+                nodes, frontier = len(memo), max(frontier, len(memo))
     finally:
         # ``replies`` refers to itself; unbinding it frees the memo now, not
         # at the next cycle collection
-        del replies
-    if cx is not None:
-        return VerifyReport("counterexample", tuple(cx), leaves, "exhaustive", memo=len(memo))
-    return VerifyReport("pass", None, leaves, "exhaustive", memo=len(memo))
+        del replies, levels
+    return VerifyReport("pass" if cx is None else "counterexample",
+                        None if cx is None else tuple(cx), leaves, "exhaustive",
+                        memo=nodes, frontier=frontier)
 
 
 def _pairing_tables(strat, n: int):

@@ -49,9 +49,9 @@ RECORDS = [
     (SolveReport, (Outcome(Winner.PII_WIN, 3), (0, 1, 2), 4, 2), {},
      "SolveReport(outcome=Outcome(winner=<Winner.PII_WIN: 'PIIWin'>, loss_time=3), "
      "principal_variation=(0, 1, 2), states_visited=4, table_size=2)", False, None),
-    (VerifyReport, ("pass", None, 7, "exhaustive"), {"memo": 3},
+    (VerifyReport, ("pass", None, 7, "exhaustive"), {"memo": 3, "frontier": 2},
      "VerifyReport(verdict='pass', counterexample=None, leaves=7, mode='exhaustive', "
-     "seed=None, samples=None, memo=3)", False, None),
+     "seed=None, samples=None, memo=3, frontier=2)", False, None),
 ]
 
 

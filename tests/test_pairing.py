@@ -1,10 +1,11 @@
 """Pairing tables and the sleep-set exhaustive verifier.
 
 The verifier answers paired replies from the strategy's table, in both
-modes, and in exhaustive mode skips those whose child it has verified;
+modes, and in exhaustive mode skips those whose child it already knows;
 ``oracles.ref_verify`` is the plain loop with one ``step`` call per
 reply. Their reports must be equal, and every table must say what
-``step`` does.
+``step`` does. Exhaustive mode searches level by level and reruns depth
+first where that fails; each route must give the other's report.
 """
 
 import pytest
@@ -12,9 +13,10 @@ import pytest
 from avoidance import constructions as C
 from avoidance import strategies as S
 from avoidance.core import IllegalMoveError, Player, StrategyInvariantError
-from avoidance.solver import Goal, verify_strategy
+from avoidance.solver import Goal, _verify_exhaustive, verify_strategy
 
 from oracles import ref_verify, ref_verify_sampled
+from test_strategies import MEMO_COUNTS, PINNED_REPORTS
 
 
 class _NextPoint(S.Strategy):
@@ -93,6 +95,18 @@ def _strategies(game) -> list:
                   _XorPairing(game.n, Player.ONE), _XorPairing(game.n, Player.TWO)]
 
 
+def _routes_agree(game, strat, goal) -> None:
+    """The level route passes, without falling back, exactly where the
+    depth-first route passes, with the same report and memo count."""
+    levels = _verify_exhaustive(game, strat, strat.role, goal, route="levels")
+    depth = _verify_exhaustive(game, strat, strat.role, goal, route="depth")
+    assert (levels is not None) == depth.passed, (strat.name, goal)
+    if levels is not None:
+        assert (levels.to_json(), levels.memo) == (depth.to_json(), depth.memo), (
+            strat.name, goal)
+        assert levels.frontier <= levels.memo + 1
+
+
 @pytest.mark.parametrize("spec", DIFF_BOARDS)
 def test_sleep_set_verifier_matches_the_plain_loop(spec):
     game = C.parse_game_spec(spec)
@@ -100,6 +114,53 @@ def test_sleep_set_verifier_matches_the_plain_loop(spec):
         for goal in Goal:
             got = verify_strategy(game, strat, strat.role, goal).to_json()
             assert got == ref_verify(game, strat, strat.role, goal), (strat.name, goal)
+            _routes_agree(game, strat, goal)
+
+
+# every (board, strategy, goal) of the pinned reports and memo counts
+PINNED_RUNS = list(dict.fromkeys(row[:3] for row in PINNED_REPORTS + MEMO_COUNTS))
+
+
+@pytest.mark.parametrize("spec,name,goal", PINNED_RUNS,
+                         ids=[f"{spec}-{name}-{goal.value}" for spec, name, goal in PINNED_RUNS])
+def test_the_level_route_gives_the_pinned_depth_first_report(spec, name, goal):
+    game = C.parse_game_spec(spec)
+    _routes_agree(game, S.strategy_for(game, name), goal)
+
+
+@pytest.mark.parametrize("spec,name,memo,frontier", [
+    ("even_general(2,5)", "even-general", 186243, 97376), ("pairs(11)", "pairs", 581884, 288460)])
+def test_exhaustive_verify_holds_two_levels_at_once(spec, name, memo, frontier):
+    game = C.parse_game_spec(spec)
+    strat = S.strategy_for(game, name)
+    report = verify_strategy(game, strat, strat.role, Goal.WIN)
+    assert report.passed and (report.memo, report.frontier) == (memo, frontier)
+    assert "frontier" not in report.to_json()
+
+
+class _RaisesOnLastOpeningReply(S.LowestFreeStrategy):
+    """The lowest free point, but raises on the adversary's first reply at
+    the last point, a branch the depth-first search reaches only after its
+    counterexample."""
+
+    raised = False
+
+    def step(self, state, own, adv, q):
+        if adv == 1 << (self.n - 1):
+            self.raised = True
+            raise RuntimeError("not reached depth first")
+        return super().step(state, own, adv, q)
+
+
+def test_an_exception_on_the_level_route_reruns_depth_first():
+    game = C.parse_game_spec("pairs(3)")
+    strat = _RaisesOnLastOpeningReply(game.n)
+    assert _verify_exhaustive(game, strat, Player.ONE, Goal.WIN, route="levels") is None
+    assert strat.raised
+    report = verify_strategy(game, strat, Player.ONE, Goal.WIN)
+    assert report.to_json() == ref_verify(game, S.LowestFreeStrategy(game.n), Player.ONE,
+                                          Goal.WIN)
+    assert report.counterexample == (0, 1, 2, 3, 4)
 
 
 # catalog boards with n <= 20 for every strategy that has pairing tables
