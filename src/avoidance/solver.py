@@ -15,7 +15,7 @@ equality. Exhaustive mode goes level by level, by points claimed, and
 holds two levels at once; where that fails it reruns depth first,
 caching only passing subtrees, so a failure always carries a replayable
 history. Both modes answer paired replies from the strategy's pairing
-table; exhaustive mode also skips, by sleep sets, those whose child it
+table; the level route also skips, by sleep sets, those whose child it
 already holds.
 
 A level's nodes depend only on the level before, so they could be
@@ -388,20 +388,20 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal,
     and exception of a depth-first search. ``memo`` counts the distinct
     nodes below the root and ``frontier`` the most nodes held at once.
 
-    Sleep sets (Godefroid's partial-order reduction) skip paired replies
-    whose child is already known. Two paired replies commute, since
-    the state and so the table stay, and ``t`` is an involution: from a
-    node N, q1 then q2 and q2 then q1 reach the same position. So once
-    N's child by q1 is known, its own reply q2 leads to that position,
-    unless the move ended the game; ``sleep`` carries q1 into N's child by
-    a later paired q2 (a point claimed on the way stays claimed, so
-    ``sleep`` needs no masking). Slept replies are skipped only at nodes
-    where no reply can end the game: the adversary cannot complete a line
-    there, and at least 3 points are unclaimed, so no child board is full.
-    Elsewhere a slept reply takes the probe like any other. Then every
-    skipped reply is a probe hit that one ``step`` per reply would also
-    make, so the memo, the leaves, the containment calls and the first
-    counterexample are those of the plain loop.
+    The level route skips, by sleep sets (Godefroid's partial-order
+    reduction), paired replies whose child is already in the next level.
+    Two paired replies commute, since the state and so the table stay,
+    and ``t`` is an involution: from a node N, q1 then q2 and q2 then q1
+    reach the same position. So once N's child by q1 is in, its own reply
+    q2 leads to that position, unless the move ended the game; ``sleep``
+    carries q1 into N's child by a later paired q2 (a point claimed on the
+    way stays claimed, so ``sleep`` needs no masking). Slept replies are
+    skipped only at nodes where no reply can end the game: the adversary
+    cannot complete a line there, and at least 3 points are unclaimed, so
+    no child board is full. Elsewhere a slept reply takes the probe like
+    any other. Then every skipped reply is a probe hit that one ``step``
+    per reply would also make, so the nodes, leaves and containment calls
+    are those of the plain loop. The depth-first route has no sleep sets.
 
     ``route`` "levels" runs the level route alone, None where it would
     fall back, and "depth" the depth-first route alone.
@@ -423,9 +423,9 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal,
     def replies(mine: int, theirs: int, state, sid: int, t, sleep: int) -> Optional[list]:
         """Adversary to move against strategy ``state`` (id ``sid``) with
         pairing table ``t``, game not over; ``sleep`` holds paired replies
-        whose child is known. A new child goes into the level ``nxt``, or,
-        where ``nxt`` is None, is searched at once and goes into ``memo``
-        once it passes. None = every reply passes."""
+        whose child is in ``nxt``. A new child goes into the level ``nxt``,
+        or, where ``nxt`` is None, is searched at once and goes into
+        ``memo`` once it passes. None = every reply passes."""
         nonlocal leaves
         seen = memo if nxt is None else nxt
         claimed = mine | theirs
@@ -473,12 +473,12 @@ def _verify_exhaustive(game: Game, strat, owner: Player, goal: Goal,
                     if win:
                         return [q, x]
                     continue
-                s = sleep | done if paired else 0
                 if nxt is not None:  # the first insertion sets the sleep mask
+                    s = sleep | done if paired else 0
                     nxt[memo_key] = masks.setdefault(s, s) if s else 0
-                else:  # an unchanged state keeps its table
+                else:  # an unchanged state keeps its table; no sleep sets
                     sub = replies(nm, nt, after, asid,
-                                  t if after is state else table_of(after, asid), s)
+                                  t if after is state else table_of(after, asid), 0)
                     if sub is not None:
                         return [q, x] + sub
                     memo.add(memo_key)

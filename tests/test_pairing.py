@@ -1,11 +1,12 @@
 """Pairing tables and the sleep-set exhaustive verifier.
 
 The verifier answers paired replies from the strategy's table, in both
-modes, and in exhaustive mode skips those whose child it already knows;
-``oracles.ref_verify`` is the plain loop with one ``step`` call per
-reply. Their reports must be equal, and every table must say what
-``step`` does. Exhaustive mode searches level by level and reruns depth
-first where that fails; each route must give the other's report.
+modes, and on the exhaustive level route skips those whose child it
+already holds; ``oracles.ref_verify`` is the plain loop with one
+``step`` call per reply. Their reports must be equal, and every table
+must say what ``step`` does. Exhaustive mode searches level by level and
+reruns depth first, with no sleep sets, where that fails; each route
+must give the other's report.
 """
 
 import pytest
