@@ -16,8 +16,9 @@ A strategy may also expose a pairing table per state,
 returns ``(t[q], state)`` with the same state object, and ``-1`` means
 "ask ``step``". ``t`` is a fixed-point-free partial involution
 (``t[q] != q`` and ``t[t[q]] == q``), so two paired answers commute. The
-verifier answers paired replies from the table in both modes, and in
-exhaustive mode skips those whose child it has already verified.
+verifier answers paired replies from the table in both modes. On the
+exhaustive level route it also skips a paired reply whose child is
+already in the next level; the depth-first rerun skips none.
 
 All free choices are resolved lowest index first, so identical histories
 reproduce identical moves. The one exception is the r-bin window rule of
@@ -264,79 +265,47 @@ class BinMirrorStrategy(Strategy):
 # ---------------------------------------------------------------------------
 # pairing strategies: answer every move with its partner
 
-def _pairing_table(partner, fixed: int) -> tuple:
-    """``partner`` with its fixed points made holes (-1), once ``partner``
-    is an involution of its points with exactly ``fixed`` fixed points."""
-    t = tuple(-1 if y == x else y for x, y in enumerate(partner))
-    if min(partner, default=0) < 0 or t.count(-1) != fixed \
-            or not is_fpf_partial_involution(t):
-        raise StrategyInvariantError(f"partner table is no involution with {fixed} fixed point(s)")
-    return t
-
-
 class PairingStrategy(Strategy):
-    """Answer every adversary move q with ``partner[q]``.
+    """Answer each adversary move q with ``partner[q]``, except in a block
+    where a base strategy plays.
 
-    ``partner`` is an involution of the board. A first player opens at its
-    one fixed point; a second player's has none. ``step`` answers from the
-    table that ``pairing`` returns.
+    ``partner`` is an involution of the board whose fixed points are
+    exactly the block 0..n0-1, where n0 is ``base.n`` (0 without a base).
+    An opening or a move in the block goes to ``base.step``, masked to the
+    block. ``role``, ``initial`` and the state are the base's; without a
+    base the strategy is a second player's and never opens.
     """
 
-    def __init__(self, name: str, role: Player, partner):
-        self.name, self.role, self.n = name, role, len(partner)
+    def __init__(self, name: str, partner, base: Optional[Strategy] = None):
+        n0 = 0 if base is None else base.n
+        self.name, self.base, self.n0, self.n = name, base, n0, len(partner)
         self.partner = tuple(partner)
-        self.table = _pairing_table(self.partner, 1 if role is Player.ONE else 0)
-        self.opening = self.table.index(-1) if role is Player.ONE else None
+        self.table = tuple(-1 if y == x else y for x, y in enumerate(self.partner))
+        if min(self.partner, default=0) < 0 or not is_fpf_partial_involution(self.table) \
+                or [x for x, y in enumerate(self.partner) if x == y] != list(range(n0)):
+            raise StrategyInvariantError(
+                f"partner table is no involution fixing exactly the first {n0} point(s)")
+        if base is None:
+            self.role = Player.TWO
+        else:
+            self.role, self.initial = base.role, base.initial
 
     def step(self, state, own, adv, q):
-        if q is None:
-            if self.opening is None:
+        if q is None or q < self.n0:
+            if self.base is None:
                 raise StrategyInvariantError("no adversary move to answer")
-            return self.opening, state
+            block = (1 << self.n0) - 1
+            return self.base.step(state, own & block, adv & block, q)
         x = self.table[q]
-        if x < 0 or ((own | adv) >> x) & 1:
+        if ((own | adv) >> x) & 1:
             raise StrategyInvariantError(f"the partner of {q} is not free")
         return x, state
 
     def pairing(self, state):
-        return self.table
-
-
-# ---------------------------------------------------------------------------
-# mirroring across copies
-
-class CopyMirrorStrategy(Strategy):
-    """Run the base strategy in copy 0, mirror the other copies across f.
-
-    Copy i is the points i*n0 .. i*n0 + n0 - 1 of a base board of n0
-    points. The copy map f is an involution of the copies whose one fixed
-    point is copy 0; an adversary move (i, v) with i != 0 is answered by
-    (f(i), v). The state is the base's state.
-    """
-
-    def __init__(self, name: str, base: Strategy, f):
-        if _pairing_table(f, 1)[0] != -1:
-            raise StrategyInvariantError("the copy map moves copy 0")
-        self.name = name
-        self.role = Player.ONE
-        self.base = base
-        self.initial = base.initial
-        self.f = tuple(f)
-        n0 = self.n0 = base.n
-        self.n = len(f) * n0
-        # the answer to each point of copies 1.., in point order
-        self.mirror = tuple(self.f[i] * n0 + v for i in range(1, len(f)) for v in range(n0))
-
-    def step(self, state, own, adv, q):
-        if q is None or q < self.n0:
-            lo = (1 << self.n0) - 1
-            return self.base.step(state, own & lo, adv & lo, q)
-        return self.mirror[q - self.n0], state
-
-    def pairing(self, state):
-        """The base's table on copy 0, the copy map everywhere else."""
-        base = self.base.pairing(state)
-        return ((-1,) * self.n0 if base is None else base) + self.mirror
+        """The base's table on the block (all holes when it has none), then
+        the partner table."""
+        t = None if self.base is None else self.base.pairing(state)
+        return self.table if t is None else t + self.table[self.n0:]
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +319,27 @@ def even_general_strategy(a: int, b: int) -> BinMirrorStrategy:
     return BinMirrorStrategy(f"even-general({a},{b})", even_general_rule(a, b))
 
 
-def copy_mirror_strategy(base: Strategy, c: int) -> CopyMirrorStrategy:
+def copy_pairing(name: str, base: Strategy, f) -> PairingStrategy:
+    """``base`` in copy 0 of len(f) copies of its board, and a move in copy
+    i answered at the same place in copy f[i]; copy i is the points
+    i*n0 .. i*n0 + n0 - 1, where n0 is ``base.n``."""
+    n0 = base.n
+    return PairingStrategy(name, [f[x // n0] * n0 + x % n0 for x in range(len(f) * n0)], base)
+
+
+def copy_mirror_strategy(base: Strategy, c: int) -> PairingStrategy:
     """``base`` in copy 0 of c copies; copies 2i-1 and 2i mirror each other."""
     f = (0,) + tuple(i + 1 if i % 2 else i - 1 for i in range(1, c))
-    return CopyMirrorStrategy(f"copy-mirror({base.name},{c})", base, f)
+    return copy_pairing(f"copy-mirror({base.name},{c})", base, f)
 
 
 def _torus_pairing_for(game: Game, params: dict) -> Strategy:
     if params.get("q") != 3:
         raise StrategyInvariantError("torus-pairing needs a torus(3, d) game")
-    # torus()'s last generator is the negation; the origin is its fixed point
-    return PairingStrategy(f"torus-pairing({params['d']})", Player.ONE,
-                           game.generators[-1].image)
+    # torus()'s last generator is the negation; its one fixed point, the
+    # origin, is point 0, where the first player opens
+    return PairingStrategy(f"torus-pairing({params['d']})", game.generators[-1].image,
+                           LowestFreeStrategy(1))
 
 
 def _involution_pairing_for(game: Game, params: dict) -> Strategy:
@@ -369,7 +347,7 @@ def _involution_pairing_for(game: Game, params: dict) -> Strategy:
     if g is None:
         raise StrategyInvariantError("no fixed-point-free involution in the group")
     game.lines.check_preserved(g)
-    return PairingStrategy("involution-pairing", Player.TWO, g.image)
+    return PairingStrategy("involution-pairing", g.image)
 
 
 # name -> (construction the game must come from, or None; builder(game, params))
@@ -382,7 +360,7 @@ _REGISTRY = {
     "copy-mirror": ("copies", lambda g, p: copy_mirror_strategy(
         strategy_for(g.meta["base"], "pairs"), p["c"])),
     # torus layer t is copy t; the copy map is the torus negation
-    "product": ("product_torus", lambda g, p: CopyMirrorStrategy(
+    "product": ("product_torus", lambda g, p: copy_pairing(
         f"product({p['d']})", strategy_for(g.meta["base"], "pairs"),
         g.meta["torus"].generators[-1].image)),
     "lowest": (None, lambda g, p: LowestFreeStrategy(g.n)),

@@ -314,7 +314,10 @@ def test_negation_table_is_the_torus_negation(d):
     # -v digit by digit, points indexed by their base-3 digits
     neg = tuple(sum((-(i // 3 ** k)) % 3 * 3 ** k for k in range(d)) for i in range(3 ** d))
     assert S.strategy_for(C.torus(3, d), "torus-pairing").partner == neg
-    assert S.strategy_for(C.product_torus(d), "product").f == neg
+    # point v of torus layer t answers at point v of layer -t
+    s = S.strategy_for(C.product_torus(d), "product")
+    n0 = s.base.n
+    assert s.partner == tuple(neg[t] * n0 + v for t in range(3 ** d) for v in range(n0))
 
 
 @pytest.mark.parametrize("role,partner", [
@@ -324,31 +327,43 @@ def test_negation_table_is_the_torus_negation(d):
     (Player.TWO, (1, 0, -2, -2)),   # holes
 ])
 def test_pairing_strategy_refuses_what_is_no_pairing(role, partner):
+    # a first player's base opens at point 0, its one fixed point
+    base = S.LowestFreeStrategy(1) if role is Player.ONE else None
     with pytest.raises(StrategyInvariantError):
-        S.PairingStrategy("p", role, partner)
+        S.PairingStrategy("p", partner, base)
 
 
 def test_involution_pairing_requires_fpf():
-    # a second player has no opening, so its table may fix no point
+    # with no base to open, the table may fix no point
     with pytest.raises(StrategyInvariantError):
-        S.PairingStrategy("involution-pairing", Player.TWO, (0, 2, 1))
+        S.PairingStrategy("involution-pairing", (0, 2, 1))
+
+
+def test_pairing_strategy_fixes_exactly_the_base_block():
+    # a two-point base: the fixed points must be 0 and 1, not 0 and 2
+    with pytest.raises(StrategyInvariantError):
+        S.PairingStrategy("p", (0, 3, 2, 1), S.LowestFreeStrategy(2))
+    assert S.PairingStrategy("p", (0, 1, 3, 2), S.LowestFreeStrategy(2)).n0 == 2
 
 
 def test_pairing_strategy_answers_from_its_table():
-    s = S.PairingStrategy("p", Player.ONE, (2, 1, 0, 4, 3))
-    assert s.pairing(s.initial) == (2, -1, 0, 4, 3)
-    assert s.step(s.initial, 0, 0, None) == (1, s.initial)
-    assert s.step(s.initial, 0b10, 0b1000, 3) == (4, s.initial)
+    s = S.PairingStrategy("p", (0, 2, 1, 4, 3), S.LowestFreeStrategy(1))
+    assert s.role is Player.ONE and s.initial == ()
+    assert s.pairing(s.initial) == (-1, 2, 1, 4, 3)
+    assert s.step(s.initial, 0, 0, None) == (0, s.initial)
+    assert s.step(s.initial, 0b1, 0b1000, 3) == (4, s.initial)
     with pytest.raises(StrategyInvariantError):
-        s.step(s.initial, 0b10010, 0b1000, 3)  # the partner is claimed
+        s.step(s.initial, 0b10001, 0b1000, 3)  # the partner is claimed
+    two = S.PairingStrategy("p", (1, 0))
+    assert two.role is Player.TWO and two.initial is None
     with pytest.raises(StrategyInvariantError):
-        S.PairingStrategy("p", Player.TWO, (1, 0)).step(None, 0, 0, None)
+        two.step(None, 0, 0, None)
 
 
 @pytest.mark.parametrize("f", [(1, 0, 2), (0, 2, 1, 3), (0, 2), (0, 1), (), (0, 2, 0)])
 def test_copy_map_must_fix_copy_0_only_and_pair_the_rest(f):
     with pytest.raises(StrategyInvariantError):
-        S.CopyMirrorStrategy("m", S.pairs_strategy(3), f)
+        S.copy_pairing("m", S.pairs_strategy(3), f)
 
 
 def test_copy_map_of_an_even_copy_count_is_refused():
